@@ -410,6 +410,15 @@ BigInt::DivModMagnitude(const std::vector<Limb>& a,
 
 // --- Signed operations -------------------------------------------------------
 
+BigInt& BigInt::operator++() {
+  PL_CHECK(!negative_);
+  for (Limb& limb : limbs_) {
+    if (++limb != 0) return *this;
+  }
+  limbs_.push_back(1);  // carried out of every limb, or the value was zero
+  return *this;
+}
+
 BigInt BigInt::operator-() const {
   BigInt out = *this;
   if (!out.limbs_.empty()) out.negative_ = !out.negative_;

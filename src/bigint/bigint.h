@@ -122,6 +122,12 @@ class BigInt {
   BigInt& operator/=(const BigInt& other) { return *this = *this / other; }
   BigInt& operator%=(const BigInt& other) { return *this = *this % other; }
 
+  /// Prefix increment of a nonnegative value, in place: carries through
+  /// the existing limbs with no temporary, allocating only when a carry
+  /// outgrows the limb vector's capacity. The SC table's shift-by-one
+  /// update (core/sc_table.h) runs on it.
+  BigInt& operator++();
+
   /// Computes quotient and remainder in one pass (remainder has the sign of
   /// the dividend). Divisor must be nonzero.
   static std::pair<BigInt, BigInt> DivMod(const BigInt& dividend,

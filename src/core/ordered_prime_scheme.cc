@@ -243,13 +243,8 @@ ScUpdateStats OrderedPrimeScheme::RegisterOrder(NodeId new_node) {
   // (Deriving the position from the predecessor's *order number* rather
   // than a preorder count keeps insertion correct after deletions, which
   // leave gaps in the order sequence.)
-  NodeId predecessor = kInvalidNodeId;
-  bool seen = false;
-  tree()->Preorder([&](NodeId id, int) {
-    if (id == new_node) seen = true;
-    if (!seen) predecessor = id;
-  });
-  PL_CHECK(seen);
+  PL_CHECK(!tree()->IsDetached(new_node));
+  NodeId predecessor = tree()->PreorderPredecessor(new_node);
   PL_CHECK(predecessor != kInvalidNodeId);  // the root precedes everything
   std::uint64_t position = OrderOf(predecessor) + 1;
 

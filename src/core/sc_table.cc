@@ -107,17 +107,22 @@ ScUpdateStats ScTable::InsertAt(
     const std::function<std::uint64_t(std::uint64_t)>& relabel) {
   ScUpdateStats stats;
   PL_CHECK(index_.find(self) == index_.end());
+  PL_CHECK(position < self);
 
   // Shift every order number >= position up by one, relabeling nodes whose
-  // order number would reach their modulus.
-  std::vector<std::size_t> dirty;
+  // order number would reach their modulus. A record whose members all
+  // shift, none relabeled, stays solved by sc + 1 (DESIGN.md §18); every
+  // other touched record is re-solved.
+  std::vector<std::size_t> bumped;
+  std::vector<std::size_t> resolve;
   for (std::size_t r = 0; r < records_.size(); ++r) {
     ScRecord& record = records_[r];
-    bool touched = false;
+    std::size_t shifted = 0;
+    bool relabeled = false;
     for (std::size_t i = 0; i < record.orders.size(); ++i) {
       if (record.orders[i] < position) continue;
       ++record.orders[i];
-      touched = true;
+      ++shifted;
       if (record.orders[i] >= record.moduli[i]) {
         std::uint64_t old_self = record.moduli[i];
         std::uint64_t new_self = relabel(old_self);
@@ -126,21 +131,23 @@ ScUpdateStats ScTable::InsertAt(
         record.moduli[i] = new_self;
         index_[new_self] = {r, i};
         ++stats.nodes_relabeled;
+        relabeled = true;
       }
       max_order_ = std::max(max_order_, record.orders[i]);
     }
-    if (touched) dirty.push_back(r);
+    if (shifted == 0) continue;
+    (shifted == record.orders.size() && !relabeled ? bumped : resolve)
+        .push_back(r);
   }
 
-  // Insert the new congruence; the record it lands in is recomputed either
-  // way, so only count it once.
-  PL_CHECK(position < self);
+  // The new congruence lands in the last record, which is re-solved either
+  // way and counted once.
   std::size_t landed = Add(self, position);
-  if (std::find(dirty.begin(), dirty.end(), landed) == dirty.end()) {
-    dirty.push_back(landed);
-  }
-  for (std::size_t r : dirty) Recompute(r);
-  stats.records_updated = static_cast<int>(dirty.size());
+  if (!bumped.empty() && bumped.back() == landed) bumped.pop_back();
+  if (resolve.empty() || resolve.back() != landed) resolve.push_back(landed);
+  for (std::size_t r : bumped) ++records_[r].sc;
+  for (std::size_t r : resolve) Recompute(r);
+  stats.records_updated = static_cast<int>(bumped.size() + resolve.size());
   return stats;
 }
 

@@ -81,7 +81,9 @@ class ScTable {
   /// position shifts up by one. When a shifted node's order number reaches
   /// its modulus, `relabel(old_self)` must return a fresh, larger,
   /// coprime self-label for it (the ordered scheme hands out a fresh
-  /// prime) and the node counts as relabeled.
+  /// prime) and the node counts as relabeled. A record whose members all
+  /// shift, none relabeled, is updated to sc + 1 in place — bit-identical
+  /// to a re-solve; the rest of the touched records are re-solved.
   ScUpdateStats InsertAt(
       std::uint64_t self, std::uint64_t position,
       const std::function<std::uint64_t(std::uint64_t)>& relabel);

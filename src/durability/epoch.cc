@@ -147,6 +147,9 @@ void EpochRegistry::CollectLocked() {
 
   for (auto it = epochs_.begin(); it != epochs_.end();) {
     const std::uint64_t epoch = it->first;
+    // A checkpoint registers its epoch before SetCurrent publishes it; an
+    // Unpin in between must not retire the files being published.
+    if (epoch > current_) break;
     if (need_files.count(epoch) == 0) {
       // Fully unreachable: all three files go. Best effort — strays are
       // swept at the next Open.

@@ -195,6 +195,15 @@ std::vector<NodeId> XmlTree::PreorderNodes() const {
   return out;
 }
 
+NodeId XmlTree::PreorderPredecessor(NodeId id) const {
+  NodeId before = node(id).prev_sibling;
+  if (before == kInvalidNodeId) return node(id).parent;
+  while (node(before).last_child != kInvalidNodeId) {
+    before = node(before).last_child;
+  }
+  return before;
+}
+
 NodeId XmlTree::FindFirst(std::string_view tag) const {
   NodeId found = kInvalidNodeId;
   Preorder([&](NodeId id, int) {

@@ -129,6 +129,11 @@ class XmlTree {
   /// All attached nodes in document (preorder) order.
   std::vector<NodeId> PreorderNodes() const;
 
+  /// The attached node right before `id` in document order, read off the
+  /// links in O(depth): the previous sibling's deepest last descendant, or
+  /// else the parent (kInvalidNodeId for the root).
+  NodeId PreorderPredecessor(NodeId id) const;
+
   /// Preorder visit; `visit(id, depth)` is called for each attached node.
   template <typename Visitor>
   void Preorder(Visitor&& visit) const {

@@ -105,6 +105,23 @@ TEST(BigIntArithmetic, CarryPropagation) {
   EXPECT_EQ(((almost + BigInt(1)) - BigInt(1)), almost);
 }
 
+TEST(BigIntArithmetic, IncrementInPlace) {
+  BigInt zero;
+  EXPECT_EQ(++zero, BigInt(1));
+  BigInt word_max = BigInt::FromUint64(UINT64_MAX);
+  ++word_max;
+  EXPECT_EQ(word_max.ToDecimalString(), "18446744073709551616");  // 2^64
+  // 2^192 - 1 carries through three limbs into a fourth.
+  BigInt three_limbs = (BigInt(1) << 192) - BigInt(1);
+  ++three_limbs;
+  EXPECT_EQ(three_limbs, BigInt(1) << 192);
+  EXPECT_EQ(three_limbs.Magnitude().size(), 4u);
+  // A carry that stops inside the magnitude leaves the upper limbs alone.
+  BigInt partial = (BigInt(5) << 128) + (BigInt(1) << 64) - BigInt(1);
+  ++partial;
+  EXPECT_EQ(partial, (BigInt(5) << 128) + (BigInt(1) << 64));
+}
+
 TEST(BigIntArithmetic, LargeMultiplication) {
   // (10^20)^2 = 10^40
   BigInt big = *BigInt::FromDecimalString("100000000000000000000");

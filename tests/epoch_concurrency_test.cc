@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/durable_document_store.h"
+#include "durability/epoch.h"
 #include "xml/serializer.h"
 #include "xml/shakespeare.h"
 
@@ -219,6 +222,41 @@ TEST(EpochConcurrency, PinChurnDuringCheckpointsNeverBreaksRetirement) {
       DurableDocumentStore::Open(dir, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(StateDigest(reopened->document()), live);
+  RemoveTree(dir);
+}
+
+TEST(EpochConcurrency, UnpinBetweenRegisterAndSetCurrentKeepsNewEpochFiles) {
+  // Checkpoint registers epoch n+1 and only then publishes it; a reader's
+  // Unpin landing between the two calls runs retirement against current
+  // epoch n. The deterministic replay of that interleaving: n+1's files
+  // must survive it, and the publish then retires epoch n alone.
+  std::string dir = TempDirPath("epoch-register-unpin");
+  RemoveTree(dir);
+  fs::create_directories(dir);
+  auto touch = [](const std::string& path) {
+    std::ofstream(path) << "x";
+  };
+  auto registry = std::make_shared<EpochRegistry>(&DefaultVfs(), dir);
+  touch(EpochSnapshotPath(dir, 1));
+  touch(EpochJournalPath(dir, 1));
+  registry->Register(1, /*is_delta=*/false, 0);
+  registry->SetCurrent(1);
+
+  touch(EpochSnapshotPath(dir, 2));
+  touch(EpochJournalPath(dir, 2));
+  registry->Register(2, /*is_delta=*/false, 0);
+  EpochPin pin = registry->Pin(registry);
+  EXPECT_EQ(pin.epoch(), 1u);
+  pin.Release();
+  EXPECT_TRUE(registry->ChainFilesPresent(2));
+  EXPECT_TRUE(fs::exists(EpochJournalPath(dir, 2)));
+  EXPECT_TRUE(registry->ChainFilesPresent(1));
+
+  registry->SetCurrent(2);
+  EXPECT_TRUE(registry->ChainFilesPresent(2));
+  EXPECT_TRUE(fs::exists(EpochJournalPath(dir, 2)));
+  EXPECT_FALSE(fs::exists(EpochSnapshotPath(dir, 1)));
+  EXPECT_FALSE(fs::exists(EpochJournalPath(dir, 1)));
   RemoveTree(dir);
 }
 

@@ -199,6 +199,109 @@ TEST(OrderedPrimeScheme, DeletionNeverRelabelsAndKeepsOrderComparisons) {
   }
 }
 
+// The oracle for XmlTree::PreorderPredecessor: a whole-document preorder
+// walk remembering the node visited last before `target`.
+NodeId WalkPredecessor(const XmlTree& tree, NodeId target) {
+  NodeId predecessor = kInvalidNodeId;
+  bool seen = false;
+  tree.Preorder([&](NodeId id, int) {
+    if (id == target) seen = true;
+    if (!seen) predecessor = id;
+  });
+  EXPECT_TRUE(seen) << "node " << target << " is not attached";
+  return predecessor;
+}
+
+// One random order-sensitive insert (InsertBefore, InsertAfter,
+// AppendChild or Wrap); elements only receive children.
+NodeId RandomInsert(XmlTree& tree, Rng& rng) {
+  std::vector<NodeId> nodes = tree.PreorderNodes();
+  NodeId target = nodes[rng.Below(nodes.size())];
+  const std::uint64_t op = target == tree.root() ? 2 : rng.Below(4);
+  switch (op) {
+    case 0:
+      return tree.InsertBefore(target, "ins");
+    case 1:
+      return tree.InsertAfter(target, "ins");
+    case 2:
+      if (!tree.IsElement(target)) return tree.InsertAfter(target, "ins");
+      return tree.AppendChild(target, "ins");
+    default:
+      return tree.WrapNode(target, "wrap");
+  }
+}
+
+TEST(OrderedPrimeScheme, LinkPredecessorMatchesPreorderWalk) {
+  for (std::uint64_t seed : {3u, 19u, 41u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RandomTreeOptions options;
+    options.node_count = 120;
+    options.seed = seed;
+    XmlTree tree = GenerateRandomTree(options);
+    Rng rng(seed);
+    // Text leaves anywhere, then a few subtrees detached before labeling:
+    // their arena slots stay behind, unlinked.
+    for (int i = 0; i < 30; ++i) {
+      std::vector<NodeId> nodes = tree.PreorderNodes();
+      NodeId at = nodes[rng.Below(nodes.size())];
+      if (tree.IsElement(at)) tree.AppendText(at, "text");
+    }
+    for (int i = 0; i < 4; ++i) {
+      std::vector<NodeId> nodes = tree.PreorderNodes();
+      tree.Detach(nodes[1 + rng.Below(nodes.size() - 1)]);
+    }
+    OrderedPrimeScheme scheme(/*sc_group_size=*/5);
+    scheme.LabelTree(tree);
+    ExpectOrdersMatchTree(scheme, tree);
+
+    // Inserts only: every order stays the node's preorder rank.
+    for (int round = 0; round < 40; ++round) {
+      NodeId fresh = RandomInsert(tree, rng);
+      ASSERT_EQ(tree.PreorderPredecessor(fresh), WalkPredecessor(tree, fresh))
+          << "round " << round;
+      scheme.HandleInsert(fresh, InsertOrder::kDocumentOrder);
+      ExpectOrdersMatchTree(scheme, tree);
+    }
+    // Inserts between deletions: orders become gapped but stay strictly
+    // increasing in document order.
+    for (int round = 0; round < 40; ++round) {
+      if (rng.Chance(25)) {
+        std::vector<NodeId> nodes = tree.PreorderNodes();
+        NodeId victim = nodes[1 + rng.Below(nodes.size() - 1)];
+        tree.Detach(victim);
+        scheme.HandleDelete(victim);
+      }
+      NodeId fresh = RandomInsert(tree, rng);
+      ASSERT_EQ(tree.PreorderPredecessor(fresh), WalkPredecessor(tree, fresh))
+          << "round " << round;
+      scheme.HandleInsert(fresh, InsertOrder::kDocumentOrder);
+      std::vector<NodeId> nodes = tree.PreorderNodes();
+      for (std::size_t k = 0; k + 1 < nodes.size(); ++k) {
+        ASSERT_LT(scheme.OrderOf(nodes[k]), scheme.OrderOf(nodes[k + 1]))
+            << "round " << round << " at " << k;
+      }
+    }
+    EXPECT_TRUE(scheme.sc_table().VerifyIntegrity());
+  }
+}
+
+TEST(OrderedPrimeScheme, Figure18ActInsertionCostsArePinned) {
+  // bench_fig18_ordered_updates' prime column (EXPERIMENTS.md, Figure 18),
+  // replayed with the bench's rule on one evolving Hamlet: insert before
+  // FindAll("act")[act - 1] for act = 2..6. Each new act joins that list,
+  // so all five land just before the original second act.
+  XmlTree hamlet = GenerateHamlet();
+  OrderedPrimeScheme scheme(/*sc_group_size=*/5);
+  scheme.LabelTree(hamlet);
+  std::vector<int> costs;
+  for (std::size_t act = 2; act <= 6; ++act) {
+    NodeId fresh = hamlet.InsertBefore(hamlet.FindAll("act")[act - 1], "act");
+    costs.push_back(scheme.HandleInsert(fresh, InsertOrder::kDocumentOrder));
+  }
+  EXPECT_EQ(costs, (std::vector<int>{1052, 1053, 1053, 1053, 1053}));
+  ExpectOrdersMatchTree(scheme, hamlet);
+}
+
 TEST(OrderedPrimeScheme, LabelStringMentionsOrder) {
   XmlTree tree;
   NodeId root = tree.CreateRoot("r");

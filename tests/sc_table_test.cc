@@ -1,7 +1,11 @@
 #include "core/sc_table.h"
 
+#include <algorithm>
+#include <map>
+
 #include <gtest/gtest.h>
 
+#include "core/crt.h"
 #include "primes/prime_source.h"
 #include "util/rng.h"
 
@@ -218,6 +222,117 @@ TEST(ScTable, RandomInsertSequenceKeepsOrdersConsistent) {
       ASSERT_EQ(table.OrderOf(reference[k]), k + 1)
           << "round " << round << " k " << k;
     }
+  }
+}
+
+// The Figure 18 count of an insert at `position`, taken from the records
+// before it: every record holding an order >= position, plus the record
+// the new congruence lands in (the last one, or a fresh one when the last
+// is full), counted once.
+int ExpectedRecordsUpdated(const std::vector<ScRecord>& before,
+                           std::size_t group_size, std::uint64_t position) {
+  auto shifts = [position](const ScRecord& record) {
+    return std::any_of(record.orders.begin(), record.orders.end(),
+                       [position](std::uint64_t o) { return o >= position; });
+  };
+  int count = static_cast<int>(std::count_if(before.begin(), before.end(),
+                                             shifts));
+  const bool lands_in_last =
+      !before.empty() && before.back().moduli.size() < group_size;
+  if (!lands_in_last || !shifts(before.back())) ++count;
+  return count;
+}
+
+// Every record's SC value must equal the textbook CRT solution over its
+// own (modulus, order) pairs; emptied records hold zero.
+void ExpectRecordsMatchSolveCrt(const ScTable& table) {
+  for (std::size_t r = 0; r < table.records().size(); ++r) {
+    const ScRecord& record = table.records()[r];
+    if (record.moduli.empty()) {
+      ASSERT_TRUE(record.sc.IsZero()) << "record " << r;
+      continue;
+    }
+    std::vector<Congruence> system;
+    for (std::size_t i = 0; i < record.moduli.size(); ++i) {
+      system.push_back({record.moduli[i], record.orders[i]});
+    }
+    Result<BigInt> oracle = SolveCrt(system);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_EQ(record.sc, oracle.value()) << "record " << r;
+  }
+}
+
+TEST(ScTable, DifferentialInsertRemoveAgainstSolveCrt) {
+  enum class Where { kFront, kEnd, kTrailingRecord, kRandom };
+  for (int group_size : {1, 2, 5, 20}) {
+    SCOPED_TRACE("group_size=" + std::to_string(group_size));
+    PrimeSource primes;  // from 2: early nodes outgrow their moduli
+    std::map<std::uint64_t, std::uint64_t> model;  // self -> order
+    std::vector<std::uint64_t> selves;
+    for (int i = 0; i < 60; ++i) selves.push_back(primes.Next());
+    for (std::size_t k = 0; k < selves.size(); ++k) model[selves[k]] = k + 1;
+    ScTable table(group_size);
+    table.Build(selves);
+
+    Rng rng(static_cast<std::uint64_t>(group_size) * 97 + 11);
+    int relabels = 0;
+    for (int op = 0; op < 240; ++op) {
+      if (!model.empty() && rng.Chance(15)) {
+        auto victim = model.begin();
+        std::advance(victim, static_cast<std::ptrdiff_t>(
+                                 rng.Below(model.size())));
+        ASSERT_TRUE(table.Remove(victim->first));
+        model.erase(victim);
+      } else {
+        std::uint64_t position = 1;
+        switch (static_cast<Where>(rng.Below(4))) {
+          case Where::kFront:
+            break;
+          case Where::kEnd:
+            position = table.max_order() + 1;
+            break;
+          case Where::kTrailingRecord: {
+            // Just below an order the last non-empty record holds: that
+            // record shifts partly (or fully) and also takes the new node.
+            for (auto it = table.records().rbegin();
+                 it != table.records().rend(); ++it) {
+              if (it->orders.empty()) continue;
+              position = it->orders[rng.Below(it->orders.size())];
+              break;
+            }
+            break;
+          }
+          case Where::kRandom:
+            position = 1 + rng.Below(table.max_order() + 1);
+            break;
+        }
+        const std::vector<ScRecord> before = table.records();
+        const std::uint64_t self = primes.Next();
+        ScUpdateStats stats = table.InsertAt(
+            self, position, [&](std::uint64_t old_self) -> std::uint64_t {
+              std::uint64_t fresh = primes.Next();
+              model[fresh] = model.at(old_self);
+              model.erase(old_self);
+              ++relabels;
+              return fresh;
+            });
+        for (auto& [s, order] : model) {
+          if (order >= position) ++order;
+        }
+        model[self] = position;
+        ASSERT_EQ(stats.records_updated,
+                  ExpectedRecordsUpdated(
+                      before, static_cast<std::size_t>(group_size), position))
+            << "op " << op << " position " << position;
+      }
+      ExpectRecordsMatchSolveCrt(table);
+      ASSERT_TRUE(table.VerifyIntegrity()) << "op " << op;
+      ASSERT_EQ(table.size(), model.size());
+      for (const auto& [s, order] : model) {
+        ASSERT_EQ(table.OrderOf(s), order) << "op " << op << " self " << s;
+      }
+    }
+    EXPECT_GT(relabels, 0);  // the front inserts must exercise relabeling
   }
 }
 
