@@ -20,7 +20,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bigint/bigint.h"
-#include "bigint/reduction.h"
 #include "bigint/simd.h"
 #include "core/crt.h"
 #include "core/ordered_prime_scheme.h"
@@ -326,49 +325,6 @@ void BM_IsAncestorBatchScalar(benchmark::State& state) {
                           static_cast<std::int64_t>(f.pairs.size()));
 }
 BENCHMARK(BM_IsAncestorBatchScalar);
-
-/// The PR-3 (32-bit-limb era) engine, pinned: no Montgomery sweep —
-/// every fingerprint survivor pays a digit-granular truncated-Barrett
-/// reduction against the anchor's cached constants, with the dividend
-/// split into 32-bit digits per call (that generation's storage format)
-/// and no multi-dividend batching. The ratio of this to
-/// BM_IsAncestorBatch is the headline number for the engine-v2
-/// acceptance bar (>= 2x on mixed-depth Shakespeare labels).
-void BM_IsAncestorBatchV1Engine(benchmark::State& state) {
-  const BatchFixture& f = ShakespeareBatch();
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kV1);
-  std::vector<std::uint8_t> results;
-  for (auto _ : state) {
-    results.clear();
-    f.scheme.IsAncestorBatch(f.pairs, &results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kCurrent);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.pairs.size()));
-}
-BENCHMARK(BM_IsAncestorBatchV1Engine);
-
-/// The full PR-2 fast-path engine, faithfully: scalar kernels AND the
-/// reference reduction engine (full-width Barrett products, Knuth/Barrett
-/// trial division instead of the Montgomery divisibility sweep). Kept as
-/// the long-baseline anchor across engine generations.
-void BM_IsAncestorBatchPr2Engine(benchmark::State& state) {
-  const BatchFixture& f = ShakespeareBatch();
-  simd::SetActiveIsa(simd::Isa::kScalar);
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kPr2);
-  std::vector<std::uint8_t> results;
-  for (auto _ : state) {
-    results.clear();
-    f.scheme.IsAncestorBatch(f.pairs, &results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kCurrent);
-  simd::ResetActiveIsa();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.pairs.size()));
-}
-BENCHMARK(BM_IsAncestorBatchPr2Engine);
 
 /// The descendant structural join over the shared fixture at several
 /// worker counts (1 = the sequential executor). Output is identical at
@@ -838,13 +794,7 @@ int main(int argc, char** argv) {
       "vector_kernels_compiled_in",
       simd::VectorKernelsCompiledIn() ? "true" : "false");
   benchmark::AddCustomContext(
-      "barrett_min_limbs",
-      std::to_string(primelabel::ReciprocalDivisor::BarrettMinLimbs()));
-  benchmark::AddCustomContext(
       "vector_min_limbs_full", std::to_string(simd::VectorMinLimbsFull()));
-  benchmark::AddCustomContext(
-      "vector_min_limbs_partial",
-      std::to_string(simd::VectorMinLimbsPartial()));
   benchmark::AddCustomContext("vector_min_limbs_64",
                               std::to_string(simd::VectorMinLimbs64()));
   benchmark::AddCustomContext("redc_batch_min_limbs",

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "bigint/reduction.h"
 #include "bigint/simd.h"
 #include "store/catalog.h"
 
@@ -46,7 +45,7 @@ inline long PeakRssKb() {
 
 /// Dispatch metadata as a JSON object: which limb-kernel ISA the binary
 /// detected and is using, whether the vector kernels were compiled in, the
-/// Barrett crossover this machine measured, its thread budget, plus build
+/// vector-dispatch gates, its thread budget, plus build
 /// provenance (git SHA and the catalog format the binary writes). Two
 /// BENCH_*.json files are only apples-to-apples when these match, so every
 /// emitter embeds them.
@@ -56,9 +55,7 @@ inline std::string DispatchMetadataJson() {
      << "\", \"active_isa\": \"" << simd::IsaName(simd::ActiveIsa())
      << "\", \"vector_kernels_compiled_in\": "
      << (simd::VectorKernelsCompiledIn() ? "true" : "false")
-     << ", \"barrett_min_limbs\": " << ReciprocalDivisor::BarrettMinLimbs()
      << ", \"vector_min_limbs_full\": " << simd::VectorMinLimbsFull()
-     << ", \"vector_min_limbs_partial\": " << simd::VectorMinLimbsPartial()
      << ", \"vector_min_limbs_64\": " << simd::VectorMinLimbs64()
      << ", \"redc_batch_min_limbs\": " << simd::RedcBatchMinLimbs()
      << ", \"hardware_threads\": " << std::thread::hardware_concurrency()

@@ -14,11 +14,15 @@
 # a chaos leg (the socket fault-injection sweep across several seeds, the
 # malformed-wire fuzz battery, and a SIGTERM-graceful-drain vs SIGKILL
 # comparison under a client storm — both must leave a recoverable store,
-# only SIGTERM gets to answer everything in flight first).
+# only SIGTERM gets to answer everything in flight first), and an
+# AddressSanitizer + UndefinedBehaviorSanitizer tree rerunning the full
+# suite.
 #
-# Usage: scripts/check.sh [--no-tsan] [--no-scalar] [--no-durability]
-#                          [--no-service] [--no-bench] [--no-chaos]
-#   --no-tsan        skip the sanitizer tree (e.g. toolchains without TSan)
+# Usage: scripts/check.sh [--no-tsan] [--no-asan] [--no-scalar]
+#                          [--no-durability] [--no-service] [--no-bench]
+#                          [--no-chaos]
+#   --no-tsan        skip the ThreadSanitizer tree (e.g. toolchains without TSan)
+#   --no-asan        skip the ASan+UBSan tree
 #   --no-scalar      skip the -DPRIMELABEL_DISABLE_SIMD=ON tree
 #   --no-durability  skip the durability suite + crash loop
 #   --no-service     skip the query-server smoke + kill + bench leg
@@ -28,6 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_tsan=1
+run_asan=1
 run_scalar=1
 run_durability=1
 run_service=1
@@ -36,6 +41,7 @@ run_chaos=1
 for arg in "$@"; do
   case "$arg" in
     --no-tsan) run_tsan=0 ;;
+    --no-asan) run_asan=0 ;;
     --no-scalar) run_scalar=0 ;;
     --no-durability) run_durability=0 ;;
     --no-service) run_service=0 ;;
@@ -221,6 +227,16 @@ if [[ "$run_tsan" == "1" ]]; then
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
     -R 'Parallel|Epoch|Concurrent|Service|Snapshot|Planner|Chaos|Drain|Deadline'
+fi
+
+if [[ "$run_asan" == "1" ]]; then
+  echo "== asan: full suite under AddressSanitizer + UBSan (build-asan/) =="
+  cmake -B build-asan -S . -DPRIMELABEL_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan -j "$jobs"
+  # UBSan reports are recoverable by default; halt so any report fails
+  # the test that triggered it.
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j "$jobs"
 fi
 
 echo "All checks passed."

@@ -6,7 +6,7 @@ Two file shapes exist in this repo:
   * google-benchmark output (bench_micro_ops): {"context": {...},
     "benchmarks": [{"name": ..., "real_time": ..., ...}, ...]} — the
     context block must carry the dispatch metadata keys that make two
-    files comparable (ISA, measured crossovers, thread budget).
+    files comparable (ISA, dispatch gates, thread budget).
   * report.h output (bench_service and the figure benches):
     {"benchmark": ..., "dispatch": {...}, "reports": [{"title": ...,
     "headers": [...], "rows": [...]}, ...]}.
@@ -40,9 +40,7 @@ DISPATCH_KEYS = [
     "detected_isa",
     "active_isa",
     "vector_kernels_compiled_in",
-    "barrett_min_limbs",
     "vector_min_limbs_full",
-    "vector_min_limbs_partial",
     "vector_min_limbs_64",
     "redc_batch_min_limbs",
     "hardware_threads",

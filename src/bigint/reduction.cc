@@ -4,9 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <utility>
 
 #include "bigint/recip.h"
@@ -15,13 +13,7 @@
 namespace primelabel {
 namespace {
 
-/// The Barrett path's digit granularity: its short-product kernels
-/// multiply 32x32->64, so divisor/mu/accumulator stay 32-bit vectors and
-/// dividends are split at entry. Everything else in this file works in
-/// the BigInt representation's native 64-bit limbs.
-using Limb = std::uint32_t;
 using U128 = unsigned __int128;
-constexpr int kLimbBits = 32;
 
 /// Magnitude (little-endian 64-bit limbs) mod a cached normalized
 /// divisor: streamed Möller–Granlund 2-by-1 steps, normalized on the fly
@@ -87,92 +79,30 @@ bool RedcSweepDivides(std::uint64_t* t, std::size_t tsize, std::size_t m,
   return true;
 }
 
-// --- Raw-digit helpers for the Barrett path ---------------------------------
-// All vectors are little-endian and "normalized" = no high zero limbs,
-// except where a fixed width is stated.
-
-void StripHighZeros(std::vector<Limb>* v) {
-  while (!v->empty() && v->back() == 0) v->pop_back();
+/// odd = x >> tz (x nonzero, tz = its trailing zero bits), limb by limb
+/// with a window shift; minimal on exit.
+void OddPartOf(LimbSpan x, int tz, std::vector<std::uint64_t>* odd) {
+  const std::size_t zero_limbs = static_cast<std::size_t>(tz) / 64;
+  const int bit_shift = tz % 64;
+  odd->clear();
+  for (std::size_t i = zero_limbs; i < x.size(); ++i) {
+    std::uint64_t w = x[i] >> bit_shift;
+    if (bit_shift != 0 && i + 1 < x.size()) w |= x[i + 1] << (64 - bit_shift);
+    odd->push_back(w);
+  }
+  while (odd->size() > 1 && odd->back() == 0) odd->pop_back();
 }
 
-/// Splits a 64-bit limb magnitude into normalized 32-bit digits.
-void SplitToDigits(std::span<const std::uint64_t> limbs,
-                   std::vector<Limb>* out) {
-  out->resize(limbs.size() * 2);
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    (*out)[2 * i] = static_cast<Limb>(limbs[i]);
-    (*out)[2 * i + 1] = static_cast<Limb>(limbs[i] >> 32);
+/// Runs one batched REDC sweep over the first `count` lanes and writes
+/// lane k's verdict to out[origin[k]].
+void SweepLanes(const simd::RedcLane* lanes, const std::size_t* origin,
+                std::size_t count, bool* out) {
+  if (count == 0) return;
+  const unsigned verdict = simd::RedcDividesBatch(
+      std::span<const simd::RedcLane>(lanes, count));
+  for (std::size_t k = 0; k < count; ++k) {
+    out[origin[k]] = ((verdict >> k) & 1u) != 0;
   }
-  StripHighZeros(out);
-}
-
-int CompareLimbSpans(std::span<const Limb> a, std::span<const Limb> b) {
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  for (std::size_t i = a.size(); i-- > 0;) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
-/// a = (a - b) mod B^width, with a already exactly `width` limbs and b
-/// truncated to `width` limbs (wraparound absorbs a final borrow).
-void SubLimbsModWidth(std::vector<Limb>* a, std::span<const Limb> b,
-                      std::size_t width) {
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    std::int64_t cur = static_cast<std::int64_t>((*a)[i]) -
-                       static_cast<std::int64_t>(i < b.size() ? b[i] : 0) -
-                       borrow;
-    if (cur < 0) {
-      cur += std::int64_t{1} << kLimbBits;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    (*a)[i] = static_cast<Limb>(cur);
-  }
-}
-
-/// a -= b, requiring a >= b; both normalized on entry and exit.
-void SubLimbsInPlace(std::vector<Limb>* a, std::span<const Limb> b) {
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a->size(); ++i) {
-    std::int64_t cur = static_cast<std::int64_t>((*a)[i]) -
-                       static_cast<std::int64_t>(i < b.size() ? b[i] : 0) -
-                       borrow;
-    if (cur < 0) {
-      cur += std::int64_t{1} << kLimbBits;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    (*a)[i] = static_cast<Limb>(cur);
-  }
-  assert(borrow == 0 && "SubLimbsInPlace requires a >= b");
-  StripHighZeros(a);
-}
-
-BigInt BigIntFromLimbs(std::span<const Limb> limbs) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(limbs.size() * 4);
-  for (Limb limb : limbs) {
-    bytes.push_back(static_cast<std::uint8_t>(limb));
-    bytes.push_back(static_cast<std::uint8_t>(limb >> 8));
-    bytes.push_back(static_cast<std::uint8_t>(limb >> 16));
-    bytes.push_back(static_cast<std::uint8_t>(limb >> 24));
-  }
-  return BigInt::FromMagnitudeBytes(bytes);
-}
-
-BigInt BigIntFromLimbs(std::span<const std::uint64_t> limbs) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(limbs.size() * 8);
-  for (std::uint64_t limb : limbs) {
-    for (int b = 0; b < 8; ++b) {
-      bytes.push_back(static_cast<std::uint8_t>(limb >> (8 * b)));
-    }
-  }
-  return BigInt::FromMagnitudeBytes(bytes);
 }
 
 /// Per-chunk Reciprocal64 cache for the fingerprint moduli: the chunk
@@ -365,93 +295,26 @@ int TrailingZeroBitsOf(LimbSpan magnitude) {
   return 0;
 }
 
-void ReciprocalDivisor::Assign(const BigInt& divisor) {
-  auto mag = divisor.Magnitude();
-  assert(!mag.empty() && "ReciprocalDivisor requires a nonzero divisor");
-  Strategy strategy = Strategy::kWord;
-  if (mag.size() > 1) {
-    strategy = mag.size() < BarrettMinLimbs() ? Strategy::kKnuth
-                                              : Strategy::kBarrett;
+void ReciprocalDivisor::Assign(LimbSpan divisor) {
+  while (!divisor.empty() && divisor.back() == 0) {
+    divisor = divisor.first(divisor.size() - 1);
   }
-  AssignWithStrategy(divisor, strategy);
-}
-
-void ReciprocalDivisor::Assign(LimbSpan divisor_magnitude) {
-  while (!divisor_magnitude.empty() && divisor_magnitude.back() == 0) {
-    divisor_magnitude = divisor_magnitude.first(divisor_magnitude.size() - 1);
-  }
-  assert(!divisor_magnitude.empty() &&
-         "ReciprocalDivisor requires a nonzero divisor");
-  if (divisor_magnitude.size() == 1) {
-    // Word divisors never touch divisor_big_: cache straight from the
-    // span, zero owned state.
-    limbs_ = 1;
-    strategy_ = Strategy::kWord;
-    divisor_word_ = divisor_magnitude[0];
-    word_shift_ = std::countl_zero(divisor_word_);
-    word_normalized_ = divisor_word_ << word_shift_;
+  assert(!divisor.empty() && "ReciprocalDivisor requires a nonzero divisor");
+  limbs_ = divisor.size();
+  if (limbs_ == 1) {
+    word_shift_ = std::countl_zero(divisor[0]);
+    word_normalized_ = divisor[0] << word_shift_;
     word_reciprocal_ = recip::Reciprocal2by1(word_normalized_);
-    divisor_.clear();
-    mu_.clear();
     return;
   }
-  Assign(BigIntFromLimbs(divisor_magnitude));
-}
-
-void ReciprocalDivisor::AssignWithStrategy(const BigInt& divisor,
-                                           Strategy strategy) {
-  auto mag = divisor.Magnitude();
-  assert(!mag.empty() && "ReciprocalDivisor requires a nonzero divisor");
-  limbs_ = mag.size();
-  strategy_ = strategy;
-  if (strategy == Strategy::kWord) {
-    assert(limbs_ == 1);
-    divisor_word_ = mag[0];
-    word_shift_ = std::countl_zero(divisor_word_);
-    word_normalized_ = divisor_word_ << word_shift_;
-    word_reciprocal_ = recip::Reciprocal2by1(word_normalized_);
-    divisor_.clear();
-    mu_.clear();
-    return;
-  }
-  // kKnuth and kBarrett cache the same state here: divisor_big_ feeds
-  // both the Knuth path and the Montgomery sweep. The digit-space
-  // Barrett constants (divisor digits and mu = floor(B^(2n) / x), HAC
-  // 14.42, digit base B = 2^32) are built lazily by ReduceLarge instead:
-  // the batched ancestry path only ever calls Divides — which runs the
-  // Montgomery sweep and never reduces — so eagerly computing mu charged
-  // a full division to every anchor run for a constant it never read.
-  divisor_big_ = divisor;
-  divisor_.clear();
-  mu_.clear();
-  PrepareMontgomery();
-}
-
-void ReciprocalDivisor::PrepareMontgomery() {
   // divisor = 2^e * odd; an exact division test splits along that
   // factorization (the factors are coprime).
-  auto mag = divisor_big_.Magnitude();
-  std::size_t zero_limbs = 0;
-  while (mag[zero_limbs] == 0) ++zero_limbs;  // divisor > 0 terminates
-  const int bit_shift = std::countr_zero(mag[zero_limbs]);
-  divisor_trailing_zeros_ = static_cast<int>(zero_limbs) * 64 + bit_shift;
-  // odd = divisor >> e, read limb by limb with a window shift.
-  odd_divisor64_.clear();
-  for (std::size_t i = zero_limbs; i < mag.size(); ++i) {
-    std::uint64_t w = mag[i] >> bit_shift;
-    if (bit_shift != 0 && i + 1 < mag.size()) {
-      w |= mag[i + 1] << (64 - bit_shift);
-    }
-    odd_divisor64_.push_back(w);
-  }
-  while (odd_divisor64_.size() > 1 && odd_divisor64_.back() == 0) {
-    odd_divisor64_.pop_back();
-  }
-  mont_inv64_ = NegInverse64(odd_divisor64_[0]);
+  divisor_trailing_zeros_ = TrailingZeroBitsOf(divisor);
+  OddPartOf(divisor, divisor_trailing_zeros_, &odd_divisor_);
+  mont_inv_ = NegInverse64(odd_divisor_[0]);
 }
 
-bool ReciprocalDivisor::PowerOfTwoPartDivides(
-    std::span<const std::uint64_t> x) const {
+bool ReciprocalDivisor::PowerOfTwoPartDivides(LimbSpan x) const {
   // 2^e | x: e whole zero limbs plus e % 64 low bits of the next.
   const std::size_t e_limbs =
       static_cast<std::size_t>(divisor_trailing_zeros_) / 64;
@@ -463,81 +326,35 @@ bool ReciprocalDivisor::PowerOfTwoPartDivides(
          (x[e_limbs] & ((std::uint64_t{1} << e_bits) - 1)) == 0;
 }
 
-bool ReciprocalDivisor::MontgomeryDivides(
-    std::span<const std::uint64_t> x) {
+bool ReciprocalDivisor::MontgomeryDivides(LimbSpan x) {
   if (!PowerOfTwoPartDivides(x)) return false;
-  const std::vector<std::uint64_t>& d = odd_divisor64_;
+  const std::vector<std::uint64_t>& d = odd_divisor_;
   if (d.size() == 1 && d[0] == 1) return true;  // divisor was a power of two
   const std::size_t m = x.size();
-  mont_acc64_.assign(m + d.size() + 1, 0);
-  std::copy(x.begin(), x.end(), mont_acc64_.begin());
-  return RedcSweepDivides(mont_acc64_.data(), mont_acc64_.size(), m, d,
-                          mont_inv64_);
-}
-
-bool ReciprocalDivisor::Divides(const BigInt& dividend) {
-  assert(assigned());
-  if (dividend.IsZero()) return true;
-  auto mag = dividend.Magnitude();
-  if (strategy_ == Strategy::kWord) {
-    return ModSpans2by1(mag, word_normalized_, word_reciprocal_,
-                        word_shift_) == 0;
-  }
-  if (mag.size() < limbs_) return false;  // 0 < |dividend| < divisor
-  switch (engine_for_test_) {
-    case Engine::kCurrent:
-      return MontgomeryDivides(mag);
-    case Engine::kV1:
-      // The 32-bit-limb era (through PR 3) had no Montgomery sweep:
-      // every fingerprint survivor paid a digit-granular reduction
-      // against the anchor's cached constants — truncated Barrett for
-      // large divisors, Knuth over 32-bit limbs (the same digit width
-      // and product count) for mid-size ones. The digit Barrett
-      // machinery is the surviving equivalent of that arithmetic, so
-      // this reference leg routes every multi-limb divisor through it,
-      // splitting the dividend per call exactly as that engine stored
-      // its operands.
-      return ReduceLarge(mag);
-    case Engine::kPr2:
-      break;
-  }
-  if (strategy_ == Strategy::kKnuth) {
-    return dividend.IsDivisibleBy(divisor_big_, &div_scratch_);
-  }
-  return ReduceLarge(mag);
+  mont_acc_.assign(m + d.size() + 1, 0);
+  std::copy(x.begin(), x.end(), mont_acc_.begin());
+  return RedcSweepDivides(mont_acc_.data(), mont_acc_.size(), m, d,
+                          mont_inv_);
 }
 
 bool ReciprocalDivisor::Divides(LimbSpan mag) {
   assert(assigned());
   if (mag.empty()) return true;  // zero dividend
-  if (strategy_ == Strategy::kWord) {
+  if (limbs_ == 1) {
     return ModSpans2by1(mag, word_normalized_, word_reciprocal_,
                         word_shift_) == 0;
   }
   if (mag.size() < limbs_) return false;  // 0 < |dividend| < divisor
-  switch (engine_for_test_) {
-    case Engine::kCurrent:
-      return MontgomeryDivides(mag);
-    case Engine::kV1:
-      return ReduceLarge(mag);
-    case Engine::kPr2:
-      break;
-  }
-  if (strategy_ == Strategy::kKnuth) {
-    // The pinned predecessor engine's mid-size path wants BigInt
-    // operands; materializing here is fine — the legacy legs exist for
-    // A/B equivalence, not speed.
-    return BigIntFromLimbs(mag).IsDivisibleBy(divisor_big_, &div_scratch_);
-  }
-  return ReduceLarge(mag);
+  return MontgomeryDivides(mag);
 }
 
 void ReciprocalDivisor::DividesBatch(std::span<const LimbSpan> dividends,
                                      bool* out) {
   assert(assigned());
   assert(dividends.size() <= simd::kRedcLanes);
-  if (strategy_ == Strategy::kWord ||
-      engine_for_test_ != Engine::kCurrent) {
+  if (limbs_ == 1) {
+    // Word divisors stream a 2-by-1 remainder per dividend (cheaper than
+    // a REDC lane).
     for (std::size_t i = 0; i < dividends.size(); ++i) {
       out[i] = Divides(dividends[i]);
     }
@@ -546,8 +363,7 @@ void ReciprocalDivisor::DividesBatch(std::span<const LimbSpan> dividends,
   simd::RedcLane lanes[simd::kRedcLanes];
   std::size_t origin[simd::kRedcLanes];
   std::size_t count = 0;
-  const bool pow2_divisor =
-      odd_divisor64_.size() == 1 && odd_divisor64_[0] == 1;
+  const bool pow2_divisor = odd_divisor_.size() == 1 && odd_divisor_[0] == 1;
   for (std::size_t i = 0; i < dividends.size(); ++i) {
     const LimbSpan mag = dividends[i];
     if (mag.empty()) {
@@ -566,137 +382,32 @@ void ReciprocalDivisor::DividesBatch(std::span<const LimbSpan> dividends,
       out[i] = true;
       continue;
     }
-    lanes[count] = {mag, odd_divisor64_, mont_inv64_};
+    lanes[count] = {mag, odd_divisor_, mont_inv_};
     origin[count] = i;
     ++count;
   }
-  if (count == 0) return;
-  const unsigned verdict = simd::RedcDividesBatch(
-      std::span<const simd::RedcLane>(lanes, count));
-  for (std::size_t k = 0; k < count; ++k) {
-    out[origin[k]] = ((verdict >> k) & 1u) != 0;
-  }
+  SweepLanes(lanes, origin, count, out);
 }
 
 void ReciprocalDivisor::DividesBatch(
     std::span<const BigInt* const> dividends, bool* out) {
-  assert(assigned());
   assert(dividends.size() <= simd::kRedcLanes);
-  if (strategy_ == Strategy::kWord ||
-      engine_for_test_ != Engine::kCurrent) {
-    // Word divisors stream a 2-by-1 remainder per dividend (cheaper than
-    // a REDC lane); the historical engines had no batch path at all.
-    for (std::size_t i = 0; i < dividends.size(); ++i) {
-      out[i] = Divides(*dividends[i]);
-    }
-    return;
-  }
-  simd::RedcLane lanes[simd::kRedcLanes];
-  std::size_t origin[simd::kRedcLanes];
-  std::size_t count = 0;
-  const bool pow2_divisor =
-      odd_divisor64_.size() == 1 && odd_divisor64_[0] == 1;
+  LimbSpan mags[simd::kRedcLanes];
   for (std::size_t i = 0; i < dividends.size(); ++i) {
-    const BigInt& y = *dividends[i];
-    if (y.IsZero()) {
-      out[i] = true;
-      continue;
-    }
-    auto mag = y.Magnitude();
-    if (mag.size() < limbs_) {
-      out[i] = false;
-      continue;
-    }
-    if (!PowerOfTwoPartDivides(mag)) {
-      out[i] = false;
-      continue;
-    }
-    if (pow2_divisor) {
-      out[i] = true;
-      continue;
-    }
-    lanes[count] = {mag, odd_divisor64_, mont_inv64_};
-    origin[count] = i;
-    ++count;
+    mags[i] = dividends[i]->Magnitude();
   }
-  if (count == 0) return;
-  const unsigned verdict = simd::RedcDividesBatch(
-      std::span<const simd::RedcLane>(lanes, count));
-  for (std::size_t k = 0; k < count; ++k) {
-    out[origin[k]] = ((verdict >> k) & 1u) != 0;
-  }
-}
-
-BigInt ReciprocalDivisor::Mod(const BigInt& dividend) {
-  assert(assigned());
-  if (dividend.IsZero()) return BigInt();
-  auto mag = dividend.Magnitude();
-  switch (strategy_) {
-    case Strategy::kWord:
-      return BigInt::FromUint64(ModSpans2by1(mag, word_normalized_,
-                                             word_reciprocal_, word_shift_));
-    case Strategy::kKnuth:
-      if (mag.size() < limbs_) return BigIntFromLimbs(mag);
-      return BigIntFromLimbs(mag) % divisor_big_;
-    case Strategy::kBarrett:
-      break;
-  }
-  if (mag.size() < limbs_) return BigIntFromLimbs(mag);
-  ReduceLarge(mag);
-  return BigIntFromLimbs(std::span<const Limb>(acc_));
+  DividesBatch(std::span<const LimbSpan>(mags, dividends.size()), out);
 }
 
 void DividesIntoBatch(const BigInt& dividend,
                       std::span<const BigInt* const> divisors, bool* out) {
   assert(divisors.size() <= simd::kRedcLanes);
-  if (dividend.IsZero()) {
-    for (std::size_t i = 0; i < divisors.size(); ++i) out[i] = true;
-    return;
-  }
-  auto y = dividend.Magnitude();
-  const int ytz = dividend.TrailingZeroBits();
-  simd::RedcLane lanes[simd::kRedcLanes];
-  std::size_t origin[simd::kRedcLanes];
-  // Shifted odd parts must outlive the batched sweep; xtz == 0 divisors
-  // (the common case — labels are mostly odd prime products) borrow the
-  // divisor's own magnitude instead.
-  std::array<BigInt, simd::kRedcLanes> odd_storage;
-  std::size_t count = 0;
+  LimbSpan mags[simd::kRedcLanes];
   for (std::size_t i = 0; i < divisors.size(); ++i) {
-    const BigInt& x = *divisors[i];
-    assert(!x.IsZero() && "DividesIntoBatch requires nonzero divisors");
-    auto xmag = x.Magnitude();
-    if (xmag.size() > y.size()) {
-      out[i] = false;  // 0 < |dividend| < |divisor|
-      continue;
-    }
-    const int xtz = x.TrailingZeroBits();
-    if (xtz > ytz) {
-      out[i] = false;  // the divisor's power-of-two factor is a witness
-      continue;
-    }
-    std::span<const std::uint64_t> odd = xmag;
-    if (xtz != 0) {
-      odd_storage[i] = x >> xtz;
-      odd = odd_storage[i].Magnitude();
-    }
-    if (odd.size() == 1) {
-      // Word-sized odd part: one streamed 2-by-1 remainder beats a REDC
-      // lane (odd[0] == 1 is the pure-power-of-two divisor, already
-      // decided by the trailing-zeros screen above).
-      out[i] = recip::Mod2by1Spans(y, odd[0]) == 0;
-      continue;
-    }
-    lanes[count] = {y, odd, NegInverse64(odd[0])};
-    origin[count] = i;
-    ++count;
+    mags[i] = divisors[i]->Magnitude();
   }
-  if (count == 0) return;
-  const unsigned verdict = simd::RedcDividesBatch(
-      std::span<const simd::RedcLane>(lanes, count));
-  for (std::size_t k = 0; k < count; ++k) {
-    out[origin[k]] = ((verdict >> k) & 1u) != 0;
-  }
+  DividesIntoBatch(dividend.Magnitude(),
+                   std::span<const LimbSpan>(mags, divisors.size()), out);
 }
 
 void DividesIntoBatch(LimbSpan y, std::span<const LimbSpan> divisors,
@@ -726,24 +437,15 @@ void DividesIntoBatch(LimbSpan y, std::span<const LimbSpan> divisors,
       out[i] = false;  // the divisor's power-of-two factor is a witness
       continue;
     }
-    std::span<const std::uint64_t> odd = xmag;
+    LimbSpan odd = xmag;
     if (xtz != 0) {
-      // odd = x >> xtz, limb by limb with a window shift.
-      const std::size_t zero_limbs = static_cast<std::size_t>(xtz) / 64;
-      const int bit_shift = xtz % 64;
-      std::vector<std::uint64_t>& store = odd_storage[i];
-      store.clear();
-      for (std::size_t j = zero_limbs; j < xmag.size(); ++j) {
-        std::uint64_t w = xmag[j] >> bit_shift;
-        if (bit_shift != 0 && j + 1 < xmag.size()) {
-          w |= xmag[j + 1] << (64 - bit_shift);
-        }
-        store.push_back(w);
-      }
-      while (store.size() > 1 && store.back() == 0) store.pop_back();
-      odd = store;
+      OddPartOf(xmag, xtz, &odd_storage[i]);
+      odd = odd_storage[i];
     }
     if (odd.size() == 1) {
+      // Word-sized odd part: one streamed 2-by-1 remainder beats a REDC
+      // lane (odd[0] == 1 is the pure-power-of-two divisor, already
+      // decided by the trailing-zeros screen above).
       out[i] = recip::Mod2by1Spans(y, odd[0]) == 0;
       continue;
     }
@@ -751,147 +453,7 @@ void DividesIntoBatch(LimbSpan y, std::span<const LimbSpan> divisors,
     origin[count] = i;
     ++count;
   }
-  if (count == 0) return;
-  const unsigned verdict = simd::RedcDividesBatch(
-      std::span<const simd::RedcLane>(lanes, count));
-  for (std::size_t k = 0; k < count; ++k) {
-    out[origin[k]] = ((verdict >> k) & 1u) != 0;
-  }
-}
-
-std::size_t ReciprocalDivisor::BarrettMinLimbs() {
-  static const std::size_t crossover = MeasureBarrettMinLimbs();
-  return crossover;
-}
-
-std::size_t ReciprocalDivisor::MeasureBarrettMinLimbs() {
-  if (const char* env = std::getenv("PRIMELABEL_BARRETT_MIN_LIMBS")) {
-    if (*env != '\0') {
-      const long v = std::strtol(env, nullptr, 10);
-      return static_cast<std::size_t>(std::clamp(v, 2L, 32L));
-    }
-  }
-  // Race the two strategies on this machine's actual kernels over a
-  // deterministic pseudo-random workload. Per size: one Assign each, then
-  // kReps remainder computations of a 2n-limb dividend — Mod rather than
-  // Divides, because the strategy only steers the remainder path (Divides
-  // takes the Montgomery sweep at every multi-limb size). The crossover is
-  // the smallest measured size where Barrett wins; sizes are sampled
-  // sparsely because the curves cross once and flatten. Sizes are 64-bit
-  // limbs (half the digit counts the 32-bit engine raced).
-  constexpr int kReps = 48;
-  constexpr std::size_t kSizes[] = {2, 3, 4, 5, 6, 8};
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next_limb = [&state]() -> std::uint64_t {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  auto make_value = [&next_limb](std::size_t limbs) {
-    std::vector<std::uint64_t> v(limbs);
-    for (std::uint64_t& limb : v) limb = next_limb();
-    v.back() |= std::uint64_t{1} << 63;  // keep the intended width
-    return BigIntFromLimbs(std::span<const std::uint64_t>(v));
-  };
-  auto time_strategy = [](ReciprocalDivisor* rd, const BigInt& divisor,
-                          Strategy strategy, const BigInt& dividend) {
-    rd->AssignWithStrategy(divisor, strategy);
-    bool sink = false;
-    const auto start = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kReps; ++rep) sink ^= rd->Mod(dividend).IsZero();
-    const auto stop = std::chrono::steady_clock::now();
-    // The sink keeps the loop observable without affecting the timing.
-    return (stop - start) + std::chrono::steady_clock::duration(sink ? 1 : 0);
-  };
-  ReciprocalDivisor rd;
-  std::size_t crossover = kSizes[std::size(kSizes) - 1] + 1;
-  for (std::size_t n : kSizes) {
-    const BigInt divisor = make_value(n);
-    const BigInt dividend = make_value(2 * n);
-    const auto knuth = time_strategy(&rd, divisor, Strategy::kKnuth, dividend);
-    const auto barrett =
-        time_strategy(&rd, divisor, Strategy::kBarrett, dividend);
-    if (barrett <= knuth) {
-      crossover = n;
-      break;
-    }
-  }
-  return std::clamp<std::size_t>(crossover, 2, 8);
-}
-
-bool ReciprocalDivisor::ReduceLarge(std::span<const std::uint64_t> dividend) {
-  if (mu_.empty()) {
-    // First reduction against this divisor: build the deferred Barrett
-    // constants (see AssignWithStrategy).
-    SplitToDigits(divisor_big_.Magnitude(), &divisor_);
-    BigInt mu =
-        (BigInt(1) << (2 * static_cast<int>(divisor_.size()) * kLimbBits)) /
-        divisor_big_;
-    SplitToDigits(mu.Magnitude(), &mu_);
-  }
-  // Barrett state is digit-granular; convert the 64-bit dividend at the
-  // boundary once, then run the digit-space Horner loop unchanged.
-  SplitToDigits(dividend, &dividend32_);
-  const std::size_t n = divisor_.size();
-  const std::size_t chunks = (dividend32_.size() + n - 1) / n;
-  // Horner over n-digit chunks, most significant first; the accumulator
-  // stays < x * B^n <= B^(2n), the precondition of HAC 14.42.
-  acc_.assign(dividend32_.begin() + (chunks - 1) * n, dividend32_.end());
-  StripHighZeros(&acc_);
-  BarrettReduce();
-  for (std::size_t c = chunks - 1; c-- > 0;) {
-    acc_.insert(acc_.begin(), dividend32_.begin() + c * n,
-                dividend32_.begin() + (c + 1) * n);
-    BarrettReduce();
-  }
-  return acc_.empty();
-}
-
-ReciprocalDivisor::Engine ReciprocalDivisor::engine_for_test_ =
-    ReciprocalDivisor::Engine::kCurrent;
-
-void ReciprocalDivisor::SetEngineForTest(Engine engine) {
-  engine_for_test_ = engine;
-}
-
-void ReciprocalDivisor::SetReferenceEngineForTest(bool on) {
-  SetEngineForTest(on ? Engine::kPr2 : Engine::kCurrent);
-}
-
-void ReciprocalDivisor::BarrettReduce() {
-  const std::size_t n = divisor_.size();
-  if (CompareLimbSpans(acc_, divisor_) < 0) return;
-  // q3 = floor(floor(acc / B^(n-1)) * mu / B^(n+1)) — the quotient
-  // estimate; off by at most 2 (HAC 14.42), corrected below. Short-product
-  // refinement: only the columns of q1*mu at positions >= n-2 feed q3
-  // (the dropped mass is < n^2 * B^(n-1), which moves q3 by < 1 more),
-  // and only the low n+1 limbs of q3*x survive the mod-B^(n+1)
-  // subtraction — together that halves the limb products per step. The
-  // estimate only ever drops, so the correction loop still terminates in
-  // O(1) subtractions and the remainder is bit-identical to the
-  // full-product path (the cut of 0 below IS the full product).
-  std::span<const Limb> q1(acc_.data() + (n - 1), acc_.size() - (n - 1));
-  const bool full_products = engine_for_test_ == Engine::kPr2;
-  const std::size_t cut = full_products ? 0 : n - 2;
-  simd::MulLimbSpansHigh(q1, mu_, cut, &t1_);
-  std::span<const Limb> q3;
-  const std::size_t shift = n + 1 - cut;
-  if (t1_.size() > shift) q3 = std::span<const Limb>(t1_).subspan(shift);
-  // acc = (acc - q3 * x) mod B^(n+1); the true remainder is < B^(n+1), so
-  // fixed-width wraparound arithmetic recovers it exactly.
-  const std::size_t width = n + 1;
-  if (full_products) {
-    simd::MulLimbSpans(q3, divisor_, &t2_);  // SubLimbsModWidth truncates
-  } else {
-    simd::MulLimbSpansLow(q3, divisor_, width, &t2_);
-  }
-  acc_.resize(width, 0);
-  SubLimbsModWidth(&acc_, t2_, width);
-  StripHighZeros(&acc_);
-  while (CompareLimbSpans(acc_, divisor_) >= 0) {
-    SubLimbsInPlace(&acc_, divisor_);
-  }
+  SweepLanes(lanes, origin, count, out);
 }
 
 // --- Layer 3 ---------------------------------------------------------------

@@ -21,12 +21,12 @@ namespace primelabel {
 //   trailing-zero count. A witness in any slot rejects a candidate pair
 //   with zero BigInt work; pairs that pass fall through to an exact test.
 //
-//   Layer 2 — reciprocal-cached reduction (Reciprocal64 /
+//   Layer 2 — reciprocal-cached divisibility (Reciprocal64 /
 //   ReciprocalDivisor): when one divisor is tested against many dividends,
-//   the normalization and the reciprocal of the divisor are computed once,
-//   so each remaining test is multiply-high + subtract (Möller–Granlund
-//   2-by-1 division for word-sized divisors, Barrett reduction for
-//   multi-limb ones) instead of a full Knuth division.
+//   its constants are computed once, so each remaining test is a
+//   Möller–Granlund 2-by-1 remainder for word-sized divisors or one
+//   Montgomery (REDC) sweep for multi-limb ones, instead of a full Knuth
+//   division.
 //
 //   Layer 3 — subproduct/remainder trees (SubproductTree): `y mod m_i`
 //   for all moduli of a group in near-linear time, and the matching
@@ -167,7 +167,7 @@ inline bool FingerprintMayProperlyDivide(const LabelFingerprint& divisor,
          divisor.trailing_zeros <= dividend.trailing_zeros;
 }
 
-// --- Layer 2: reciprocal-cached reduction ----------------------------------
+// --- Layer 2: reciprocal-cached divisibility ------------------------------
 
 /// Non-owning magnitude: little-endian 64-bit limbs, minimal (no trailing
 /// zero limbs), empty for zero — exactly BigInt::Magnitude()'s shape. The
@@ -209,42 +209,26 @@ class Reciprocal64 {
 };
 
 /// A divisor cached for repeated exact-divisibility tests. Assign picks
-/// the reduction strategy by divisor size (64-bit limbs) and precomputes
+/// one of two strategies by divisor size (64-bit limbs) and precomputes
 /// its constants once, so each Divides call avoids the per-call setup of
 /// a cold division:
-///   1 limb                 — Möller–Granlund word reciprocal;
-///   2 .. crossover-1 limbs — Knuth division with a retained scratch
-///                            buffer (at these sizes Barrett's two n x n
-///                            products cost more than the division they
-///                            replace);
-///   >= BarrettMinLimbs()   — Barrett reduction with a cached mu constant.
-/// One instance per batch per thread; the scratch buffers make the object
-/// non-thread-safe by design (same contract as BigInt::DivScratch).
+///   1 limb   — Möller–Granlund word reciprocal (a streamed 2-by-1
+///              remainder, compared against zero);
+///   2+ limbs — Montgomery (REDC) divisibility sweep over the divisor's
+///              odd part, with the power-of-two part checked as a bit
+///              test (see Divides).
+/// One instance per batch per thread; the sweep accumulator makes the
+/// object non-thread-safe by design (same contract as BigInt::DivScratch).
 class ReciprocalDivisor {
  public:
-  /// Limb count (64-bit limbs) at which Assign switches from Knuth to
-  /// Barrett — the strategy behind Mod (and kPr2-engine Divides;
-  /// optimized Divides goes through the Montgomery sweep at every
-  /// multi-limb size). Taken from the PRIMELABEL_BARRETT_MIN_LIMBS
-  /// environment variable when set (clamped to [2, 32]); otherwise
-  /// measured once per process by a tiny startup microbenchmark
-  /// (sub-millisecond, cached in a function-local static so every
-  /// use site shares the one measurement) racing both strategies on this
-  /// machine's actual kernels. Benches log the chosen value into their
-  /// JSON context block. The strategy choice affects speed only — every
-  /// strategy returns bit-identical results.
-  static std::size_t BarrettMinLimbs();
-
   ReciprocalDivisor() = default;
 
   /// Caches `divisor` (> 0). May be called repeatedly to re-point the
   /// cache at a new divisor (the anchor-run pattern of IsAncestorBatch).
-  void Assign(const BigInt& divisor);
+  void Assign(const BigInt& divisor) { Assign(divisor.Magnitude()); }
 
-  /// Span twin of Assign, for arena-backed anchors: word-sized divisors
-  /// cache straight from the span; multi-limb divisors still materialize
-  /// one owned copy (divisor_big_ feeds the Knuth fallback and the lazy
-  /// Barrett constants) — a per-anchor cost amortized over the run.
+  /// Span twin of Assign, for arena-backed anchors: the constants are
+  /// built straight from the span, with no owned copy of the divisor.
   void Assign(LimbSpan divisor_magnitude);
 
   bool assigned() const { return limbs_ != 0; }
@@ -256,7 +240,9 @@ class ReciprocalDivisor {
   /// and the latter holds iff the Montgomery reduction y * B^-m mod d_odd
   /// is zero — computed in one streaming multiply-accumulate sweep with
   /// no quotient estimates, chunking, or correction steps.
-  bool Divides(const BigInt& dividend);
+  bool Divides(const BigInt& dividend) {
+    return Divides(dividend.Magnitude());
+  }
 
   /// Span twin of Divides — the arena query path. Bit-identical to
   /// Divides(BigInt::FromLimbs(dividend_magnitude)).
@@ -278,105 +264,28 @@ class ReciprocalDivisor {
   /// to the pointer overload on the same values.
   void DividesBatch(std::span<const LimbSpan> dividends, bool* out);
 
-  /// |dividend| mod divisor, as a BigInt — the equivalence-test surface
-  /// (and the remainder consumers of the CRT layer). Always takes the
-  /// Knuth/Barrett strategy path (Montgomery yields divisibility, not the
-  /// plain remainder).
-  BigInt Mod(const BigInt& dividend);
-
-  /// Historical engine generations, selectable for A/B benches and the
-  /// equivalence suites. Every generation returns bit-identical results
-  /// (the optimizations change cost, never outcomes).
-  enum class Engine {
-    /// The optimized engine: native 64-bit Montgomery sweeps, batched
-    /// REDC lanes, short-product Barrett.
-    kCurrent,
-    /// The PR 3-era (32-bit-limb) engine: no Montgomery sweep — Divides
-    /// answers through the digit-granular truncated-Barrett remainder,
-    /// splitting the dividend into 32-bit digits per call (the storage
-    /// format of that generation), single-lane only (DividesBatch
-    /// degrades to a scalar loop).
-    kV1,
-    /// The PR 2-era engine: the same digit-granular remainder but with
-    /// full-width Barrett products (no short-product truncation), and
-    /// Knuth trial division for mid-size divisors.
-    kPr2,
-  };
-
-  /// Test/bench hook: pin the engine generation process-wide. Not
-  /// thread-safe; set only from single-threaded setup code.
-  static void SetEngineForTest(Engine engine);
-
-  /// Back-compat alias for the oldest baseline: `on` pins Engine::kPr2,
-  /// `off` restores Engine::kCurrent.
-  static void SetReferenceEngineForTest(bool on);
-
  private:
-  /// Reduction strategy, chosen at Assign time and stored so every
-  /// Divides/Mod on this divisor takes the same path.
-  enum class Strategy { kWord, kKnuth, kBarrett };
-
-  /// Assign with a forced strategy — the startup microbenchmark races
-  /// kKnuth against kBarrett at the same divisor size through this.
-  void AssignWithStrategy(const BigInt& divisor, Strategy strategy);
-
-  /// The microbenchmark behind BarrettMinLimbs (env override handled
-  /// there too).
-  static std::size_t MeasureBarrettMinLimbs();
-
-  /// Precomputes the Montgomery divisibility constants (odd part of the
-  /// divisor, its trailing-zero count, and -odd^-1 mod 2^64) from the
-  /// divisor magnitude; called by AssignWithStrategy for multi-limb
-  /// divisors.
-  void PrepareMontgomery();
   /// True iff the divisor's power-of-two factor 2^e divides the dividend
   /// (an e-bit tail check — the cheap half of the d = 2^e * odd split).
-  bool PowerOfTwoPartDivides(std::span<const std::uint64_t> dividend) const;
+  bool PowerOfTwoPartDivides(LimbSpan dividend) const;
   /// The streaming REDC divisibility sweep (see Divides). Requires
   /// dividend.size() >= limbs_ and a nonzero dividend.
-  bool MontgomeryDivides(std::span<const std::uint64_t> dividend);
-  /// Reduces |dividend| into scratch `acc_`; returns true when the result
-  /// is exactly zero (the only bit Divides needs). Splits the dividend
-  /// into 32-bit digits at entry — the Barrett state stays
-  /// digit-granular, matching the 32x32 short-product kernels it drives.
-  bool ReduceLarge(std::span<const std::uint64_t> dividend);
-  /// One Barrett step: acc_ (< B^(2n)) becomes acc_ mod divisor, in place.
-  void BarrettReduce();
+  bool MontgomeryDivides(LimbSpan dividend);
 
-  /// See SetEngineForTest.
-  static Engine engine_for_test_;
-
-  Strategy strategy_ = Strategy::kWord;
-  std::size_t limbs_ = 0;            ///< divisor magnitude limb count
-  std::uint64_t divisor_word_ = 0;   ///< divisor when limbs_ == 1
-  std::uint64_t word_reciprocal_ = 0;
+  std::size_t limbs_ = 0;  ///< divisor magnitude limb count
+  // Word state (limbs_ == 1): the divisor shifted to set its top bit, that
+  // shift, and the Möller–Granlund reciprocal of the shifted divisor.
   std::uint64_t word_normalized_ = 0;
+  std::uint64_t word_reciprocal_ = 0;
   int word_shift_ = 0;
-
-  // Multi-limb state: the divisor as a BigInt (the Knuth strategy's
-  // operand and the source of every derived constant) plus the reused
-  // division scratch.
-  BigInt divisor_big_;
-  BigInt::DivScratch div_scratch_;
-
-  // Barrett state, digit-granular (B = 2^32): divisor digits and
-  // mu = floor(B^(2n) / divisor) with n = divisor_.size() digits.
-  std::vector<std::uint32_t> divisor_;
-  std::vector<std::uint32_t> mu_;
   // Montgomery divisibility state (multi-limb divisors): the divisor's
-  // odd part in native 64-bit limbs, how many factors of two were shifted
-  // out, and the word inverse -odd_divisor64_[0]^-1 mod 2^64 driving each
-  // REDC step. mont_acc64_ is the reusable single-lane sweep accumulator.
-  std::vector<std::uint64_t> odd_divisor64_;
-  std::vector<std::uint64_t> mont_acc64_;
+  // odd part, how many factors of two were shifted out, and the word
+  // inverse -odd_divisor_[0]^-1 mod 2^64 driving each REDC step.
+  // mont_acc_ is the reusable single-lane sweep accumulator.
+  std::vector<std::uint64_t> odd_divisor_;
+  std::vector<std::uint64_t> mont_acc_;
   int divisor_trailing_zeros_ = 0;
-  std::uint64_t mont_inv64_ = 0;
-  // Scratch (reused across calls): the Barrett accumulator, two products,
-  // and the dividend's digit split.
-  std::vector<std::uint32_t> acc_;
-  std::vector<std::uint32_t> t1_;
-  std::vector<std::uint32_t> t2_;
-  std::vector<std::uint32_t> dividend32_;
+  std::uint64_t mont_inv_ = 0;
 };
 
 /// One dividend against up to simd::kRedcLanes candidate divisors — the

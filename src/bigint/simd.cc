@@ -27,19 +27,15 @@ constexpr int kLimbBits = 32;
 
 /// Below these operand sizes the vector walks' fixed costs (accumulator
 /// zeroing, recombination, short vector tails) outweigh the multiply
-/// savings and the row-wise scalar loop wins. Measured on AVX2: full
-/// digit products cross over near 20 digits, while the clipped Barrett
-/// short products (whose scalar loop does proportionally more range
-/// clipping per useful multiply) cross lower, near 12. Both apply to the
-/// smaller operand. The 64-bit entry points compare against a native
-/// scalar loop that does 4x fewer multiplies per limb product, so their
-/// digit-view vector path only pays off once the digit count clears the
-/// digit gate — limbs64 defaults to full/2. redc_min gates the padded
-/// vector REDC sweeps, whose lane transpose never amortizes on tiny
-/// dividends.
+/// savings and the row-wise scalar loop wins. Measured on AVX2: digit
+/// products cross over near 20 digits of the smaller operand. The 64-bit
+/// entry points compare against a native scalar loop that does 4x fewer
+/// multiplies per limb product, so their digit-view vector path only pays
+/// off once the digit count clears the digit gate — limbs64 defaults to
+/// full/2. redc_min gates the padded vector REDC sweeps, whose lane
+/// transpose never amortizes on tiny dividends.
 struct DispatchGates {
-  std::size_t full = 20;     ///< digit kernels, full products
-  std::size_t partial = 12;  ///< digit kernels, Barrett short products
+  std::size_t full = 20;     ///< digit-kernel products
   std::size_t limbs64 = 10;  ///< 64-bit MulLimbSpans digit-view path
   std::size_t redc_min = 4;  ///< min dividend limbs for vector REDC
 };
@@ -49,21 +45,14 @@ const DispatchGates& Gates() {
     DispatchGates g;
 #if defined(PRIMELABEL_HAVE_NEON_KERNELS)
     // The compiled-in defaults were measured on AVX2 hardware; aarch64
-    // deployments can re-tune the digit gates without rebuilding:
-    // PRIMELABEL_NEON_MIN_LIMBS="<full>[,<partial>]".
+    // deployments can re-tune the product gate without rebuilding:
+    // PRIMELABEL_NEON_MIN_LIMBS="<full>".
     if (const char* env = std::getenv("PRIMELABEL_NEON_MIN_LIMBS")) {
       char* end = nullptr;
       const unsigned long full = std::strtoul(env, &end, 10);
       if (end != env && full != 0) {
         g.full = std::clamp<std::size_t>(full, 2, 256);
         g.limbs64 = std::max<std::size_t>(2, (g.full + 1) / 2);
-        if (*end == ',') {
-          const char* rest = end + 1;
-          const unsigned long partial = std::strtoul(rest, &end, 10);
-          if (end != rest && partial != 0) {
-            g.partial = std::clamp<std::size_t>(partial, 2, 256);
-          }
-        }
       }
     }
 #endif
@@ -232,7 +221,6 @@ void ResetActiveIsa() {
 }
 
 std::size_t VectorMinLimbsFull() { return Gates().full; }
-std::size_t VectorMinLimbsPartial() { return Gates().partial; }
 std::size_t VectorMinLimbs64() { return Gates().limbs64; }
 std::size_t RedcBatchMinLimbs() { return Gates().redc_min; }
 
@@ -258,112 +246,34 @@ void MulLimbSpansPortable(std::span<const Limb> a, std::span<const Limb> b,
   StripHighZeros(out);
 }
 
-namespace {
-
-/// Scalar walk shared by the portable partial-product kernels. The
-/// result value is sum over k in [kbegin, kend) of col_k * B^(k -
-/// kbegin), where col_k is the exact column sum over i+j==k of
-/// a[i]*b[j]; when `tail` is true (kend is one past the last column,
-/// na+nb-1) that value gains one carry limb at the top, and when it is
-/// false the value is taken mod B^(kend - kbegin). Implemented row-wise
-/// like the schoolbook loop above — each row accumulates its clipped
-/// product range in place with a 64-bit carry (one multiply and two adds
-/// per term, ~1.6x cheaper than a per-column U128 walk at the 6–16 limb
-/// operands the Barrett steps feed below the vector gate). The set of
-/// accumulated terms and the output width determine the value exactly,
-/// so the limbs match the vector kernels' column accumulation
-/// bit-for-bit.
-void ColumnWalkPortable(std::span<const Limb> a, std::span<const Limb> b,
-                        std::size_t kbegin, std::size_t kend, bool tail,
-                        std::vector<Limb>* out) {
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  const std::size_t width = kend - kbegin + (tail ? 1 : 0);
-  out->assign(width, 0);
-  Limb* po = out->data();
-  for (std::size_t i = 0; i < na && i < kend; ++i) {
-    // Row i touches columns i + j for j in [0, nb); clip to the range.
-    const std::size_t jlo = kbegin > i ? kbegin - i : 0;
-    if (jlo >= nb) continue;
-    const std::size_t jhi = kend - i < nb ? kend - i : nb;  // exclusive
-    if (jhi <= jlo) continue;
-    const std::uint64_t ai = a[i];
-    std::uint64_t carry = 0;
-    std::size_t pos = i + jlo - kbegin;
-    for (std::size_t j = jlo; j < jhi; ++j, ++pos) {
-      const std::uint64_t cur = po[pos] + ai * b[j] + carry;
-      po[pos] = static_cast<Limb>(cur);
-      carry = cur >> kLimbBits;
-    }
-    // Ripple the row's carry upward; past `width` it falls off, which is
-    // exactly the mod-B^width semantics of the no-tail case (with a tail
-    // the true value fits in `width` limbs, so nothing is ever dropped).
-    for (; carry != 0 && pos < width; ++pos) {
-      const std::uint64_t cur = po[pos] + carry;
-      po[pos] = static_cast<Limb>(cur);
-      carry = cur >> kLimbBits;
-    }
-    assert((!tail || carry == 0) && "partial product exceeded its bound");
-  }
-  StripHighZeros(out);
-}
-
-}  // namespace
-
-void MulLimbSpansHighPortable(std::span<const Limb> a, std::span<const Limb> b,
-                              std::size_t from_column,
-                              std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || from_column >= a.size() + b.size()) {
-    out->clear();
-    return;
-  }
-  ColumnWalkPortable(a, b, std::min(from_column, a.size() + b.size() - 1),
-                     a.size() + b.size() - 1, /*tail=*/true, out);
-}
-
-void MulLimbSpansLowPortable(std::span<const Limb> a, std::span<const Limb> b,
-                             std::size_t width, std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || width == 0) {
-    out->clear();
-    return;
-  }
-  if (width >= a.size() + b.size()) {
-    MulLimbSpansPortable(a, b, out);
-    return;
-  }
-  ColumnWalkPortable(a, b, 0, width, /*tail=*/false, out);
-}
-
 // --- MulLimbSpans: AVX2 -----------------------------------------------------
 
 #if defined(PRIMELABEL_HAVE_AVX2_KERNELS)
 
 namespace {
 
-/// Row-scanning walk over columns k in [kbegin, kend): the result value
-/// is sum over that range of col_k * B^(k - kbegin), where col_k is the
-/// exact column sum over i+j==k of a[i]*b[j]. Instead of walking columns
-/// (whose per-column horizontal reductions dominate at the 8–30 limb
-/// operands the Barrett steps feed), each row i broadcasts a[i] and
+/// Row-scanning product: the value is the sum over columns k of col_k *
+/// B^k, where col_k is the exact column sum over i+j==k of a[i]*b[j].
+/// Instead of walking columns (whose per-column horizontal reductions
+/// dominate at mid-size operands), each row i broadcasts a[i] and
 /// multiplies four b limbs per vector op, splitting the 64-bit products
 /// into low/high 32-bit halves accumulated in two per-column 64-bit
 /// arrays. Each array entry sums at most min(na, nb) halves < 2^32, so
 /// the lanes cannot wrap; a final scalar pass recombines
 /// acc_lo[k] + (acc_hi[k] << 32) into base-2^32 digits. The value is
-/// exact, so the output is identical limb-for-limb to the scalar column
-/// walk (and, over the full range, to the row-wise schoolbook loop).
-__attribute__((target("avx2"))) void ColumnWalkAvx2(
-    std::span<const Limb> a, std::span<const Limb> b, std::size_t kbegin,
-    std::size_t kend, bool tail, std::vector<Limb>* out) {
+/// exact, so the output is identical limb-for-limb to the row-wise
+/// schoolbook loop.
+__attribute__((target("avx2"))) void MulLimbSpansAvx2(
+    std::span<const Limb> a, std::span<const Limb> b,
+    std::vector<Limb>* out) {
   const std::size_t na = a.size();
   const std::size_t nb = b.size();
-  const std::size_t cols = kend - kbegin;
-  out->assign(cols + (tail ? 1 : 0), 0);
+  const std::size_t cols = na + nb - 1;
+  out->assign(cols + 1, 0);
 
   // The accumulators live on the stack for the common small/mid sizes —
   // the thread-local heap vector costs a TLS lookup plus a dispatched
-  // memset per call, which is most of the kernel's fixed overhead at the
-  // 8–30 limb operands the Barrett steps feed.
+  // memset per call, which is most of the kernel's fixed overhead there.
   constexpr std::size_t kStackCols = 128;
   alignas(32) std::uint64_t stack_acc[2 * kStackCols];
   std::uint64_t* acc_lo;
@@ -378,18 +288,14 @@ __attribute__((target("avx2"))) void ColumnWalkAvx2(
   std::uint64_t* acc_hi = acc_lo + cols;
 
   const __m256i mask32 = _mm256_set1_epi64x(0xffffffff);
-  for (std::size_t i = 0; i < na && i < kend; ++i) {
-    // Row i touches columns i + j for j in [0, nb); clip to the range.
-    const std::size_t jlo = kbegin > i ? kbegin - i : 0;
-    if (jlo >= nb) continue;
-    const std::size_t jhi = kend - i < nb ? kend - i : nb;  // exclusive
-    if (jhi <= jlo) continue;
+  for (std::size_t i = 0; i < na; ++i) {
+    // Row i touches columns i + j for j in [0, nb).
     const __m256i av = _mm256_set1_epi64x(static_cast<long long>(a[i]));
     const Limb* pb = b.data();
-    std::uint64_t* plo = acc_lo + (i + jlo - kbegin);
-    std::uint64_t* phi = acc_hi + (i + jlo - kbegin);
-    std::size_t j = jlo;
-    for (; j + 4 <= jhi; j += 4, plo += 4, phi += 4) {
+    std::uint64_t* plo = acc_lo + i;
+    std::uint64_t* phi = acc_hi + i;
+    std::size_t j = 0;
+    for (; j + 4 <= nb; j += 4, plo += 4, phi += 4) {
       __m256i bv = _mm256_cvtepu32_epi64(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + j)));
       __m256i p = _mm256_mul_epu32(av, bv);
@@ -400,7 +306,7 @@ __attribute__((target("avx2"))) void ColumnWalkAvx2(
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(plo), alo);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(phi), ahi);
     }
-    for (; j < jhi; ++j, ++plo, ++phi) {
+    for (; j < nb; ++j, ++plo, ++phi) {
       const std::uint64_t p = static_cast<std::uint64_t>(a[i]) * pb[j];
       *plo += p & 0xffffffffu;
       *phi += p >> 32;
@@ -418,18 +324,10 @@ __attribute__((target("avx2"))) void ColumnWalkAvx2(
     carry = t >> 32;
     hi_prev = acc_hi[k];
   }
-  if (tail) {
-    const std::uint64_t t = carry + hi_prev;
-    (*out)[cols] = static_cast<Limb>(t);
-    assert((t >> 32) == 0 && "partial product exceeded its bound");
-  }
+  const std::uint64_t t = carry + hi_prev;
+  (*out)[cols] = static_cast<Limb>(t);
+  assert((t >> 32) == 0 && "product exceeded its bound");
   StripHighZeros(out);
-}
-
-__attribute__((target("avx2"))) void MulLimbSpansAvx2(
-    std::span<const Limb> a, std::span<const Limb> b,
-    std::vector<Limb>* out) {
-  ColumnWalkAvx2(a, b, 0, a.size() + b.size() - 1, /*tail=*/true, out);
 }
 
 }  // namespace
@@ -442,14 +340,15 @@ __attribute__((target("avx2"))) void MulLimbSpansAvx2(
 
 namespace {
 
-/// The same column walk as the AVX2 kernel with 2 x 64-bit lanes:
-/// vmull_u32 produces two exact 32x32->64 products per op.
-void ColumnWalkNeon(std::span<const Limb> a, std::span<const Limb> b,
-                    std::size_t kbegin, std::size_t kend, bool tail,
-                    std::vector<Limb>* out) {
+/// Column-walk product with 2 x 64-bit lanes: vmull_u32 produces two
+/// exact 32x32->64 products per op. Same exact value as the AVX2 and
+/// scalar kernels.
+void MulLimbSpansNeon(std::span<const Limb> a, std::span<const Limb> b,
+                      std::vector<Limb>* out) {
   const std::size_t na = a.size();
   const std::size_t nb = b.size();
-  out->assign(kend - kbegin + (tail ? 1 : 0), 0);
+  const std::size_t cols = na + nb - 1;
+  out->assign(cols + 1, 0);
 
   std::vector<Limb>& brev = ReversedScratch();
   brev.resize(nb);
@@ -460,7 +359,7 @@ void ColumnWalkNeon(std::span<const Limb> a, std::span<const Limb> b,
   const uint64x2_t mask32 = vdupq_n_u64(0xffffffff);
 
   U128 carry = 0;
-  for (std::size_t k = kbegin; k < kend; ++k) {
+  for (std::size_t k = 0; k < cols; ++k) {
     const std::size_t ilo = k >= nb ? k - nb + 1 : 0;
     const std::size_t ihi = k < na ? k : na - 1;
     const std::size_t count = ihi - ilo + 1;
@@ -487,19 +386,12 @@ void ColumnWalkNeon(std::span<const Limb> a, std::span<const Limb> b,
       column += static_cast<U128>(ca[t]) * cb[t];
     }
     carry += column;
-    (*out)[k - kbegin] = static_cast<Limb>(carry);
+    (*out)[k] = static_cast<Limb>(carry);
     carry >>= 32;
   }
-  if (tail) {
-    (*out)[kend - kbegin] = static_cast<Limb>(carry);
-    assert((carry >> 32) == 0 && "partial product exceeded its bound");
-  }
+  (*out)[cols] = static_cast<Limb>(carry);
+  assert((carry >> 32) == 0 && "product exceeded its bound");
   StripHighZeros(out);
-}
-
-void MulLimbSpansNeon(std::span<const Limb> a, std::span<const Limb> b,
-                      std::vector<Limb>* out) {
-  ColumnWalkNeon(a, b, 0, a.size() + b.size() - 1, /*tail=*/true, out);
 }
 
 }  // namespace
@@ -531,57 +423,6 @@ void MulLimbSpans(std::span<const Limb> a, std::span<const Limb> b,
       break;
   }
   MulLimbSpansPortable(a, b, out);
-}
-
-namespace {
-
-/// Shared dispatch for the ranged column walks; falls back to the scalar
-/// walk below the vector threshold or on a scalar ISA.
-void ColumnWalkDispatch(std::span<const Limb> a, std::span<const Limb> b,
-                        std::size_t kbegin, std::size_t kend, bool tail,
-                        std::vector<Limb>* out) {
-  if (std::min(a.size(), b.size()) >= Gates().partial) {
-    switch (ActiveIsa()) {
-#if defined(PRIMELABEL_HAVE_AVX2_KERNELS)
-      case Isa::kAvx2:
-        ColumnWalkAvx2(a, b, kbegin, kend, tail, out);
-        return;
-#endif
-#if defined(PRIMELABEL_HAVE_NEON_KERNELS)
-      case Isa::kNeon:
-        ColumnWalkNeon(a, b, kbegin, kend, tail, out);
-        return;
-#endif
-      default:
-        break;
-    }
-  }
-  ColumnWalkPortable(a, b, kbegin, kend, tail, out);
-}
-
-}  // namespace
-
-void MulLimbSpansHigh(std::span<const Limb> a, std::span<const Limb> b,
-                      std::size_t from_column, std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || from_column >= a.size() + b.size()) {
-    out->clear();
-    return;
-  }
-  ColumnWalkDispatch(a, b, std::min(from_column, a.size() + b.size() - 1),
-                     a.size() + b.size() - 1, /*tail=*/true, out);
-}
-
-void MulLimbSpansLow(std::span<const Limb> a, std::span<const Limb> b,
-                     std::size_t width, std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || width == 0) {
-    out->clear();
-    return;
-  }
-  if (width >= a.size() + b.size()) {
-    MulLimbSpans(a, b, out);
-    return;
-  }
-  ColumnWalkDispatch(a, b, 0, width, /*tail=*/false, out);
 }
 
 // --- ChunkResidues: portable ------------------------------------------------

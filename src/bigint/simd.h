@@ -10,9 +10,9 @@ namespace primelabel::simd {
 // Vectorized limb kernels with runtime CPU dispatch.
 //
 // The divisibility engine (bigint/reduction.h) and BigInt multiplication
-// bottom out in a few inner loops. Since the engine-v2 migration BigInt
-// stores 64-bit limbs, but the vector units multiply 32x32->64, so the
-// kernel layer works at two granularities:
+// bottom out in a few inner loops. BigInt stores 64-bit limbs, but the
+// vector units multiply 32x32->64, so the kernel layer works at two
+// granularities:
 //
 //   * 64-bit limb entry points (the BigInt representation) —
 //     MulLimbSpans, ChunkResidues and the batched Montgomery
@@ -21,10 +21,8 @@ namespace primelabel::simd {
 //     (zero-copy on the little-endian targets the vector kernels are
 //     compiled for) and their scalar paths run native 64-bit arithmetic
 //     with 128-bit intermediates.
-//   * 32-bit digit kernels — the ranged partial products
-//     MulLimbSpansHigh/Low feeding Barrett reduction, which keeps its
-//     internal state digit-granular, plus digit overloads of the entry
-//     points above.
+//   * 32-bit digit kernels — the digit overloads of MulLimbSpans and
+//     ChunkResidues that those vector paths run on.
 //
 // Each kernel has a portable scalar implementation and, where the target
 // supports it, a vector implementation (AVX2 on x86-64, NEON on aarch64)
@@ -76,15 +74,13 @@ bool VectorKernelsCompiledIn();
 //
 // Effective vector-dispatch gates, in limbs of the respective width.
 // Compiled-in defaults were measured on AVX2; on aarch64 builds the
-// digit-kernel gates can be overridden without rebuilding via
-// PRIMELABEL_NEON_MIN_LIMBS="<full>[,<partial>]" (clamped to [2, 256]),
-// since the NEON crossovers have not been measured on real hardware.
-// Benches record all of these in the BENCH_*.json context block.
+// digit-kernel product gate can be overridden without rebuilding via
+// PRIMELABEL_NEON_MIN_LIMBS="<full>" (clamped to [2, 256]), since the
+// NEON crossovers have not been measured on real hardware. Benches
+// record all of these in the BENCH_*.json context block.
 
-/// Digit-kernel gate for full products (32-bit limbs, smaller operand).
+/// Digit-kernel gate for products (32-bit limbs, smaller operand).
 std::size_t VectorMinLimbsFull();
-/// Digit-kernel gate for the Barrett partial products (32-bit limbs).
-std::size_t VectorMinLimbsPartial();
 /// 64-bit-limb gate for the MulLimbSpans digit-view vector path.
 std::size_t VectorMinLimbs64();
 /// Minimum dividend size (64-bit limbs) for the vector RedcDividesBatch
@@ -166,38 +162,6 @@ void MulLimbSpans(std::span<const std::uint32_t> a,
 void MulLimbSpansPortable(std::span<const std::uint32_t> a,
                           std::span<const std::uint32_t> b,
                           std::vector<std::uint32_t>* out);
-
-/// Partial (short) products for Barrett reduction. Both compute exact
-/// column sums col_k = sum over i+j==k of a[i]*b[j], restricted to a
-/// range of columns, with full carry propagation inside the range and no
-/// carry-in from below it. Dispatched like MulLimbSpans; bit-identical to
-/// their *Portable references on every ISA.
-///
-/// MulLimbSpansHigh: out represents sum_{k >= from_column} col_k *
-/// B^(k - from_column). With from_column == 0 this is exactly a * b; for
-/// larger cuts it underestimates floor(a*b / B^from_column) by the
-/// dropped columns' carries only — less than from_column^2 *
-/// B^(from_column+1) / B^from_column in value — which Barrett's
-/// correction loop absorbs (see ReciprocalDivisor::Reduce).
-void MulLimbSpansHigh(std::span<const std::uint32_t> a,
-                      std::span<const std::uint32_t> b,
-                      std::size_t from_column,
-                      std::vector<std::uint32_t>* out);
-void MulLimbSpansHighPortable(std::span<const std::uint32_t> a,
-                              std::span<const std::uint32_t> b,
-                              std::size_t from_column,
-                              std::vector<std::uint32_t>* out);
-
-/// MulLimbSpansLow: out = (a * b) mod B^width, exactly — all columns
-/// below `width` with their internal carries, the carry out of the top
-/// column discarded.
-void MulLimbSpansLow(std::span<const std::uint32_t> a,
-                     std::span<const std::uint32_t> b, std::size_t width,
-                     std::vector<std::uint32_t>* out);
-void MulLimbSpansLowPortable(std::span<const std::uint32_t> a,
-                             std::span<const std::uint32_t> b,
-                             std::size_t width,
-                             std::vector<std::uint32_t>* out);
 
 /// Number of fingerprint chunk moduli served by ChunkResidues — matches
 /// kFingerprintChunks in bigint/reduction.h (static_asserted there).

@@ -60,9 +60,10 @@ class OrderedPrimeScheme : public LabelingScheme, public StructureOracle {
   // --- Batch queries ------------------------------------------------------
   // All three run the divisibility fast-path engine (bigint/reduction.h):
   // fingerprint witnesses reject non-ancestor pairs with zero BigInt work,
-  // and the divisor's reciprocal/Barrett constants are cached per anchor
-  // run so surviving tests are multiply-high + subtract instead of full
-  // Knuth division. Results are bit-identical to the scalar IsAncestor.
+  // and the divisor's reciprocal/Montgomery constants are cached per
+  // anchor run so surviving tests are a word remainder or one REDC sweep
+  // instead of full Knuth division. Results are bit-identical to the
+  // scalar IsAncestor.
 
   void IsAncestorBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
                        std::vector<std::uint8_t>* results) const override;

@@ -185,9 +185,6 @@ Result<std::vector<NodeId>> Session::Query(const Snapshot& snapshot,
   if (deadline.expired()) {
     return Status::DeadlineExceeded("deadline expired before query ran");
   }
-  if (!service_->options_.use_planner) {
-    return snapshot.Query(xpath, service_->options_.query_workers);
-  }
   const EpochView& view = *snapshot.view();
   Result<QueryPlanner::NodeSet> result = service_->planner_.Query(
       view.label_table(), view.oracle(), snapshot.epoch(),

@@ -47,10 +47,6 @@ class QueryService {
     std::uint64_t session_request_quota = 0;
     /// Worker fan-out for batched joins inside each query.
     int query_workers = 1;
-    /// Serve XPATH through the compiled-plan path (shared plan cache +
-    /// per-snapshot-point result cache). Off falls back to the
-    /// tree-walking evaluator — kept as the differential reference.
-    bool use_planner = true;
     /// Compiled plans kept hot (keyed by canonical query text; plans are
     /// view-independent, so entries survive epoch swings).
     std::size_t plan_cache_capacity = 64;
@@ -153,11 +149,10 @@ class Session {
   /// Counts as one request for admission purposes.
   Result<Snapshot> OpenSnapshot(const Deadline& deadline = {});
 
-  /// Evaluates an XPath query against an open snapshot — through the
-  /// compiled-plan path (plan + result caches) by default, or the
-  /// tree-walking evaluator when Options::use_planner is off. The
-  /// deadline is checked before planning and before execution (plan
-  /// execution itself is not chunked).
+  /// Evaluates an XPath query against an open snapshot through the
+  /// compiled-plan path (shared plan cache + per-snapshot-point result
+  /// cache). The deadline is checked before planning and before execution
+  /// (plan execution itself is not chunked).
   Result<std::vector<NodeId>> Query(const Snapshot& snapshot,
                                     std::string_view xpath,
                                     const Deadline& deadline = {});

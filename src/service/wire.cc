@@ -30,11 +30,16 @@ std::string IdListReply(const std::vector<NodeId>& ids) {
   return out.str();
 }
 
-/// Parses `k` then exactly `k * per_item` node ids from `in`.
+/// Parses `k` then exactly `k * per_item` node ids from `in`. A count
+/// the rest of the line cannot hold is rejected before anything is
+/// reserved: each id takes at least 2 bytes (a separator and a digit).
 bool ParseIdBlock(std::istringstream& in, std::size_t per_item,
                   std::vector<NodeId>* out) {
   std::size_t k = 0;
   if (!(in >> k)) return false;
+  const std::streamsize left = in.rdbuf()->in_avail();
+  const std::size_t remaining = left > 0 ? static_cast<std::size_t>(left) : 0;
+  if (k > remaining / (2 * per_item)) return false;
   out->clear();
   out->reserve(k * per_item);
   for (std::size_t i = 0; i < k * per_item; ++i) {

@@ -8,7 +8,9 @@ namespace primelabel {
 
 namespace {
 
-/// The single parsing engine: recursive descent emitting SAX events.
+/// The single parsing engine: one loop emitting SAX events, with the open
+/// elements on an explicit stack of tag views rather than the call stack,
+/// so nesting depth is bounded by memory, not by thread stack size.
 /// ParseXml (DOM) is an adapter over this (see parser.cc), so both
 /// surfaces accept exactly the same documents.
 class SaxParser {
@@ -21,7 +23,7 @@ class SaxParser {
 
   Status Parse() {
     SkipProlog();
-    if (!ParseElement()) return Error();
+    if (!ParseRootElement()) return Error();
     SkipMisc();
     if (pos_ != input_.size()) {
       Fail("unexpected content after root element");
@@ -207,7 +209,9 @@ class SaxParser {
     }
   }
 
-  bool ParseElement() {
+  /// Parses one start tag and fires StartElement; a self-closing tag also
+  /// fires EndElement, any other tag is pushed onto `open`.
+  bool ParseStartTag(std::vector<std::string_view>* open) {
     if (AtEnd() || Peek() != '<') return Fail("expected '<'");
     ++pos_;
     std::string_view tag;
@@ -222,10 +226,16 @@ class SaxParser {
       return true;
     }
     if (!Match(">")) return Fail("expected '>'");
-    return ParseContent(tag);
+    open->push_back(tag);
+    return true;
   }
 
-  bool ParseContent(std::string_view open_tag) {
+  /// Parses the root element and everything inside it.
+  bool ParseRootElement() {
+    std::vector<std::string_view> open;
+    if (!ParseStartTag(&open)) return false;
+    // Text is flushed before every child start tag and every end tag, so
+    // one buffer serves all open elements.
     std::string text;
     auto flush_text = [&]() {
       if (text.empty()) return;
@@ -246,9 +256,10 @@ class SaxParser {
       text.clear();
     };
 
-    for (;;) {
+    while (!open.empty()) {
       if (AtEnd()) {
-        return Fail("unterminated element <" + std::string(open_tag) + ">");
+        return Fail("unterminated element <" + std::string(open.back()) +
+                    ">");
       }
       char c = Peek();
       if (c == '<') {
@@ -268,17 +279,17 @@ class SaxParser {
           pos_ += 2;
           std::string_view closing;
           if (!ParseName(&closing)) return false;
-          if (closing != open_tag) {
+          if (closing != open.back()) {
             return Fail("mismatched end tag </" + std::string(closing) +
-                        "> for <" + std::string(open_tag) + ">");
+                        "> for <" + std::string(open.back()) + ">");
           }
           SkipWhitespace();
           if (!Match(">")) return Fail("expected '>' in end tag");
-          handler_->EndElement(open_tag);
-          return true;
+          handler_->EndElement(open.back());
+          open.pop_back();
         } else {
           flush_text();
-          if (!ParseElement()) return false;
+          if (!ParseStartTag(&open)) return false;
         }
       } else if (c == '&') {
         if (!AppendEntity(&text)) return false;
@@ -287,6 +298,7 @@ class SaxParser {
         ++pos_;
       }
     }
+    return true;
   }
 
   std::string_view input_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "xpath/lexer.h"
 
@@ -155,7 +157,14 @@ Result<XPathQuery> ParseXPath(std::string_view input) {
         if (step.position.has_value()) {
           return fail("duplicate position predicate");
         }
-        int n = std::stoi(peek().text);
+        // The lexer emits only digit runs here, so the one way to fail
+        // is a value beyond int.
+        const std::string& digits = peek().text;
+        int n = 0;
+        if (std::from_chars(digits.data(), digits.data() + digits.size(), n)
+                .ec != std::errc()) {
+          return fail("position out of range");
+        }
         if (n < 1) return fail("positions are 1-based");
         step.position = n;
         ++pos;

@@ -214,7 +214,7 @@ TEST(ReciprocalDivisor, DividesMatchesIsDivisibleByOnRandomPairs) {
   Rng rng(555);
   ReciprocalDivisor cached;
   for (int iter = 0; iter < 10000; ++iter) {
-    // Divisors from 1 word (Möller–Granlund path) to 8 words (Barrett).
+    // Divisors from 1 word (Möller–Granlund path) to 8 words (Montgomery).
     BigInt divisor = RandomBigInt(&rng, 1 + static_cast<int>(rng.Below(8)));
     BigInt dividend;
     if (rng.Chance(50)) {
@@ -231,22 +231,9 @@ TEST(ReciprocalDivisor, DividesMatchesIsDivisibleByOnRandomPairs) {
   }
 }
 
-TEST(ReciprocalDivisor, ModMatchesDivModOnRandomPairs) {
-  Rng rng(556);
-  ReciprocalDivisor cached;
-  for (int iter = 0; iter < 4000; ++iter) {
-    BigInt divisor = RandomBigInt(&rng, 1 + static_cast<int>(rng.Below(8)));
-    BigInt dividend = RandomBigInt(&rng, 1 + static_cast<int>(rng.Below(12)));
-    cached.Assign(divisor);
-    ASSERT_EQ(cached.Mod(dividend), BigInt::DivMod(dividend, divisor).second)
-        << "iter " << iter << " divisor=" << divisor.ToDecimalString()
-        << " dividend=" << dividend.ToDecimalString();
-  }
-}
-
 TEST(ReciprocalDivisor, ReassignmentIsClean) {
   // The anchor-run pattern: one object, many divisors, interleaved sizes so
-  // the word path and the Barrett path alternate over the same scratch.
+  // the word path and the Montgomery path alternate over the same scratch.
   Rng rng(557);
   ReciprocalDivisor cached;
   for (int iter = 0; iter < 500; ++iter) {

@@ -69,7 +69,7 @@ TEST_P(ParserFuzzTest, MutatedDocumentsNeverCrashAndValidOnesRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest, ::testing::Range(1, 9));
 
 TEST(ParserFuzz, PathologicalInputs) {
-  // Deep nesting (parser recursion must cope with reasonable depths).
+  // Deep nesting.
   std::string deep;
   for (int i = 0; i < 2000; ++i) deep += "<a>";
   for (int i = 0; i < 2000; ++i) deep += "</a>";
@@ -77,6 +77,17 @@ TEST(ParserFuzz, PathologicalInputs) {
   // Unbalanced deep nesting.
   std::string unbalanced(deep.substr(0, 3 * 1000));
   EXPECT_FALSE(ParseXml(unbalanced).ok());
+  // Depth far beyond any thread stack budget for a recursive descent:
+  // the parser keeps open elements on the heap.
+  constexpr int kVeryDeep = 200000;
+  std::string very_deep;
+  very_deep.reserve(7 * kVeryDeep);
+  for (int i = 0; i < kVeryDeep; ++i) very_deep += "<a>";
+  for (int i = 0; i < kVeryDeep; ++i) very_deep += "</a>";
+  EXPECT_TRUE(ParseXml(very_deep).ok());
+  Result<XmlTree> truncated = ParseXml(very_deep.substr(0, 3 * kVeryDeep));
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kParseError);
   // Long attribute values and many attributes.
   std::string wide = "<e";
   for (int i = 0; i < 500; ++i) {

@@ -603,6 +603,32 @@ TEST(ServiceChaosFuzz, MalformedWireBatteryNeverKillsTheServer) {
     conn.Close();
   }
 
+  // 6. Hostile sizes on one connection: id-block counts far beyond what
+  //    the line holds, and a position that overflows int. Each is a typed
+  //    error, and the connection keeps serving.
+  {
+    RawConnection conn(socket_path);
+    ASSERT_TRUE(conn.ok());
+    conn.Send(
+        "SNAP\n"
+        "ISANC 4000000000000000\n"
+        "DESC 1 4000000000000000\n"
+        "ANC 1 4000000000000000\n"
+        "XPATH //act[99999999999]\n"
+        "PING\n");
+    const std::string replies = conn.DrainReplies(500);
+    std::vector<std::string> lines;
+    std::istringstream split(replies);
+    for (std::string line; std::getline(split, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 6u) << replies;
+    EXPECT_EQ(lines[0].rfind("OK ", 0), 0u) << lines[0];
+    for (std::size_t i = 1; i <= 3; ++i) {
+      EXPECT_EQ(lines[i].rfind("ERR InvalidArgument", 0), 0u) << lines[i];
+    }
+    EXPECT_EQ(lines[4].rfind("ERR ParseError", 0), 0u) << lines[4];
+    EXPECT_EQ(lines[5], "OK PONG");
+  }
+
   // After the whole battery the server serves a pristine session.
   SocketClient client;
   ASSERT_TRUE(client.Connect(socket_path).ok());

@@ -8,11 +8,10 @@
 //     empty spans);
 //   * kernel vs BigInt — the same products/residues against the BigInt
 //     arithmetic they accelerate (the independent ground truth);
-//   * engine vs engine — ReciprocalDivisor under vector vs pinned-scalar
-//     dispatch, and the optimized engine (short-product Barrett +
-//     Montgomery divisibility) against the reference engine
-//     (SetReferenceEngineForTest), including the even-divisor /
-//     power-of-two / short-dividend edge cases Montgomery splits on.
+//   * engine vs ground truth — ReciprocalDivisor under vector vs
+//     pinned-scalar dispatch, both against BigInt::IsDivisibleBy,
+//     including the even-divisor / power-of-two / short-dividend edge
+//     cases Montgomery splits on.
 //
 // On a host without vector kernels (or a -DPRIMELABEL_DISABLE_SIMD=ON
 // build) the dispatched calls resolve to the portable bodies and these
@@ -22,7 +21,6 @@
 #include "bigint/simd.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -36,18 +34,6 @@ namespace primelabel {
 namespace {
 
 using Limb = std::uint32_t;
-
-// Declared first in the file so it runs before anything can trigger the
-// lazy crossover measurement when the whole binary runs in one process
-// (under ctest each test is its own process anyway). The env override is
-// clamped to [2, 32] (64-bit limbs).
-TEST(SimdKernels, BarrettMinLimbsHonorsEnvOverride) {
-  setenv("PRIMELABEL_BARRETT_MIN_LIMBS", "5", /*overwrite=*/1);
-  EXPECT_EQ(ReciprocalDivisor::BarrettMinLimbs(), 5u);
-  unsetenv("PRIMELABEL_BARRETT_MIN_LIMBS");
-  // Cached after first use: later calls keep the value they started with.
-  EXPECT_EQ(ReciprocalDivisor::BarrettMinLimbs(), 5u);
-}
 
 BigInt FromLimbs(std::span<const Limb> limbs) {
   BigInt value;
@@ -122,49 +108,6 @@ TEST(SimdKernels, MulUnalignedSubspansAndEmpty) {
   EXPECT_TRUE(portable.empty());
 }
 
-TEST(SimdKernels, HighProductMatchesPortableAndFullAtCutZero) {
-  Rng rng(107);
-  std::vector<Limb> dispatched, portable, full;
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t na = 1 + rng.Below(48);
-    const std::size_t nb = 1 + rng.Below(48);
-    std::vector<Limb> a = RandomLimbs(rng, na, trial % 4 == 0 ? 30 : 0);
-    std::vector<Limb> b = RandomLimbs(rng, nb, 0);
-    // Random cut across the whole column range (including past the end,
-    // where the product has no columns left and the result is empty).
-    const std::size_t cut = rng.Below(na + nb + 2);
-    simd::MulLimbSpansHigh(a, b, cut, &dispatched);
-    simd::MulLimbSpansHighPortable(a, b, cut, &portable);
-    ASSERT_EQ(dispatched, portable)
-        << "trial " << trial << " cut " << cut;
-    if (cut == 0) {
-      simd::MulLimbSpans(a, b, &full);
-      ASSERT_EQ(dispatched, full);
-    }
-  }
-}
-
-TEST(SimdKernels, LowProductIsExactTruncatedProduct) {
-  Rng rng(109);
-  std::vector<Limb> dispatched, portable, full;
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t na = 1 + rng.Below(48);
-    const std::size_t nb = 1 + rng.Below(48);
-    std::vector<Limb> a = RandomLimbs(rng, na, trial % 4 == 0 ? 30 : 0);
-    std::vector<Limb> b = RandomLimbs(rng, nb, 0);
-    const std::size_t width = rng.Below(na + nb + 4);
-    simd::MulLimbSpansLow(a, b, width, &dispatched);
-    simd::MulLimbSpansLowPortable(a, b, width, &portable);
-    ASSERT_EQ(dispatched, portable)
-        << "trial " << trial << " width " << width;
-    // Ground truth: the full product truncated to `width` limbs.
-    simd::MulLimbSpans(a, b, &full);
-    if (full.size() > width) full.resize(width);
-    while (!full.empty() && full.back() == 0) full.pop_back();
-    ASSERT_EQ(dispatched, full) << "trial " << trial << " width " << width;
-  }
-}
-
 TEST(SimdKernels, ChunkResiduesMatchModU64) {
   Rng rng(113);
   // 1030 and 2048 cross the kernel's 1024-limb power-table block border.
@@ -197,9 +140,9 @@ TEST(SimdKernels, DispatchOverrideRoundTrips) {
   EXPECT_EQ(simd::ActiveIsa(), detected);
 }
 
-/// One deterministic pool of (divisor, dividend) pairs that stresses every
-/// engine strategy and the Montgomery edge cases: word-sized through
-/// Barrett-sized divisors; even divisors and pure powers of two (the
+/// One deterministic pool of (divisor, dividend) pairs that stresses both
+/// engine strategies and the Montgomery edge cases: word-sized through
+/// 33-digit divisors; even divisors and pure powers of two (the
 /// 2^e * odd split); dividends shorter than, equal to, and far wider than
 /// the divisor; exact multiples and off-by-one near-multiples.
 std::vector<std::pair<BigInt, BigInt>> EnginePairs() {
@@ -239,35 +182,15 @@ TEST(SimdKernels, ReciprocalDivisorScalarVsVectorBitIdentical) {
   for (const auto& [divisor, dividend] : EnginePairs()) {
     vec_rd.Assign(divisor);
     const bool vec_divides = vec_rd.Divides(dividend);
-    const BigInt vec_mod = vec_rd.Mod(dividend);
     simd::SetActiveIsa(simd::Isa::kScalar);
     scalar_rd.Assign(divisor);
     const bool scalar_divides = scalar_rd.Divides(dividend);
-    const BigInt scalar_mod = scalar_rd.Mod(dividend);
     simd::ResetActiveIsa();
     ASSERT_EQ(vec_divides, scalar_divides)
         << divisor << " | " << dividend;
-    ASSERT_EQ(vec_mod, scalar_mod) << dividend << " mod " << divisor;
     // And both against the BigInt ground truth.
-    ASSERT_EQ(vec_divides, dividend.IsDivisibleBy(divisor));
-    ASSERT_EQ(vec_mod, dividend % divisor);
-  }
-}
-
-TEST(SimdKernels, ReferenceEngineMatchesOptimizedEngine) {
-  ReciprocalDivisor opt_rd, ref_rd;
-  for (const auto& [divisor, dividend] : EnginePairs()) {
-    opt_rd.Assign(divisor);
-    const bool opt_divides = opt_rd.Divides(dividend);
-    const BigInt opt_mod = opt_rd.Mod(dividend);
-    ReciprocalDivisor::SetReferenceEngineForTest(true);
-    ref_rd.Assign(divisor);
-    const bool ref_divides = ref_rd.Divides(dividend);
-    const BigInt ref_mod = ref_rd.Mod(dividend);
-    ReciprocalDivisor::SetReferenceEngineForTest(false);
-    ASSERT_EQ(opt_divides, ref_divides) << divisor << " | " << dividend;
-    ASSERT_EQ(opt_mod, ref_mod) << dividend << " mod " << divisor;
-    ASSERT_EQ(opt_divides, dividend.IsDivisibleBy(divisor));
+    ASSERT_EQ(vec_divides, dividend.IsDivisibleBy(divisor))
+        << divisor << " | " << dividend;
   }
 }
 

@@ -154,6 +154,7 @@ TEST(XPathParser, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseXPath("play").ok());          // missing leading slash
   EXPECT_FALSE(ParseXPath("/play[").ok());
   EXPECT_FALSE(ParseXPath("/play[0]").ok());      // positions are 1-based
+  EXPECT_FALSE(ParseXPath("/play[99999999999]").ok());  // overflows int
   EXPECT_FALSE(ParseXPath("/play[x]").ok());
   EXPECT_FALSE(ParseXPath("/play//Unknown::a").ok());
   EXPECT_FALSE(ParseXPath("//").ok());
