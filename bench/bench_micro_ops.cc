@@ -396,21 +396,20 @@ BENCHMARK_CAPTURE(BM_ChunkResidues, dispatched, true)
 BENCHMARK_CAPTURE(BM_ChunkResidues, portable, false)
     ->Arg(4)->Arg(64)->Arg(1024);
 
-/// Catalog files in every on-disk format, written once from the shared
-/// deep-chain Shakespeare fixture: its chain labels reach ~130 limbs,
-/// which is where per-row fingerprint recompute (v2), CRT re-derivation
-/// (v2/v3) and per-label heap materialization actually cost something.
-/// `row_of` maps the fixture's tree NodeIds to preorder row indices — the
-/// id vocabulary a LoadedCatalog answers in.
-struct CatalogBenchFiles {
-  std::string path[5];  ///< indexed by format version (2, 3, 4)
+/// The v4 catalog file, written once from the shared deep-chain
+/// Shakespeare fixture: its chain labels reach ~130 limbs, which is where
+/// per-label heap materialization actually costs something. `row_of`
+/// maps the fixture's tree NodeIds to preorder row indices — the id
+/// vocabulary a LoadedCatalog answers in.
+struct CatalogBenchFile {
+  std::string path;
   std::size_t rows = 0;
   std::unordered_map<NodeId, NodeId> row_of;
 };
 
-const CatalogBenchFiles& CatalogFiles() {
-  static const CatalogBenchFiles* fixture = [] {
-    auto* f = new CatalogBenchFiles;
+const CatalogBenchFile& CatalogFile() {
+  static const CatalogBenchFile* fixture = [] {
+    auto* f = new CatalogBenchFile;
     const BatchFixture& b = ShakespeareBatch();
     std::vector<NodeId> preorder = b.tree.PreorderNodes();
     std::unordered_map<NodeId, std::int64_t> row_of;
@@ -432,69 +431,55 @@ const CatalogBenchFiles& CatalogFiles() {
       row.fingerprint = b.scheme.structure().fingerprint(id);
     }
     f->rows = rows.size();
-    std::string base =
-        (std::filesystem::temp_directory_path() / "plbench-catalog").string();
-    for (int version : {2, 3, 4}) {
-      f->path[version] = base + "-v" + std::to_string(version) + ".plc";
-      CatalogWriteOptions options;
-      options.format_version = version;
-      if (!WriteCatalog(DefaultVfs(), f->path[version], rows,
-                        b.scheme.sc_table(), options)
-               .ok()) {
-        std::abort();
-      }
+    f->path =
+        (std::filesystem::temp_directory_path() / "plbench-catalog-v4.plc")
+            .string();
+    if (!WriteCatalog(DefaultVfs(), f->path, rows, b.scheme.sc_table()).ok()) {
+      std::abort();
     }
     return f;
   }();
   return *fixture;
 }
 
-/// Catalog load, v2 file vs v3 file, same rows. v2 recomputes every row's
-/// divisibility fingerprint on load; v3 reads them off disk (after one
-/// config-hash check), so the ratio is the measured win of that format
-/// bump.
-void BM_CatalogLoadV2VsV3(benchmark::State& state, int version) {
-  const CatalogBenchFiles& fixture = CatalogFiles();
-  for (auto _ : state) {
-    Result<LoadedCatalog> loaded =
-        LoadCatalog(DefaultVfs(), fixture.path[version]);
-    benchmark::DoNotOptimize(loaded.ok());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fixture.rows));
-}
-BENCHMARK_CAPTURE(BM_CatalogLoadV2VsV3, v2_recompute, 2);
-BENCHMARK_CAPTURE(BM_CatalogLoadV2VsV3, v3_persisted, 3);
-
-/// Catalog open, v3 heap load vs v4 — both the heap load (decode every
-/// row into BigInts, rebuild the SC table through its per-record CRT
-/// solve) and the arena open (digest-verify the image, pun the columns in
-/// place, zero BigInts). The v3→v4_arena ratio is the headline load-time
-/// win of the format; the label_store_bytes counter next to it is the
-/// resident-memory side of the same story (arena bytes are the shared
-/// image columns; heap bytes are per-view BigInt allocations).
-void BM_CatalogLoadV3VsV4(benchmark::State& state, int version, bool arena) {
-  const CatalogBenchFiles& fixture = CatalogFiles();
+/// Catalog open from v4: the heap decode LoadCatalog gives the recovery
+/// paths (digest-verify, then one BigInt per label and the SC table
+/// rebuilt through its per-record CRT solve) vs the arena open
+/// OpenCatalogMapped serves with (digest-verify the image, pun the
+/// columns in place, zero BigInts). The heap-to-arena ratio is the
+/// headline load-time win of the format; the label_store_bytes counter on
+/// the arena row is the resident-memory side of the same story (shared
+/// image columns).
+void BM_CatalogLoadV3VsV4(benchmark::State& state, bool arena) {
+  const CatalogBenchFile& fixture = CatalogFile();
   std::size_t label_bytes = 0;
   for (auto _ : state) {
-    Result<LoadedCatalog> loaded =
-        arena ? OpenCatalogMapped(DefaultVfs(), fixture.path[version])
-              : LoadCatalog(DefaultVfs(), fixture.path[version]);
-    if (!loaded.ok()) {
-      state.SkipWithError(loaded.status().ToString().c_str());
-      break;
+    if (arena) {
+      Result<LoadedCatalog> opened =
+          OpenCatalogMapped(DefaultVfs(), fixture.path);
+      if (!opened.ok()) {
+        state.SkipWithError(opened.status().ToString().c_str());
+        break;
+      }
+      label_bytes = opened->label_store_bytes();
+      benchmark::DoNotOptimize(label_bytes);
+    } else {
+      Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), fixture.path);
+      if (!loaded.ok()) {
+        state.SkipWithError(loaded.status().ToString().c_str());
+        break;
+      }
+      benchmark::DoNotOptimize(loaded->rows.data());
     }
-    label_bytes = loaded->label_store_bytes();
-    benchmark::DoNotOptimize(label_bytes);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fixture.rows));
-  state.counters["label_store_bytes"] =
-      static_cast<double>(label_bytes);
+  if (arena) {
+    state.counters["label_store_bytes"] = static_cast<double>(label_bytes);
+  }
 }
-BENCHMARK_CAPTURE(BM_CatalogLoadV3VsV4, v3_heap, 3, false);
-BENCHMARK_CAPTURE(BM_CatalogLoadV3VsV4, v4_heap, 4, false);
-BENCHMARK_CAPTURE(BM_CatalogLoadV3VsV4, v4_arena, 4, true);
+BENCHMARK_CAPTURE(BM_CatalogLoadV3VsV4, v4_heap, false);
+BENCHMARK_CAPTURE(BM_CatalogLoadV3VsV4, v4_arena, true);
 
 /// The batched-ancestry engine running over an arena-backed catalog: the
 /// same pair workload as BM_IsAncestorBatch (tree ids mapped to preorder
@@ -505,12 +490,12 @@ BENCHMARK_CAPTURE(BM_CatalogLoadV3VsV4, v4_arena, 4, true);
 void BM_IsAncestorBatchArena(benchmark::State& state) {
   static const LoadedCatalog* catalog = [] {
     Result<LoadedCatalog> opened =
-        OpenCatalogMapped(DefaultVfs(), CatalogFiles().path[4]);
-    if (!opened.ok() || !opened->arena_backed()) std::abort();
+        OpenCatalogMapped(DefaultVfs(), CatalogFile().path);
+    if (!opened.ok()) std::abort();
     return new LoadedCatalog(std::move(opened.value()));
   }();
   static const std::vector<std::pair<NodeId, NodeId>>* pairs = [] {
-    const CatalogBenchFiles& f = CatalogFiles();
+    const CatalogBenchFile& f = CatalogFile();
     auto* mapped = new std::vector<std::pair<NodeId, NodeId>>;
     for (const auto& [a, d] : ShakespeareBatch().pairs) {
       mapped->emplace_back(f.row_of.at(a), f.row_of.at(d));

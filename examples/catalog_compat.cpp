@@ -1,68 +1,91 @@
 // Catalog format-compatibility checker: proves that one document answers
-// every oracle query bit-identically no matter which catalog format or
-// storage mode serves it.
+// every oracle query bit-identically whichever catalog format stored it
+// and however it is opened.
 //
-// The walk: label a deterministic play, save it as format v3 (row
-// interleaved) and format v4 (columnar, DESIGN.md §15), then open three
-// ways — v3 heap load, v4 heap load, and v4 zero-copy arena over mmap —
-// and diff the complete observable state plus a sweep of scalar and
-// batched oracle answers across all three. Any divergence is a bug in
-// the format converters or the arena query kernels; the process exits
-// non-zero naming the first mismatch.
+// The walk: for each committed older-format fixture
+// (tests/data/catalog_formats/v2.plc and v3.plc — formats this build
+// reads but does not write), open three ways — LabeledDocument::Load
+// (the live scheme over the restored labels, the reference),
+// OpenCatalogMapped of the file (converted on open to an in-memory v4
+// image), and OpenCatalogMapped of the document re-saved as v4 (served
+// from the mmap) — then diff the complete observable state against the
+// DIGEST.txt recorded with the fixtures, plus a sweep of scalar and
+// batched oracle answers. Any divergence is a bug in the format readers,
+// the converter or the shared batch kernels; the process exits non-zero
+// naming the first mismatch.
 //
 // scripts/check.sh runs this in both the vectorized and the scalar-only
 // trees, so the diff also covers both kernel dispatch families.
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "corpus/labeled_document.h"
 #include "store/catalog.h"
-#include "xml/shakespeare.h"
+
+#ifndef PRIMELABEL_TEST_DATA_DIR
+#define PRIMELABEL_TEST_DATA_DIR "tests/data"
+#endif
 
 using namespace primelabel;
 
 namespace {
 
-/// Complete observable state through the mode-neutral accessors: equal
-/// digests mean equal answers to every tag/structure/attribute/order
-/// lookup.
-std::string Digest(const LoadedCatalog& catalog) {
+/// One row of observable state in DIGEST.txt's line format.
+std::string DigestLine(
+    const std::string& tag, bool is_element, std::int64_t parent,
+    std::uint64_t self, const BigInt& label, std::uint64_t order,
+    const std::vector<std::pair<std::string, std::string>>& attributes) {
+  std::string line = tag + '|' + (is_element ? "1" : "0") + '|' +
+                     std::to_string(parent) + '|' + std::to_string(self) +
+                     '|' + label.ToHexString() + '|' + std::to_string(order);
+  for (const auto& [key, value] : attributes) {
+    line += '|' + key + '=' + value;
+  }
+  return line + '\n';
+}
+
+/// Complete observable state: equal digests mean equal answers to every
+/// tag/structure/attribute/order lookup. A restored document's NodeIds
+/// are its row indices, like a catalog's.
+std::string Digest(const LabeledDocument& doc) {
+  const XmlTree& tree = doc.tree();
+  const PrimeTopDownScheme& structure = doc.scheme().structure();
   std::string out;
-  for (std::size_t i = 0; i < catalog.row_count(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    out += catalog.tag_of(id);
-    out += '|';
-    out += std::to_string(catalog.parent_of(id));
-    out += '|';
-    out += std::to_string(catalog.self_of(id));
-    out += '|';
-    out += BigInt::FromLimbs(catalog.label_view(id)).ToHexString();
-    out += '|';
-    out += std::to_string(catalog.OrderOf(id));
-    for (const auto& [key, value] : catalog.attributes_of(id)) {
-      out += '|';
-      out += key;
-      out += '=';
-      out += value;
-    }
-    out += '\n';
+  for (NodeId id = 0; id < static_cast<NodeId>(tree.node_count()); ++id) {
+    out += DigestLine(tree.name(id), tree.IsElement(id), tree.parent(id),
+                      structure.self_label(id), structure.label(id),
+                      doc.scheme().OrderOf(id), tree.node(id).attributes);
   }
   return out;
 }
 
-int Fail(const char* what) {
-  std::fprintf(stderr, "catalog_compat: MISMATCH: %s\n", what);
+std::string Digest(const LoadedCatalog& catalog) {
+  std::string out;
+  for (std::size_t i = 0; i < catalog.row_count(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    out += DigestLine(catalog.tag_of(id), catalog.is_element_of(id),
+                      catalog.parent_of(id), catalog.self_of(id),
+                      BigInt::FromLimbs(catalog.label_view(id)),
+                      catalog.OrderOf(id), catalog.attributes_of(id));
+  }
+  return out;
+}
+
+int Fail(const std::string& what) {
+  std::fprintf(stderr, "catalog_compat: MISMATCH: %s\n", what.c_str());
   return 1;
 }
 
-/// Scalar + batched oracle sweep over `a` and `b`; returns false on the
-/// first disagreement.
-bool OraclesAgree(const LoadedCatalog& a, const LoadedCatalog& b) {
-  const std::size_t n = a.row_count();
+/// Scalar + batched oracle sweep over the first `n` NodeIds of `a` and
+/// `b`; returns false on the first disagreement.
+bool OraclesAgree(const StructureOracle& a, const StructureOracle& b,
+                  std::size_t n) {
   std::vector<std::pair<NodeId, NodeId>> pairs;
   std::vector<NodeId> candidates;
   for (std::size_t x = 0; x < n; x += 2) {
@@ -95,65 +118,54 @@ bool OraclesAgree(const LoadedCatalog& a, const LoadedCatalog& b) {
 }  // namespace
 
 int main() {
-  PlayOptions options;
-  options.acts = 3;
-  options.scenes_per_act = 2;
-  options.min_speeches_per_scene = 2;
-  options.max_speeches_per_scene = 4;
-  options.seed = 404;
-  LabeledDocument doc =
-      LabeledDocument::FromTree(GeneratePlay("compat", options), /*group=*/5);
+  const std::string fixtures =
+      std::string(PRIMELABEL_TEST_DATA_DIR) + "/catalog_formats";
+  std::ifstream digest_file(fixtures + "/DIGEST.txt", std::ios::binary);
+  std::ostringstream recorded;
+  recorded << digest_file.rdbuf();
+  const std::string expected = recorded.str();
+  if (expected.empty()) return Fail("cannot read " + fixtures + "/DIGEST.txt");
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "plcatalog-compat").string();
   std::filesystem::create_directories(dir);
-  const std::string v3_path = dir + "/doc-v3.plc";
-  const std::string v4_path = dir + "/doc-v4.plc";
+  for (int version : {2, 3}) {
+    const std::string name = std::string("v").append(std::to_string(version));
+    const std::string source = fixtures + "/" + name + ".plc";
+    Result<LabeledDocument> doc = LabeledDocument::Load(source);
+    if (!doc.ok()) return Fail(name + " document load failed");
+    Result<LoadedCatalog> converted = OpenCatalogMapped(DefaultVfs(), source);
+    if (!converted.ok()) return Fail(name + " converting open failed");
+    const std::string resaved = dir + "/" + name + "-as-v4.plc";
+    if (!doc->Save(resaved).ok()) return Fail(name + " v4 re-save failed");
+    Result<LoadedCatalog> mapped = OpenCatalogMapped(DefaultVfs(), resaved);
+    if (!mapped.ok()) return Fail(name + " mapped open of the re-save failed");
 
-  const std::vector<CatalogRow> rows = doc.ToCatalogRows();
-  CatalogWriteOptions v3_options;
-  v3_options.format_version = 3;
-  if (!WriteCatalog(DefaultVfs(), v3_path, rows, doc.scheme().sc_table(),
-                    v3_options)
-           .ok()) {
-    return Fail("v3 write failed");
+    if (converted->format_version() != version) {
+      return Fail(name + " version tag");
+    }
+    // A v4 file with current fingerprints is the one shape served in
+    // place from the mapping.
+    if (mapped->format_version() != 4 || !mapped->fingerprints_persisted()) {
+      return Fail(name + " re-save was not served from the mapping");
+    }
+    if (Digest(*doc) != expected) return Fail(name + " document digest");
+    if (Digest(*converted) != expected) {
+      return Fail(name + " converted image digest");
+    }
+    if (Digest(*mapped) != expected) return Fail(name + " mapped v4 digest");
+    const std::size_t rows = converted->row_count();
+    if (!OraclesAgree(doc->scheme(), *converted, rows)) {
+      return Fail(name + " converted image vs document oracle");
+    }
+    if (!OraclesAgree(doc->scheme(), *mapped, rows)) {
+      return Fail(name + " mapped v4 vs document oracle");
+    }
+    std::printf(
+        "catalog_compat: %s: %zu rows agree across document, converted "
+        "image and mapped v4 re-save (label store %zu bytes)\n",
+        name.c_str(), rows, mapped->label_store_bytes());
   }
-  if (!WriteCatalog(DefaultVfs(), v4_path, rows, doc.scheme().sc_table())
-           .ok()) {
-    return Fail("v4 write failed");
-  }
-
-  Result<LoadedCatalog> v3_heap = LoadCatalog(DefaultVfs(), v3_path);
-  if (!v3_heap.ok()) return Fail("v3 heap load failed");
-  Result<LoadedCatalog> v4_heap = LoadCatalog(DefaultVfs(), v4_path);
-  if (!v4_heap.ok()) return Fail("v4 heap load failed");
-  Result<LoadedCatalog> v4_arena = OpenCatalogMapped(DefaultVfs(), v4_path);
-  if (!v4_arena.ok()) return Fail("v4 mapped open failed");
-
-  if (v3_heap->format_version() != 3) return Fail("v3 version tag");
-  if (v4_heap->format_version() != 4) return Fail("v4 version tag");
-  if (v4_arena->arena_backed() == false) {
-    std::fprintf(stderr,
-                 "catalog_compat: note: mapped open fell back to heap mode "
-                 "(big-endian host or stale fingerprint config)\n");
-  }
-
-  const std::string reference = Digest(*v3_heap);
-  if (Digest(*v4_heap) != reference) return Fail("v4 heap digest vs v3");
-  if (Digest(*v4_arena) != reference) return Fail("v4 arena digest vs v3");
-  if (!OraclesAgree(*v3_heap, *v4_arena)) return Fail("v3 heap vs v4 arena");
-  if (!OraclesAgree(*v4_heap, *v4_arena)) return Fail("v4 heap vs v4 arena");
-
-  // v3 persisted the fingerprints; the v4 FPS column must carry the same
-  // images, which the loaders surface as "persisted, not recomputed".
-  if (!v3_heap->fingerprints_persisted()) return Fail("v3 fps not adopted");
-  if (!v4_arena->fingerprints_persisted()) return Fail("v4 fps not adopted");
-
-  std::printf(
-      "catalog_compat: %zu rows agree across v3-heap, v4-heap and "
-      "v4-%s (label store: heap %zu bytes, arena %zu bytes)\n",
-      v3_heap->row_count(), v4_arena->arena_backed() ? "arena" : "fallback",
-      v3_heap->label_store_bytes(), v4_arena->label_store_bytes());
   std::filesystem::remove_all(dir);
   return 0;
 }

@@ -163,15 +163,16 @@ int RunSave(const std::string& file, const std::string& catalog) {
 }
 
 int RunInspect(const std::string& catalog) {
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), catalog);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), catalog);
   if (!loaded.ok()) {
     std::cerr << loaded.status().ToString() << "\n";
     return 1;
   }
-  std::cout << loaded->rows().size() << " rows, "
-            << loaded->sc_table().records().size() << " SC records (group "
-            << loaded->sc_table().group_size() << ")\n";
-  if (!loaded->sc_table().VerifyIntegrity()) {
+  const std::vector<CatalogRow>& rows = loaded->rows;
+  const ScTable& sc_table = loaded->sc_table;
+  std::cout << rows.size() << " rows, " << sc_table.records().size()
+            << " SC records (group " << sc_table.group_size() << ")\n";
+  if (!sc_table.VerifyIntegrity()) {
     std::cerr << "SC table integrity check FAILED\n";
     return 1;
   }
@@ -180,8 +181,8 @@ int RunInspect(const std::string& catalog) {
   // Verify order recovery: rows are stored in document order, so the
   // recovered order numbers must be strictly increasing (they may have
   // gaps if the document saw updates before the save).
-  for (std::size_t i = 1; i + 1 < loaded->rows().size(); ++i) {
-    if (loaded->OrderOf(i) >= loaded->OrderOf(i + 1)) {
+  for (std::size_t i = 1; i + 1 < rows.size(); ++i) {
+    if (sc_table.OrderOf(rows[i].self) >= sc_table.OrderOf(rows[i + 1].self)) {
       std::cerr << "order mismatch at row " << i << "\n";
       return 1;
     }
@@ -189,7 +190,7 @@ int RunInspect(const std::string& catalog) {
   std::cout << "order recovery verified: sc mod self increases in document "
             << "order\n";
   int max_bits = 0;
-  for (const CatalogRow& row : loaded->rows()) {
+  for (const CatalogRow& row : rows) {
     max_bits = std::max(max_bits, row.label.BitLength());
   }
   std::cout << "max stored label: " << max_bits << " bits\n";

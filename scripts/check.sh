@@ -58,9 +58,10 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== catalog compat: v3 -> v4 oracle diff (build/) =="
-# Save as v3, convert to v4, open heap and mmap-arena, and diff-verify
-# that every oracle answer is bit-identical across formats and modes.
+echo "== catalog compat: v2/v3 fixtures -> v4 oracle diff (build/) =="
+# Open the committed v2/v3 fixtures as documents, as converted in-memory
+# images and as mmapped v4 re-saves, and diff-verify that every oracle
+# answer is bit-identical across formats and opens.
 build/examples/catalog_compat
 
 if [[ "$run_durability" == "1" ]]; then
@@ -217,7 +218,7 @@ if [[ "$run_scalar" == "1" ]]; then
   cmake -B build-scalar -S . -DPRIMELABEL_DISABLE_SIMD=ON >/dev/null
   cmake --build build-scalar -j "$jobs"
   ctest --test-dir build-scalar --output-on-failure -j "$jobs"
-  echo "== catalog compat: v3 -> v4 oracle diff (build-scalar/) =="
+  echo "== catalog compat: v2/v3 fixtures -> v4 oracle diff (build-scalar/) =="
   build-scalar/examples/catalog_compat
 fi
 

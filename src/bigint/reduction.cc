@@ -389,27 +389,6 @@ void ReciprocalDivisor::DividesBatch(std::span<const LimbSpan> dividends,
   SweepLanes(lanes, origin, count, out);
 }
 
-void ReciprocalDivisor::DividesBatch(
-    std::span<const BigInt* const> dividends, bool* out) {
-  assert(dividends.size() <= simd::kRedcLanes);
-  LimbSpan mags[simd::kRedcLanes];
-  for (std::size_t i = 0; i < dividends.size(); ++i) {
-    mags[i] = dividends[i]->Magnitude();
-  }
-  DividesBatch(std::span<const LimbSpan>(mags, dividends.size()), out);
-}
-
-void DividesIntoBatch(const BigInt& dividend,
-                      std::span<const BigInt* const> divisors, bool* out) {
-  assert(divisors.size() <= simd::kRedcLanes);
-  LimbSpan mags[simd::kRedcLanes];
-  for (std::size_t i = 0; i < divisors.size(); ++i) {
-    mags[i] = divisors[i]->Magnitude();
-  }
-  DividesIntoBatch(dividend.Magnitude(),
-                   std::span<const LimbSpan>(mags, divisors.size()), out);
-}
-
 void DividesIntoBatch(LimbSpan y, std::span<const LimbSpan> divisors,
                       bool* out) {
   assert(divisors.size() <= simd::kRedcLanes);

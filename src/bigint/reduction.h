@@ -248,20 +248,15 @@ class ReciprocalDivisor {
   /// Divides(BigInt::FromLimbs(dividend_magnitude)).
   bool Divides(LimbSpan dividend_magnitude);
 
-  /// Batched Divides: out[k] = Divides(*dividends[k]) for up to
-  /// simd::kRedcLanes dividends against the one cached divisor — the
-  /// anchor-run surface of IsAncestorBatch/SelectDescendants, where a run
-  /// of fingerprint-filter survivors shares its anchor. Dividends that
+  /// Batched Divides: out[k] = Divides(dividends[k]) for up to
+  /// simd::kRedcLanes dividend magnitudes against the one cached divisor —
+  /// the anchor-run surface of IsAncestorBatch/SelectDescendants, where a
+  /// run of fingerprint-filter survivors shares its anchor. Dividends that
   /// fail a cheap screen (smaller than the divisor, missing the divisor's
   /// power-of-two factor) are answered inline; the survivors run one
   /// multi-dividend REDC sweep (simd::RedcDividesBatch), which on AVX2
   /// interleaves 4 dividends across vector lanes. Bit-identical to
   /// looping Divides.
-  void DividesBatch(std::span<const BigInt* const> dividends, bool* out);
-
-  /// Span twin of DividesBatch: dividends arrive as magnitude spans (the
-  /// arena hands them out without materializing BigInts). Bit-identical
-  /// to the pointer overload on the same values.
   void DividesBatch(std::span<const LimbSpan> dividends, bool* out);
 
  private:
@@ -288,21 +283,14 @@ class ReciprocalDivisor {
   std::uint64_t mont_inv_ = 0;
 };
 
-/// One dividend against up to simd::kRedcLanes candidate divisors — the
-/// SelectAncestors shape, where the context node's label is tested
-/// against a batch of candidate ancestors. Computes each divisor's odd
-/// part and Newton inverse on the fly (O(divisor limbs) setup, cheap next
-/// to the O(dividend x divisor) sweep it feeds) and runs one batched REDC
-/// sweep. out[k] = divisors[k]->IsDivisibleBy... semantics: true iff
-/// *divisors[k] divides |dividend|; divisors must be nonzero.
+/// One dividend magnitude against up to simd::kRedcLanes candidate
+/// divisor magnitudes — the SelectAncestors shape, where the context
+/// node's label is tested against a batch of candidate ancestors.
+/// Computes each divisor's odd part and Newton inverse on the fly
+/// (O(divisor limbs) setup, cheap next to the O(dividend x divisor) sweep
+/// it feeds) and runs one batched REDC sweep. out[k] is true iff
+/// divisors[k] divides the dividend; divisors must be nonzero.
 /// Bit-identical to a loop of exact scalar tests.
-void DividesIntoBatch(const BigInt& dividend,
-                      std::span<const BigInt* const> divisors, bool* out);
-
-/// Span twin of DividesIntoBatch: one dividend magnitude against up to
-/// simd::kRedcLanes divisor magnitudes, all non-owning (the
-/// SelectAncestors shape on an arena-backed catalog). Divisors must be
-/// nonzero. Bit-identical to the pointer overload on the same values.
 void DividesIntoBatch(LimbSpan dividend, std::span<const LimbSpan> divisors,
                       bool* out);
 

@@ -2,8 +2,7 @@
 
 #include <unordered_map>
 
-#include "bigint/reduction.h"
-#include "bigint/simd.h"
+#include "core/batch_kernels.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -68,173 +67,41 @@ std::uint64_t OrderedPrimeScheme::OrderOf(NodeId id) const {
   return sc_table_.OrderOf(structure_.self_label(id));
 }
 
+namespace {
+
+/// The structural scheme's labels as a column for the shared batch
+/// kernels (core/batch_kernels.h): BigInt magnitudes viewed as limb spans.
+struct SchemeLabelColumn {
+  const PrimeTopDownScheme& structure;
+  LimbSpan label(NodeId id) const { return structure.label(id).Magnitude(); }
+  const LabelFingerprint& fingerprint(NodeId id) const {
+    return structure.fingerprint(id);
+  }
+};
+
+}  // namespace
+
 void OrderedPrimeScheme::IsAncestorBatch(
     std::span<const std::pair<NodeId, NodeId>> pairs,
     std::vector<std::uint8_t>* results) const {
-  // Layer 1: fingerprint witnesses dispose of almost every non-ancestor
-  // pair with zero BigInt work. Layer 2: the join kernels emit pairs in
-  // anchor-major runs, so the reciprocal/Montgomery constants of a
-  // divisor are computed once per run, not once per pair — and survivors
-  // of one run share that divisor, so they buffer into lanes of one
-  // multi-dividend REDC sweep (DividesBatch vectorizes 4 dividends when
-  // the batch fills). All reduction state is per-range, and ranges write
-  // disjoint result slots — so a sharded run is bit-identical to the
-  // sequential one.
-  results->assign(pairs.size(), 0);
-  auto run = [this, pairs, results](std::size_t begin, std::size_t end) {
-    ReciprocalDivisor cached;
-    NodeId cached_ancestor = kInvalidNodeId;
-    const BigInt* lane_labels[simd::kRedcLanes];
-    std::size_t lane_slots[simd::kRedcLanes];
-    bool lane_verdicts[simd::kRedcLanes];
-    std::size_t pending = 0;
-    auto flush = [&] {
-      if (pending == 0) return;
-      cached.DividesBatch(
-          std::span<const BigInt* const>(lane_labels, pending),
-          lane_verdicts);
-      for (std::size_t k = 0; k < pending; ++k) {
-        (*results)[lane_slots[k]] = lane_verdicts[k] ? 1 : 0;
-      }
-      pending = 0;
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [ancestor, descendant] = pairs[i];
-      if (ancestor == descendant ||
-          !FingerprintMayProperlyDivide(structure_.fingerprint(ancestor),
-                                        structure_.fingerprint(descendant))) {
-        continue;  // slot already 0
-      }
-      if (ancestor != cached_ancestor) {
-        flush();  // pending lanes belong to the previous divisor
-        cached.Assign(structure_.label(ancestor));
-        cached_ancestor = ancestor;
-      }
-      lane_labels[pending] = &structure_.label(descendant);
-      lane_slots[pending] = i;
-      if (++pending == simd::kRedcLanes) flush();
-    }
-    flush();
-  };
-  const auto shards = BatchShards(pairs.size());
-  if (shards.empty()) {
-    run(0, pairs.size());
-    return;
-  }
-  ThreadPool pool(static_cast<int>(shards.size()));
-  for (const auto& [begin, end] : shards) {
-    pool.Submit([&run, begin = begin, end = end] { run(begin, end); });
-  }
-  pool.Wait();
+  IsAncestorBatchKernel(SchemeLabelColumn{structure_}, pairs,
+                        BatchShards(pairs.size()), results);
 }
 
 void OrderedPrimeScheme::SelectDescendants(NodeId ancestor,
                                            std::span<const NodeId> candidates,
                                            std::vector<NodeId>* out) const {
-  // One divisor, many dividends: the ideal batched-REDC shape. Each shard
-  // assigns its own reciprocal, buffers fingerprint survivors into lanes
-  // of one multi-dividend sweep, and collects into its own buffer;
-  // buffers concatenate in shard order, preserving candidate order.
-  const LabelFingerprint& ancestor_fp = structure_.fingerprint(ancestor);
-  auto run = [this, ancestor, candidates, &ancestor_fp](
-                 std::size_t begin, std::size_t end, std::vector<NodeId>* dst) {
-    ReciprocalDivisor cached;
-    cached.Assign(structure_.label(ancestor));
-    const BigInt* lane_labels[simd::kRedcLanes];
-    NodeId lane_nodes[simd::kRedcLanes];
-    bool lane_verdicts[simd::kRedcLanes];
-    std::size_t pending = 0;
-    auto flush = [&] {
-      if (pending == 0) return;
-      cached.DividesBatch(
-          std::span<const BigInt* const>(lane_labels, pending),
-          lane_verdicts);
-      for (std::size_t k = 0; k < pending; ++k) {
-        if (lane_verdicts[k]) dst->push_back(lane_nodes[k]);
-      }
-      pending = 0;
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      const NodeId candidate = candidates[i];
-      if (candidate == ancestor) continue;
-      if (!FingerprintMayProperlyDivide(ancestor_fp,
-                                        structure_.fingerprint(candidate))) {
-        continue;
-      }
-      lane_labels[pending] = &structure_.label(candidate);
-      lane_nodes[pending] = candidate;
-      if (++pending == simd::kRedcLanes) flush();
-    }
-    flush();
-  };
-  const auto shards = BatchShards(candidates.size());
-  if (shards.empty()) {
-    run(0, candidates.size(), out);
-    return;
-  }
-  std::vector<std::vector<NodeId>> parts(shards.size());
-  ThreadPool pool(static_cast<int>(shards.size()));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    pool.Submit([&run, &parts, s, begin = shards[s].first,
-                 end = shards[s].second] { run(begin, end, &parts[s]); });
-  }
-  pool.Wait();
-  for (const auto& part : parts) out->insert(out->end(), part.begin(), part.end());
+  SelectKernel<Relation::kDescendant>(SchemeLabelColumn{structure_}, ancestor,
+                                      candidates,
+                                      BatchShards(candidates.size()), out);
 }
 
 void OrderedPrimeScheme::SelectAncestors(NodeId descendant,
                                          std::span<const NodeId> candidates,
                                          std::vector<NodeId>* out) const {
-  // The ancestor axis inverts the roles: one dividend, many divisors, so
-  // there is no reciprocal to share — but fingerprints still reject nearly
-  // all candidates (any tracked prime of the candidate missing from the
-  // descendant is a witness), and the survivors batch through
-  // DividesIntoBatch, which interleaves the per-divisor REDC sweeps over
-  // the shared dividend.
-  const BigInt& descendant_label = structure_.label(descendant);
-  const LabelFingerprint& descendant_fp = structure_.fingerprint(descendant);
-  auto run = [this, descendant, candidates, &descendant_label, &descendant_fp](
-                 std::size_t begin, std::size_t end, std::vector<NodeId>* dst) {
-    const BigInt* lane_labels[simd::kRedcLanes];
-    NodeId lane_nodes[simd::kRedcLanes];
-    bool lane_verdicts[simd::kRedcLanes];
-    std::size_t pending = 0;
-    auto flush = [&] {
-      if (pending == 0) return;
-      DividesIntoBatch(descendant_label,
-                       std::span<const BigInt* const>(lane_labels, pending),
-                       lane_verdicts);
-      for (std::size_t k = 0; k < pending; ++k) {
-        if (lane_verdicts[k]) dst->push_back(lane_nodes[k]);
-      }
-      pending = 0;
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      const NodeId candidate = candidates[i];
-      if (candidate == descendant) continue;
-      if (!FingerprintMayProperlyDivide(structure_.fingerprint(candidate),
-                                        descendant_fp)) {
-        continue;
-      }
-      lane_labels[pending] = &structure_.label(candidate);
-      lane_nodes[pending] = candidate;
-      if (++pending == simd::kRedcLanes) flush();
-    }
-    flush();
-  };
-  const auto shards = BatchShards(candidates.size());
-  if (shards.empty()) {
-    run(0, candidates.size(), out);
-    return;
-  }
-  std::vector<std::vector<NodeId>> parts(shards.size());
-  ThreadPool pool(static_cast<int>(shards.size()));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    pool.Submit([&run, &parts, s, begin = shards[s].first,
-                 end = shards[s].second] { run(begin, end, &parts[s]); });
-  }
-  pool.Wait();
-  for (const auto& part : parts) out->insert(out->end(), part.begin(), part.end());
+  SelectKernel<Relation::kAncestor>(SchemeLabelColumn{structure_}, descendant,
+                                    candidates,
+                                    BatchShards(candidates.size()), out);
 }
 
 ScUpdateStats OrderedPrimeScheme::RegisterOrder(NodeId new_node) {

@@ -58,12 +58,12 @@ class OrderedPrimeScheme : public LabelingScheme, public StructureOracle {
   std::uint64_t OrderOf(NodeId id) const override;
 
   // --- Batch queries ------------------------------------------------------
-  // All three run the divisibility fast-path engine (bigint/reduction.h):
-  // fingerprint witnesses reject non-ancestor pairs with zero BigInt work,
-  // and the divisor's reciprocal/Montgomery constants are cached per
-  // anchor run so surviving tests are a word remainder or one REDC sweep
-  // instead of full Knuth division. Results are bit-identical to the
-  // scalar IsAncestor.
+  // All three forward to the batch kernels LoadedCatalog shares
+  // (core/batch_kernels.h): fingerprint witnesses reject non-ancestor
+  // pairs with zero BigInt work, and the divisor's reciprocal/Montgomery
+  // constants are cached per anchor run so surviving tests are a word
+  // remainder or one REDC sweep instead of full Knuth division. Results
+  // are bit-identical to the scalar IsAncestor.
 
   void IsAncestorBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
                        std::vector<std::uint8_t>* results) const override;

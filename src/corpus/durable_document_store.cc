@@ -86,12 +86,10 @@ Result<DurableDocumentStore::EpochChain> DurableDocumentStore::LoadEpochChain(
   for (int depth = 0; depth <= 64; ++depth) {
     const std::string snapshot_path = EpochSnapshotPath(dir, at);
     if (vfs.Exists(snapshot_path)) {
-      Result<LoadedCatalog> catalog = LoadCatalog(vfs, snapshot_path);
-      if (!catalog.ok()) return catalog.status();
+      Result<CatalogState> base = LoadCatalog(vfs, snapshot_path);
+      if (!base.ok()) return base.status();
       chain.links.push_back({at, false, 0});
-      chain.state.fingerprints_valid = catalog->fingerprints_persisted();
-      chain.state.sc_table = catalog->TakeScTable();
-      chain.state.rows = catalog->TakeRows();
+      chain.state = std::move(base.value());
       for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
         Status applied = ApplyDelta(*it, &chain.state);
         if (!applied.ok()) return applied;
@@ -422,9 +420,7 @@ Status DurableDocumentStore::Checkpoint() {
       options_.delta_checkpoints && chain_len_ < options_.max_delta_chain;
   DeltaSnapshot delta;
   if (as_delta) {
-    // Live rows always carry valid fingerprints, so patches are adoptable.
-    delta = BuildDelta(epoch_, base_index_, base_sc_hashes_, rows, sc_table,
-                       /*fingerprints=*/true);
+    delta = BuildDelta(epoch_, base_index_, base_sc_hashes_, rows, sc_table);
     const double changed =
         rows.empty() ? 1.0
                      : static_cast<double>(delta.patches.size() +
@@ -488,19 +484,16 @@ Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
   // Sealed-epoch fast path: a full snapshot with zero journal frames is
   // exactly the catalog image — serve it arena-backed, no materialization.
   // Eligibility is structural (journal empty, a full .plc file exists);
-  // OpenCatalogMapped handles the format gate itself, falling back to a
-  // heap load for pre-v4 or stale-hash images, which the document path
-  // below covers anyway. A digest failure is NOT a fallback: the file is
-  // the current epoch's authoritative state, so corruption propagates.
-  if (options_.arena_sealed_views && pin.journal_bytes() <= kWalHeaderBytes &&
+  // OpenCatalogMapped converts pre-v4 or stale-hash files to an in-memory
+  // image itself. A digest failure is NOT converted: the file is the
+  // current epoch's authoritative state, so corruption propagates.
+  if (pin.journal_bytes() <= kWalHeaderBytes &&
       vfs_->Exists(EpochSnapshotPath(dir_, pin.epoch()))) {
     Result<LoadedCatalog> catalog =
         OpenCatalogMapped(*vfs_, EpochSnapshotPath(dir_, pin.epoch()));
     if (!catalog.ok()) return catalog.status();
-    if (catalog->arena_backed()) {
-      return std::shared_ptr<const EpochView>(
-          std::make_shared<EpochView>(std::move(catalog.value())));
-    }
+    return std::shared_ptr<const EpochView>(
+        std::make_shared<EpochView>(std::move(catalog.value())));
   }
   Result<LabeledDocument> doc = MaterializePinned(pin);
   if (!doc.ok()) return doc.status();

@@ -24,12 +24,13 @@ namespace primelabel {
 /// pinned (epoch, committed journal bytes) point, and the label-only
 /// StructureOracle over it — the read surface the service layer exposes.
 ///
-/// Sealed epochs — full v4 snapshot, no journal frames — are served
+/// Sealed epochs — full snapshot, no journal frames — are served
 /// arena-backed (corpus/epoch_view.h): the labels stay in the catalog
 /// image the store just wrote, mmapped and shared, with no per-view
-/// BigInt materialization. Epochs with journal frames on top (or older
-/// snapshot formats) materialize a LabeledDocument the classic way. Both
-/// shapes answer every query identically.
+/// BigInt materialization (an older-format snapshot is converted to an
+/// in-memory image first). Epochs with journal frames on top, and delta
+/// epochs, materialize a LabeledDocument the classic way. Both shapes
+/// answer every query identically.
 ///
 /// The view is held by shared_ptr<const ...>: when several sessions pin
 /// the same point through a view cache they share ONE materialization
@@ -174,13 +175,6 @@ class DurableDocumentStore {
     /// A delta is only worth it while (patches + tombstones) / final rows
     /// stays at or below this fraction; above it, write a full snapshot.
     double delta_max_changed_fraction = 0.5;
-    /// When true, OpenSnapshot serves *sealed* epochs — full v4 snapshot
-    /// on disk, zero journal frames — as arena-backed views straight out
-    /// of the mmapped catalog image instead of materializing a document.
-    /// Purely a storage-mode switch: query answers are bit-identical.
-    /// Epochs with journal frames, delta epochs, and pre-v4 snapshots
-    /// always materialize. Corrupt images fail the open either way.
-    bool arena_sealed_views = true;
   };
 
   /// Initializes a new store at `dir` (created if missing) from parsed
@@ -332,8 +326,9 @@ class DurableDocumentStore {
   Result<LabeledDocument> MaterializePinned(const EpochPin& pin) const;
 
   /// Builds the shared view for a pinned point: an arena-backed view over
-  /// the epoch's catalog image when the epoch is sealed and eligible
-  /// (see Options::arena_sealed_views), else a materialized document.
+  /// the epoch's catalog image when the epoch is sealed (a full snapshot
+  /// on disk, zero journal frames), else a materialized document. Corrupt
+  /// images fail the open either way.
   Result<std::shared_ptr<const EpochView>> MaterializeView(
       const EpochPin& pin) const;
 

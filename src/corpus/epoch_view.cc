@@ -11,8 +11,9 @@ namespace {
 /// Per-view heap footprint of a materialized document's label store: the
 /// BigInt label per node, its fingerprint, and the SC table's working
 /// form — per record the struct with its moduli/orders buffers and SC
-/// BigInt, plus the per-node order index. Mirrors the heap branch of
-/// LoadedCatalog::label_store_bytes so the two modes are comparable.
+/// BigInt, plus the per-node order index (each index entry counted as key,
+/// mapped value and chaining pointer, like LoadedCatalog::label_store_bytes
+/// counts its modulus index, so the two modes are comparable).
 std::size_t HeapLabelBytes(const LabeledDocument& doc) {
   constexpr std::size_t kMapNodeOverhead = sizeof(void*);
   std::size_t bytes = 0;
@@ -43,7 +44,6 @@ EpochView::EpochView(LabeledDocument doc) {
 }
 
 EpochView::EpochView(LoadedCatalog catalog) {
-  PL_CHECK(catalog.arena_backed());
   catalog_ = std::make_unique<LoadedCatalog>(std::move(catalog));
   table_ = std::make_unique<LabelTable>(*catalog_);
 }

@@ -21,12 +21,12 @@ namespace primelabel {
 /// journal replay produces, and the only shape that can serve an epoch
 /// with committed journal frames on top of its snapshot.
 ///
-/// *Arena* mode wraps an arena-backed LoadedCatalog (OpenCatalogMapped
-/// over a sealed epoch's v4 image): labels, SC values and fingerprints
-/// stay in the catalog's columns — typically an mmap the kernel shares
-/// across views — and only the row metadata (tags, parents, attributes)
-/// lives on the heap, inside the LabelTable built from the catalog rows.
-/// No BigInt is ever allocated on the query path.
+/// *Arena* mode wraps a LoadedCatalog (OpenCatalogMapped over a sealed
+/// epoch's snapshot): labels, SC values and fingerprints stay in the
+/// catalog image's columns — typically an mmap the kernel shares across
+/// views — and only the row metadata (tags, parents, attributes) lives on
+/// the heap, inside the LabelTable built from the catalog rows. No BigInt
+/// is ever allocated on the query path.
 ///
 /// Both modes answer through the same accessors, and NodeIds coincide
 /// (preorder row index == rebuilt-tree arena index), so queries are
@@ -42,7 +42,7 @@ class EpochView {
   /// materializer forces it) so no lazy state is touched under sharing.
   explicit EpochView(LabeledDocument doc);
 
-  /// Arena mode. `catalog` must be arena-backed (PL_CHECKed).
+  /// Arena mode.
   explicit EpochView(LoadedCatalog catalog);
 
   EpochView(const EpochView&) = delete;

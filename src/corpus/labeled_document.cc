@@ -151,12 +151,10 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
 
 Result<LabeledDocument> LabeledDocument::Load(Vfs& vfs,
                                               const std::string& path) {
-  Result<LoadedCatalog> loaded = LoadCatalog(vfs, path);
+  Result<CatalogState> loaded = LoadCatalog(vfs, path);
   if (!loaded.ok()) return loaded.status();
-  const bool fingerprints_valid = loaded->fingerprints_persisted();
-  ScTable sc_table = loaded->TakeScTable();
-  return FromCatalogRows(loaded->TakeRows(), std::move(sc_table),
-                         fingerprints_valid, "catalog '" + path + "'");
+  return FromCatalogRows(std::move(loaded->rows), std::move(loaded->sc_table),
+                         loaded->fingerprints_valid, "catalog '" + path + "'");
 }
 
 Status SaveCatalog(const std::string& path, const LabeledDocument& doc) {

@@ -101,12 +101,12 @@ DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
                          const BaseRowIndex& base_index,
                          const std::vector<std::uint64_t>& base_sc_hashes,
                          const std::vector<CatalogRow>& final_rows,
-                         const ScTable& final_sc, bool fingerprints) {
+                         const ScTable& final_sc) {
   DeltaSnapshot delta;
   delta.base_epoch = base_epoch;
   delta.final_row_count = final_rows.size();
   delta.final_digest = CatalogRowsDigest(final_rows);
-  delta.fingerprints = fingerprints;
+  delta.fingerprints = true;
 
   // Final-side structure: children lists + per-row predecessor sibling.
   std::vector<std::uint64_t> parent_self(final_rows.size(), 0);
@@ -225,11 +225,15 @@ Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
   delta.final_row_count = reader.U64();
   delta.final_digest = reader.U64();
   delta.fingerprints = reader.U8() != 0;
+  // Counts are only believed as far as the remaining bytes can back them,
+  // so a crafted count cannot size the reservations. A tombstone is one
+  // u64.
   const std::uint64_t tombstone_count = reader.U64();
   if (!reader.ok() || tombstone_count > (1ull << 32)) {
     return Status::ParseError(origin + " has an implausible tombstone count");
   }
-  delta.tombstones.reserve(tombstone_count);
+  delta.tombstones.reserve(
+      std::min<std::uint64_t>(tombstone_count, reader.remaining() / 8));
   for (std::uint64_t i = 0; i < tombstone_count && reader.ok(); ++i) {
     delta.tombstones.push_back(reader.U64());
   }
@@ -237,7 +241,11 @@ Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
   if (!reader.ok() || patch_count > (1ull << 32)) {
     return Status::ParseError(origin + " has an implausible patch count");
   }
-  delta.patches.reserve(patch_count);
+  // A patch is its flags and two selves, then a row image.
+  const std::size_t min_patch_bytes =
+      1 + 8 + 8 + MinCatalogRowBytes(delta.fingerprints);
+  delta.patches.reserve(std::min<std::uint64_t>(
+      patch_count, reader.remaining() / min_patch_bytes));
   for (std::uint64_t i = 0; i < patch_count && reader.ok(); ++i) {
     DeltaPatch patch;
     patch.flags = reader.U8();
@@ -330,6 +338,25 @@ class ApplyContext {
 }  // namespace
 
 Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state) {
+  // BuildDelta emits every new row as a patch and every appended SC
+  // record as a change, so neither final count can exceed base plus
+  // delta entries. Checked before anything is sized from them.
+  if (delta.final_row_count > state->rows.size() + delta.patches.size()) {
+    return Status::Internal(
+        "delta apply: final row count " +
+        std::to_string(delta.final_row_count) + " exceeds " +
+        std::to_string(state->rows.size()) + " base rows plus " +
+        std::to_string(delta.patches.size()) + " patches");
+  }
+  const std::size_t base_records = state->sc_table.records().size();
+  if (delta.sc_final_record_count >
+      base_records + delta.sc_changes.size()) {
+    return Status::Internal(
+        "delta apply: final SC record count " +
+        std::to_string(delta.sc_final_record_count) + " exceeds " +
+        std::to_string(base_records) + " base records plus " +
+        std::to_string(delta.sc_changes.size()) + " changes");
+  }
   ApplyContext ctx;
   ctx.pool_.reserve(state->rows.size() + delta.patches.size());
   for (std::size_t i = 0; i < state->rows.size(); ++i) {

@@ -86,7 +86,8 @@ struct DeltaSnapshot {
   std::uint64_t base_epoch = 0;
   std::uint64_t final_row_count = 0;
   std::uint64_t final_digest = 0;
-  /// Patch rows carry adoptable fingerprints.
+  /// Patch rows carry adoptable fingerprints. BuildDelta always sets it;
+  /// files with the flag clear still decode and apply.
   bool fingerprints = false;
   std::vector<std::uint64_t> tombstones;
   std::vector<DeltaPatch> patches;  ///< in final preorder
@@ -96,12 +97,13 @@ struct DeltaSnapshot {
 };
 
 /// Diffs the final state against the base epoch's hash index and builds
-/// the delta description.
+/// the delta description. `final_rows` must carry valid fingerprints (live
+/// rows always do); the patches persist them.
 DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
                          const BaseRowIndex& base_index,
                          const std::vector<std::uint64_t>& base_sc_hashes,
                          const std::vector<CatalogRow>& final_rows,
-                         const ScTable& final_sc, bool fingerprints);
+                         const ScTable& final_sc);
 
 /// Serializes a delta ("PLDELTA1" + body + trailing CRC-32 of everything
 /// before it).
@@ -111,18 +113,11 @@ std::vector<std::uint8_t> EncodeDelta(const DeltaSnapshot& delta);
 Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
                                   const std::string& origin);
 
-/// A catalog-equivalent state deltas apply to / produce.
-struct CatalogState {
-  std::vector<CatalogRow> rows;  ///< preorder, parent by row index
-  ScTable sc_table;
-  bool fingerprints_valid = false;
-};
-
 /// Applies `delta` to `state` (the loaded base epoch), leaving the final
 /// epoch's state. Verifies the final row count and digest recorded in the
-/// delta; any mismatch — a patch that does not fit, an anchor that does
-/// not exist, a digest difference — is kInternal, never a silent
-/// divergence.
+/// delta; any mismatch — a final count the delta cannot reach, a patch
+/// that does not fit, an anchor that does not exist, a digest difference
+/// — is kInternal, never a silent divergence.
 Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state);
 
 }  // namespace primelabel

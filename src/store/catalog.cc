@@ -5,8 +5,8 @@
 #include <cstring>
 
 #include "bigint/simd.h"
+#include "core/batch_kernels.h"
 #include "durability/crc32.h"
-#include "util/thread_pool.h"
 
 namespace primelabel {
 
@@ -208,28 +208,10 @@ bool SameMagnitude(LabelView a, LabelView b) {
 
 }  // namespace
 
-LoadedCatalog::LoadedCatalog(std::vector<CatalogRow> rows, ScTable sc_table)
-    : rows_(std::move(rows)), sc_table_(std::move(sc_table)) {
-  fps_.reserve(rows_.size());
-  for (const CatalogRow& r : rows_) fps_.push_back(FingerprintOf(r.label));
-  fps_view_ = fps_.data();
-}
-
-LoadedCatalog::LoadedCatalog(std::vector<CatalogRow> rows, ScTable sc_table,
-                             AdoptFingerprints)
-    : rows_(std::move(rows)),
-      sc_table_(std::move(sc_table)),
-      fingerprints_persisted_(true) {
-  fps_.reserve(rows_.size());
-  for (const CatalogRow& r : rows_) fps_.push_back(r.fingerprint);
-  fps_view_ = fps_.data();
-}
-
 bool LoadedCatalog::IsAncestor(NodeId x, NodeId y) const {
   if (x == y) return false;
   // Divisibility over the limb views; bit-identical to the BigInt test
-  // (reduction_test pins ReciprocalDivisor against IsDivisibleBy) but
-  // mode-neutral — heap rows and arena images take the same path.
+  // (reduction_test pins ReciprocalDivisor against IsDivisibleBy).
   const LabelView lx = label_view(x);
   const LabelView ly = label_view(y);
   if (SameMagnitude(lx, ly)) return false;
@@ -250,9 +232,8 @@ bool LoadedCatalog::IsParent(NodeId x, NodeId y) const {
 
 std::uint64_t LoadedCatalog::OrderOf(NodeId id) const {
   if (id == 0) return 0;  // rows are in document order; row 0 is the root
-  if (!arena_backed_) return sc_table_.OrderOf(row(id).self);
   // The paper's recovery, order = SC mod self, straight off the SCVALS
-  // arena — no ScTable (and no CRT re-solve) on the sealed read path.
+  // arena — no ScTable (and no CRT re-solve) on the read path.
   const std::uint64_t self = selfs_[id];
   auto it = sc_index_.find(self);
   PL_CHECK(it != sc_index_.end());
@@ -262,182 +243,24 @@ std::uint64_t LoadedCatalog::OrderOf(NodeId id) const {
 void LoadedCatalog::IsAncestorBatch(
     std::span<const std::pair<NodeId, NodeId>> pairs,
     std::vector<std::uint8_t>* results) const {
-  // Same fast path as OrderedPrimeScheme: fingerprint rejection first,
-  // then exact tests against the reciprocal cached for the current anchor
-  // run, with survivors buffered into lanes of one multi-dividend REDC
-  // sweep. All state is per-range and ranges write disjoint result slots,
-  // so a sharded run is bit-identical to the sequential one.
-  results->assign(pairs.size(), 0);
-  auto run = [this, pairs, results](std::size_t begin, std::size_t end) {
-    ReciprocalDivisor cached;
-    NodeId cached_anchor = kInvalidNodeId;
-    LimbSpan lane_views[simd::kRedcLanes];
-    std::size_t lane_slots[simd::kRedcLanes];
-    bool lane_verdicts[simd::kRedcLanes];
-    std::size_t pending = 0;
-    auto flush = [&] {
-      if (pending == 0) return;
-      cached.DividesBatch(std::span<const LimbSpan>(lane_views, pending),
-                          lane_verdicts);
-      for (std::size_t k = 0; k < pending; ++k) {
-        (*results)[lane_slots[k]] = lane_verdicts[k] ? 1 : 0;
-      }
-      pending = 0;
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [x, y] = pairs[i];
-      const LabelView candidate = label_view(y);
-      if (x == y || SameMagnitude(candidate, label_view(x)) ||
-          !FingerprintMayProperlyDivide(fingerprint(x), fingerprint(y))) {
-        continue;  // slot already 0
-      }
-      if (x != cached_anchor) {
-        flush();  // pending lanes belong to the previous divisor
-        cached.Assign(label_view(x));
-        cached_anchor = x;
-      }
-      lane_views[pending] = candidate;
-      lane_slots[pending] = i;
-      if (++pending == simd::kRedcLanes) flush();
-    }
-    flush();
-  };
-  const auto shards = BatchShards(pairs.size());
-  if (shards.empty()) {
-    run(0, pairs.size());
-    return;
-  }
-  ThreadPool pool(static_cast<int>(shards.size()));
-  for (const auto& [begin, end] : shards) {
-    pool.Submit([&run, begin = begin, end = end] { run(begin, end); });
-  }
-  pool.Wait();
+  IsAncestorBatchKernel(column(), pairs, BatchShards(pairs.size()), results);
 }
 
 void LoadedCatalog::SelectDescendants(NodeId ancestor,
                                       std::span<const NodeId> candidates,
                                       std::vector<NodeId>* out) const {
-  const LabelView ancestor_label = label_view(ancestor);
-  const LabelFingerprint& ancestor_fp = fingerprint(ancestor);
-  auto run = [this, ancestor, candidates, ancestor_label, &ancestor_fp](
-                 std::size_t begin, std::size_t end, std::vector<NodeId>* dst) {
-    ReciprocalDivisor cached;
-    cached.Assign(ancestor_label);
-    LimbSpan lane_views[simd::kRedcLanes];
-    NodeId lane_nodes[simd::kRedcLanes];
-    bool lane_verdicts[simd::kRedcLanes];
-    std::size_t pending = 0;
-    auto flush = [&] {
-      if (pending == 0) return;
-      cached.DividesBatch(std::span<const LimbSpan>(lane_views, pending),
-                          lane_verdicts);
-      for (std::size_t k = 0; k < pending; ++k) {
-        if (lane_verdicts[k]) dst->push_back(lane_nodes[k]);
-      }
-      pending = 0;
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      const NodeId candidate = candidates[i];
-      const LabelView candidate_label = label_view(candidate);
-      if (candidate == ancestor ||
-          SameMagnitude(candidate_label, ancestor_label) ||
-          !FingerprintMayProperlyDivide(ancestor_fp, fingerprint(candidate))) {
-        continue;
-      }
-      lane_views[pending] = candidate_label;
-      lane_nodes[pending] = candidate;
-      if (++pending == simd::kRedcLanes) flush();
-    }
-    flush();
-  };
-  const auto shards = BatchShards(candidates.size());
-  if (shards.empty()) {
-    run(0, candidates.size(), out);
-    return;
-  }
-  std::vector<std::vector<NodeId>> parts(shards.size());
-  ThreadPool pool(static_cast<int>(shards.size()));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    pool.Submit([&run, &parts, s, begin = shards[s].first,
-                 end = shards[s].second] { run(begin, end, &parts[s]); });
-  }
-  pool.Wait();
-  for (const auto& part : parts) {
-    out->insert(out->end(), part.begin(), part.end());
-  }
+  SelectKernel<Relation::kDescendant>(column(), ancestor, candidates,
+                                      BatchShards(candidates.size()), out);
 }
 
 void LoadedCatalog::SelectAncestors(NodeId descendant,
                                     std::span<const NodeId> candidates,
                                     std::vector<NodeId>* out) const {
-  const LabelView descendant_label = label_view(descendant);
-  const LabelFingerprint& descendant_fp = fingerprint(descendant);
-  auto run = [this, descendant, candidates, descendant_label,
-              &descendant_fp](std::size_t begin, std::size_t end,
-                              std::vector<NodeId>* dst) {
-    LimbSpan lane_views[simd::kRedcLanes];
-    NodeId lane_nodes[simd::kRedcLanes];
-    bool lane_verdicts[simd::kRedcLanes];
-    std::size_t pending = 0;
-    auto flush = [&] {
-      if (pending == 0) return;
-      DividesIntoBatch(descendant_label,
-                       std::span<const LimbSpan>(lane_views, pending),
-                       lane_verdicts);
-      for (std::size_t k = 0; k < pending; ++k) {
-        if (lane_verdicts[k]) dst->push_back(lane_nodes[k]);
-      }
-      pending = 0;
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      const NodeId candidate = candidates[i];
-      const LabelView candidate_label = label_view(candidate);
-      if (candidate == descendant ||
-          SameMagnitude(candidate_label, descendant_label) ||
-          !FingerprintMayProperlyDivide(fingerprint(candidate),
-                                        descendant_fp)) {
-        continue;
-      }
-      lane_views[pending] = candidate_label;
-      lane_nodes[pending] = candidate;
-      if (++pending == simd::kRedcLanes) flush();
-    }
-    flush();
-  };
-  const auto shards = BatchShards(candidates.size());
-  if (shards.empty()) {
-    run(0, candidates.size(), out);
-    return;
-  }
-  std::vector<std::vector<NodeId>> parts(shards.size());
-  ThreadPool pool(static_cast<int>(shards.size()));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    pool.Submit([&run, &parts, s, begin = shards[s].first,
-                 end = shards[s].second] { run(begin, end, &parts[s]); });
-  }
-  pool.Wait();
-  for (const auto& part : parts) {
-    out->insert(out->end(), part.begin(), part.end());
-  }
-}
-
-std::vector<LabelFingerprint> LoadedCatalog::TakeFingerprints() {
-  if (!arena_backed_) return std::move(fps_);
-  return std::vector<LabelFingerprint>(fps_view_, fps_view_ + meta_.size());
-}
-
-std::vector<CatalogRow> LoadedCatalog::TakeRows() {
-  if (!arena_backed_) return std::move(rows_);
-  return MaterializeRows();
-}
-
-ScTable LoadedCatalog::TakeScTable() {
-  if (!arena_backed_) return std::move(sc_table_);
-  return MaterializeScTable();
+  SelectKernel<Relation::kAncestor>(column(), descendant, candidates,
+                                    BatchShards(candidates.size()), out);
 }
 
 std::vector<CatalogRow> LoadedCatalog::MaterializeRows() const {
-  if (!arena_backed_) return rows_;
   // One front-to-back pass over the label/self/fps columns; restore the
   // point-lookup hint when done.
   AdviseAccess(AccessHint::kSequential);
@@ -450,14 +273,13 @@ std::vector<CatalogRow> LoadedCatalog::MaterializeRows() const {
     row.attributes = meta_[i].attributes;
     row.label = BigInt::FromLimbs(labels_[i]);
     row.self = selfs_[i];
-    row.fingerprint = fps_view_[i];
+    row.fingerprint = fps_[i];
   }
   AdviseAccess(AccessHint::kRandom);
   return rows;
 }
 
 ScTable LoadedCatalog::MaterializeScTable() const {
-  if (!arena_backed_) return sc_table_;
   std::vector<ScRecord> records = sc_meta_;
   for (std::size_t r = 0; r < records.size(); ++r) {
     records[r].sc = BigInt::FromLimbs(sc_values_[r]);
@@ -466,43 +288,15 @@ ScTable LoadedCatalog::MaterializeScTable() const {
 }
 
 std::size_t LoadedCatalog::label_store_bytes() const {
-  // Per-entry cost of an unordered_map's nodes: key + mapped value + the
-  // chaining pointer. Deliberately excludes the bucket array and allocator
-  // headers, so both modes are undercounted the same way.
+  // The image columns themselves, plus the one private structure the open
+  // builds for order lookups, the modulus -> record index. Its per-entry
+  // cost is key + mapped value + the chaining pointer, deliberately
+  // excluding the bucket array and allocator headers.
   constexpr std::size_t kMapNodeOverhead = sizeof(void*);
-  if (arena_backed_) {
-    // The image columns themselves — shared, under mmap, with every other
-    // view of the same file — plus the one private structure the arena
-    // open builds for order lookups, the modulus -> record index.
-    return labels_.byte_size() + sc_values_.byte_size() +
-           meta_.size() * sizeof(LabelFingerprint) +
-           sc_index_.size() * (sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                               kMapNodeOverhead);
-  }
-  // Heap mode: one BigInt control block plus a limb buffer per label, the
-  // fingerprint stored twice (embedded in every CatalogRow and again in
-  // the contiguous fps_ column the batch kernels scan), and the SC table's
-  // working form — per record the struct with its moduli/orders buffers
-  // and SC BigInt, plus the per-node order index.
-  std::size_t bytes = fps_.size() * sizeof(LabelFingerprint);
-  for (const CatalogRow& r : rows_) {
-    bytes += sizeof(BigInt) +
-             r.label.Magnitude().size() * sizeof(std::uint64_t) +
-             sizeof(LabelFingerprint);
-  }
-  std::size_t tracked = 0;
-  for (const ScRecord& record : sc_table_.records()) {
-    bytes += sizeof(ScRecord) +
-             record.sc.Magnitude().size() * sizeof(std::uint64_t) +
-             (record.moduli.size() + record.orders.size()) *
-                 sizeof(std::uint64_t);
-    tracked += record.moduli.size();
-  }
-  // ScTable::index_: self-label -> (record, slot) for every tracked node.
-  bytes += tracked * (sizeof(std::uint64_t) +
-                      sizeof(std::pair<std::size_t, std::size_t>) +
-                      kMapNodeOverhead);
-  return bytes;
+  return labels_.byte_size() + sc_values_.byte_size() +
+         meta_.size() * sizeof(LabelFingerprint) +
+         sc_index_.size() * (sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                             kMapNodeOverhead);
 }
 
 Status LoadedCatalog::ParseV4Image(std::span<const std::uint8_t> bytes,
@@ -511,7 +305,6 @@ Status LoadedCatalog::ParseV4Image(std::span<const std::uint8_t> bytes,
   V4Image image;
   Status parsed = ParseV4Header(bytes, origin, &image);
   if (!parsed.ok()) return parsed;
-  out->arena_backed_ = true;
   out->format_version_ = 4;
   out->sc_group_size_ = image.group_size;
   out->fingerprints_persisted_ = image.config_hash == FingerprintConfigHash();
@@ -542,9 +335,9 @@ Status LoadedCatalog::ParseV4Image(std::span<const std::uint8_t> bytes,
     return Status::Corruption(origin + ": v4 column section misaligned");
   }
   out->selfs_ = reinterpret_cast<const std::uint64_t*>(self_base);
-  out->fps_view_ = reinterpret_cast<const LabelFingerprint*>(fps_base);
+  out->fps_ = reinterpret_cast<const LabelFingerprint*>(fps_base);
 
-  // ROWMETA: the only per-row decode the arena open pays — tags and
+  // ROWMETA: the only per-row decode the open pays — tags and
   // attributes are variable-length strings the query layer needs as
   // std::string anyway.
   ByteReader rowmeta(image.sections[kSecRowMeta]);
@@ -667,6 +460,12 @@ Status DecodeCatalogRow(ByteReader* in, bool with_fingerprint,
   return Status::Ok();
 }
 
+std::size_t MinCatalogRowBytes(bool with_fingerprint) {
+  // Tag length, element flag, parent, attribute count, label length, self.
+  constexpr std::size_t kBareRowBytes = 4 + 1 + 8 + 4 + 4 + 8;
+  return kBareRowBytes + (with_fingerprint ? kFingerprintImageBytes : 0);
+}
+
 void EncodeScRecord(const ScRecord& record, ByteWriter* out) {
   out->U32(static_cast<std::uint32_t>(record.moduli.size()));
   for (std::size_t i = 0; i < record.moduli.size(); ++i) {
@@ -694,11 +493,10 @@ Status DecodeScRecord(ByteReader* in, ScRecord* record) {
 
 namespace {
 
-/// Assembles and writes a v4 sectioned image (layout documented at the
-/// top of this file and in catalog.h / DESIGN.md §15).
-Status WriteCatalogV4(Vfs& vfs, const std::string& path,
-                      const std::vector<CatalogRow>& rows,
-                      const ScTable& sc_table) {
+/// Assembles a v4 sectioned image (layout documented at the top of this
+/// file and in catalog.h / DESIGN.md §15).
+std::vector<std::uint8_t> EncodeCatalogImage(
+    const std::vector<CatalogRow>& rows, const ScTable& sc_table) {
   ByteWriter rowmeta;
   ByteWriter self_col;
   LabelArenaBuilder labels;
@@ -766,47 +564,18 @@ Status WriteCatalogV4(Vfs& vfs, const std::string& path,
       out.Bytes(section_bytes[s].data(), section_bytes[s].size());
     }
   }
-  return vfs.WriteWhole(path, out.buffer());
+  return out.Take();
 }
 
 }  // namespace
 
 Status WriteCatalog(Vfs& vfs, const std::string& path,
                     const std::vector<CatalogRow>& rows,
-                    const ScTable& sc_table,
-                    const CatalogWriteOptions& options) {
-  if (options.format_version < kCatalogMinSupportedVersion ||
-      options.format_version > kCatalogFormatVersion) {
-    return Status::InvalidArgument(
-        "cannot write catalog format version " +
-        std::to_string(options.format_version) + " (supported: " +
-        std::to_string(kCatalogMinSupportedVersion) + " .. " +
-        std::to_string(kCatalogFormatVersion) + ")");
-  }
-  if (options.format_version == 4) {
-    return WriteCatalogV4(vfs, path, rows, sc_table);
-  }
-  const bool v3 = options.format_version >= 3;
-  ByteWriter writer;
-  writer.Bytes(kMagicPrefix, sizeof(kMagicPrefix));
-  writer.U8(static_cast<std::uint8_t>('0' + options.format_version));
-  // v3: fingerprints are only as good as the configuration they were
-  // computed with; stamp the file so the loader can tell.
-  if (v3) writer.U64(FingerprintConfigHash());
-
-  writer.U64(rows.size());
-  for (const CatalogRow& row : rows) EncodeCatalogRow(row, v3, &writer);
-
-  // SC table: group size + records.
-  writer.U32(static_cast<std::uint32_t>(sc_table.group_size()));
-  writer.U64(sc_table.records().size());
-  for (const ScRecord& record : sc_table.records()) {
-    EncodeScRecord(record, &writer);
-  }
-  return vfs.WriteWhole(path, writer.buffer());
+                    const ScTable& sc_table) {
+  return vfs.WriteWhole(path, EncodeCatalogImage(rows, sc_table));
 }
 
-Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
+Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path) {
   Result<std::vector<std::uint8_t>> read = vfs.ReadAll(path);
   if (!read.ok()) {
     if (read.status().code() == StatusCode::kNotFound) {
@@ -836,40 +605,38 @@ Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
         std::to_string(kCatalogMinSupportedVersion) + " .. " +
         std::to_string(kCatalogFormatVersion));
   }
+  CatalogState state;
   if (version == 4) {
-    // v4 decodes through the arena parser (one validation path for both
-    // the heap and mmap opens), then materializes heap rows — this loader
-    // feeds the delta/recovery paths, which mutate.
-    const std::string origin = "catalog '" + path + "'";
-    LoadedCatalog arena;
-    Status parsed = LoadedCatalog::ParseV4Image(*read, origin, &arena);
+    // One validation path for every v4 read: parse the image in place,
+    // then materialize the rows the delta/recovery paths mutate.
+    LoadedCatalog image;
+    Status parsed = LoadedCatalog::ParseV4Image(
+        *read, "catalog '" + path + "'", &image);
     if (!parsed.ok()) return parsed;
-    const bool adopt = arena.fingerprints_persisted_;
-    std::vector<CatalogRow> v4_rows = arena.MaterializeRows();
-    ScTable v4_sc = arena.MaterializeScTable();
-    LoadedCatalog catalog =
-        adopt ? LoadedCatalog(std::move(v4_rows), std::move(v4_sc),
-                              LoadedCatalog::AdoptFingerprints{})
-              : LoadedCatalog(std::move(v4_rows), std::move(v4_sc));
-    catalog.format_version_ = 4;
-    return catalog;
+    state.rows = image.MaterializeRows();
+    state.sc_table = image.MaterializeScTable();
+    state.fingerprints_valid = image.fingerprints_persisted_;
+    return state;
   }
   const bool v3 = version >= 3;
   // A v3 file computed its fingerprints against a specific chunk-table
   // configuration; a mismatch means the persisted fingerprints describe a
   // different residue system and must be recomputed (fall back, do not
   // fail — labels are still exact).
-  bool adopt_fingerprints = false;
-  if (v3) {
-    adopt_fingerprints = reader.U64() == FingerprintConfigHash();
-  }
+  if (v3) state.fingerprints_valid = reader.U64() == FingerprintConfigHash();
 
-  std::uint64_t row_count = reader.U64();
-  if (row_count > (1ull << 32)) {
-    return Status::ParseError("implausible row count");
+  // v2/v3 carry no checksum: bound the row count by the bytes left before
+  // reserving for it, so a flipped high bit fails typed instead of
+  // sizing an allocation.
+  const std::uint64_t row_count = reader.U64();
+  if (row_count > reader.remaining() / MinCatalogRowBytes(v3)) {
+    return Status::ParseError("catalog '" + path + "' claims " +
+                              std::to_string(row_count) +
+                              " rows, more than its remaining " +
+                              std::to_string(reader.remaining()) +
+                              " bytes can hold");
   }
-  std::vector<CatalogRow> rows;
-  rows.reserve(row_count);
+  state.rows.reserve(row_count);
   for (std::uint64_t i = 0; i < row_count && reader.ok(); ++i) {
     CatalogRow row;
     Status decoded = DecodeCatalogRow(&reader, v3, &row);
@@ -879,7 +646,7 @@ Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
       if (!reader.ok()) break;
       return decoded;
     }
-    rows.push_back(std::move(row));
+    state.rows.push_back(std::move(row));
   }
 
   int group_size = static_cast<int>(reader.U32());
@@ -897,14 +664,8 @@ Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
   if (!reader.ok() || group_size < 1) {
     return Status::ParseError("truncated or corrupt catalog '" + path + "'");
   }
-  ScTable sc_table = ScTable::FromRecords(group_size, std::move(records));
-  LoadedCatalog catalog =
-      adopt_fingerprints
-          ? LoadedCatalog(std::move(rows), std::move(sc_table),
-                          LoadedCatalog::AdoptFingerprints{})
-          : LoadedCatalog(std::move(rows), std::move(sc_table));
-  catalog.format_version_ = version;
-  return catalog;
+  state.sc_table = ScTable::FromRecords(group_size, std::move(records));
+  return state;
 }
 
 Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path) {
@@ -916,31 +677,45 @@ Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path) {
     return mapped.status();
   }
   const std::span<const std::uint8_t> bytes = (*mapped)->bytes();
-  if (bytes.size() < 8 ||
-      std::memcmp(bytes.data(), kMagicPrefix, sizeof(kMagicPrefix)) != 0 ||
-      bytes[7] != '4') {
-    // Not a v4 image: defer to the heap loader, which either reads the
-    // older format or reports the precise magic/version error.
-    return LoadCatalog(vfs, path);
-  }
   const std::string origin = "catalog '" + path + "'";
-  // ParseV4Image sweeps the whole image front to back (section digests,
-  // ROWMETA decode): tell the kernel to read ahead and not keep pages
-  // behind the cursor.
-  (*mapped)->Advise(AccessHint::kSequential);
-  LoadedCatalog catalog;
-  Status parsed = LoadedCatalog::ParseV4Image(bytes, origin, &catalog);
-  if (!parsed.ok()) return parsed;  // corruption never falls back
-  if (!catalog.fingerprints_persisted_) {
+  if (bytes.size() >= 8 &&
+      std::memcmp(bytes.data(), kMagicPrefix, sizeof(kMagicPrefix)) == 0 &&
+      bytes[7] == '4') {
+    // ParseV4Image sweeps the whole image front to back (section digests,
+    // ROWMETA decode): tell the kernel to read ahead and not keep pages
+    // behind the cursor.
+    (*mapped)->Advise(AccessHint::kSequential);
+    LoadedCatalog catalog;
+    Status parsed = LoadedCatalog::ParseV4Image(bytes, origin, &catalog);
+    if (!parsed.ok()) return parsed;  // corruption is never converted
+    if (catalog.fingerprints_persisted_) {
+      // Serving flips to point lookups: label probes land wherever the
+      // query takes them, so read-around would only evict useful pages.
+      (*mapped)->Advise(AccessHint::kRandom);
+      catalog.mapped_ = std::move(*mapped);
+      return catalog;
+    }
     // Stale fingerprint config: the FPS column describes another residue
-    // system, so the zero-copy view would screen with wrong fingerprints.
-    // Recompute on the heap instead of serving the image.
-    return LoadCatalog(vfs, path);
+    // system, so serving it in place would screen with wrong fingerprints.
   }
-  // Serving flips to point lookups: arena label probes land wherever the
-  // query takes them, so read-around would only evict useful pages.
-  (*mapped)->Advise(AccessHint::kRandom);
-  catalog.mapped_ = std::move(*mapped);
+  // Not servable in place (a v2/v3 file, or a stale fingerprint config):
+  // decode it, derive fingerprints the file cannot supply, and serve a v4
+  // image of the same rows from memory. LoadCatalog also reports the
+  // precise magic/version error for anything that is not a catalog.
+  Result<CatalogState> state = LoadCatalog(vfs, path);
+  if (!state.ok()) return state.status();
+  if (!state->fingerprints_valid) {
+    for (CatalogRow& row : state->rows) {
+      row.fingerprint = FingerprintOf(row.label);
+    }
+  }
+  LoadedCatalog catalog;
+  catalog.owned_bytes_ = EncodeCatalogImage(state->rows, state->sc_table);
+  Status parsed =
+      LoadedCatalog::ParseV4Image(catalog.owned_bytes_, origin, &catalog);
+  if (!parsed.ok()) return parsed;
+  catalog.format_version_ = bytes[7] - '0';
+  catalog.fingerprints_persisted_ = state->fingerprints_valid;
   return catalog;
 }
 

@@ -32,8 +32,9 @@ namespace primelabel {
 /// persists each row's divisibility fingerprint together with a hash of
 /// the fingerprint configuration (the 7-chunk residue table), so loading
 /// skips the per-row FingerprintOf pass; a v3 file whose config hash does
-/// not match the running binary falls back to recomputing. v2 files stay
-/// loadable (fingerprints recomputed); anything else is rejected with a
+/// not match the running binary falls back to recomputing. v2 and v3 are
+/// read-only: they stay loadable (v2 fingerprints recomputed), but
+/// WriteCatalog emits v4 only. Anything else is rejected with a
 /// kParseError naming the found and supported versions.
 ///
 /// Format v4 ("PLCATLG4") is columnar and zero-copy (DESIGN.md §15). The
@@ -72,127 +73,76 @@ struct CatalogRow {
   std::vector<std::pair<std::string, std::string>> attributes;
   BigInt label;              ///< full prime label
   std::uint64_t self = 1;    ///< self-label (prime; 1 for the root)
-  /// Divisibility fingerprint of `label`. Persisted by format v3; left
-  /// default by v2 loads (the LoadedCatalog recomputes it then).
+  /// Divisibility fingerprint of `label`. Persisted by formats v3 and v4;
+  /// meaningless when CatalogState::fingerprints_valid is false.
   LabelFingerprint fingerprint;
 };
 
-/// A catalog loaded back from disk: rows in document order plus the SC
-/// table, able to answer structure and order queries from the stored
-/// labels alone (no XmlTree needed).
+/// A catalog's decoded contents: what recovery, delta replay and
+/// LabeledDocument::Load rebuild a mutable document from.
+struct CatalogState {
+  std::vector<CatalogRow> rows;  ///< preorder, parent by row index
+  ScTable sc_table;
+  /// True when every row's fingerprint is adoptable as-is (v3/v4 file
+  /// with a matching config hash, or a delta chain built from one); false
+  /// means the consumer must derive the fingerprints from the labels.
+  bool fingerprints_valid = false;
+};
+
+/// A catalog served for reading: a v4 image, able to answer structure and
+/// order queries from the stored labels alone (no XmlTree needed).
 ///
 /// Implements StructureOracle over NodeId handles: rows are written in
 /// preorder, so the NodeId of a node in the reconstructed tree equals its
 /// row index — the same handle vocabulary the live schemes use, which is
 /// what lets one query pipeline (and one test suite) run against both.
 ///
-/// Two storage modes share one query engine. *Heap* mode (LoadCatalog,
-/// and in-memory construction) holds decoded CatalogRows: one BigInt per
-/// label, mutable, the shape the delta/recovery paths need. *Arena* mode
-/// (OpenCatalogMapped over a v4 file) keeps labels, SC values and
-/// fingerprints as read-only views into the catalog image — possibly an
-/// mmap shared with other views — and materializes BigInts only at the
-/// explicit Take*/Materialize* edges. Every query kernel runs on limb
-/// spans via mode-neutral accessors, so the two modes are bit-identical
-/// by construction.
+/// Labels, SC values and fingerprints stay read-only views into the
+/// image, which is either an mmap shared with other views
+/// (OpenCatalogMapped over a v4 file) or an owned buffer (a v2/v3 file,
+/// or a stale fingerprint config, converted on open). BigInts are
+/// materialized only at the explicit Materialize* edges. The batch
+/// kernels are the ones the live scheme runs (core/batch_kernels.h), over
+/// the image's limb spans.
 class LoadedCatalog : public StructureOracle {
  public:
-  /// Derives a divisibility fingerprint per row at load time (v2 labels on
-  /// disk carry none), so batched queries over a reloaded catalog run the
-  /// same fast path as the live scheme.
-  LoadedCatalog(std::vector<CatalogRow> rows, ScTable sc_table);
+  std::size_t row_count() const { return meta_.size(); }
 
-  /// Adopts the fingerprints already present in `rows` (format v3 with a
-  /// matching config hash) instead of recomputing them — the load-time win
-  /// the v3 bump buys. Callers must have validated the config hash.
-  struct AdoptFingerprints {};
-  LoadedCatalog(std::vector<CatalogRow> rows, ScTable sc_table,
-                AdoptFingerprints);
-
-  /// Heap-mode rows. Arena-backed catalogs have no decoded rows; use the
-  /// per-field accessors below or MaterializeRows().
-  const std::vector<CatalogRow>& rows() const {
-    PL_CHECK(!arena_backed_);
-    return rows_;
-  }
-  const ScTable& sc_table() const {
-    PL_CHECK(!arena_backed_);
-    return sc_table_;
-  }
-
-  /// True when this catalog serves queries from the v4 image in place
-  /// (OpenCatalogMapped) instead of decoded heap rows.
-  bool arena_backed() const { return arena_backed_; }
-
-  /// Number of rows, in either mode.
-  std::size_t row_count() const {
-    return arena_backed_ ? meta_.size() : rows_.size();
-  }
-
-  /// Mode-neutral per-row accessors (NodeId == row index).
-  const std::string& tag_of(NodeId id) const {
-    return arena_backed_ ? meta_[id].tag : rows_[id].tag;
-  }
-  bool is_element_of(NodeId id) const {
-    return arena_backed_ ? meta_[id].is_element : rows_[id].is_element;
-  }
-  std::int64_t parent_of(NodeId id) const {
-    return arena_backed_ ? meta_[id].parent : rows_[id].parent;
-  }
+  /// Per-row accessors (NodeId == row index).
+  const std::string& tag_of(NodeId id) const { return meta_[id].tag; }
+  bool is_element_of(NodeId id) const { return meta_[id].is_element; }
+  std::int64_t parent_of(NodeId id) const { return meta_[id].parent; }
   const std::vector<std::pair<std::string, std::string>>& attributes_of(
       NodeId id) const {
-    return arena_backed_ ? meta_[id].attributes : rows_[id].attributes;
+    return meta_[id].attributes;
   }
-  std::uint64_t self_of(NodeId id) const {
-    return arena_backed_ ? selfs_[id] : rows_[id].self;
-  }
-  /// The row's label magnitude as a limb view — straight into the arena
-  /// (arena mode) or into the row's BigInt (heap mode). Valid while the
-  /// catalog (and its backing image) lives.
-  LabelView label_view(NodeId id) const {
-    return arena_backed_ ? labels_[id] : rows_[id].label.Magnitude();
-  }
+  std::uint64_t self_of(NodeId id) const { return selfs_[id]; }
+  /// The row's label magnitude as a limb view straight into the image.
+  /// Valid while the catalog lives.
+  LabelView label_view(NodeId id) const { return labels_[id]; }
 
-  /// Resident bytes devoted to the label store: label magnitudes, SC
-  /// values and fingerprints. In arena mode this is the (shared, mmap-
-  /// backed) image footprint; in heap mode, the per-row BigInt and
-  /// fingerprint heap cost. The STATS wire field and the memory benches
-  /// report this number.
+  /// Resident bytes devoted to the label store: the image's label, SC
+  /// value and fingerprint columns (shared, under mmap, with every other
+  /// view of the same file) plus the modulus -> record index OrderOf
+  /// builds. The STATS wire field and the memory benches report this.
   std::size_t label_store_bytes() const;
 
-  /// Format version of the file this catalog was loaded from (writers and
-  /// in-memory constructions report the current version).
+  /// Format version of the file this catalog was opened from.
   int format_version() const { return format_version_; }
   /// True when the on-disk fingerprints were adopted verbatim; false when
-  /// they were recomputed (v2 file, or v3 with a stale config hash).
+  /// they were recomputed (v2 file, or v3/v4 with a stale config hash).
   bool fingerprints_persisted() const { return fingerprints_persisted_; }
 
-  /// Moves the per-row fingerprints out (NodeId == row index, the same
-  /// indexing the schemes use) — LabeledDocument::Load hands them to
-  /// OrderedPrimeScheme::Adopt so the document path skips the recompute
-  /// pass too. The catalog must not be queried afterwards. (Arena mode
-  /// copies out of the image instead; the catalog stays usable there, but
-  /// callers should not rely on that.)
-  std::vector<LabelFingerprint> TakeFingerprints();
-
-  /// Moves the rows out (delta-snapshot recovery rebuilds documents from
-  /// raw rows without paying for a queryable catalog). The catalog must
-  /// not be queried afterwards. Arena mode materializes full rows —
-  /// BigInts and all — from the image (this is the mutation edge where
-  /// spans become owned arithmetic again).
-  std::vector<CatalogRow> TakeRows();
-  ScTable TakeScTable();
-
-  /// Non-destructive materialization of full heap rows / SC table from
-  /// either mode — what a sealed arena view hands to LabeledDocument when
-  /// a caller genuinely needs a mutable document.
+  /// Non-destructive materialization of full heap rows / SC table — what
+  /// a sealed view hands to LabeledDocument when a caller genuinely needs
+  /// a mutable document.
   std::vector<CatalogRow> MaterializeRows() const;
   ScTable MaterializeScTable() const;
 
   /// Declares the expected access pattern on the backing image
   /// (madvise): kSequential ahead of a front-to-back sweep, kRandom for
-  /// point-lookup serving. No-op in heap mode or on an owned-bytes
-  /// backing, so callers hint unconditionally.
+  /// point-lookup serving. No-op on an owned-bytes backing, so callers
+  /// hint unconditionally.
   void AdviseAccess(AccessHint hint) const {
     if (mapped_ != nullptr) mapped_->Advise(hint);
   }
@@ -201,10 +151,10 @@ class LoadedCatalog : public StructureOracle {
   bool IsAncestor(NodeId x, NodeId y) const override;
   /// Parent test: label(y) == label(x) * self(y).
   bool IsParent(NodeId x, NodeId y) const override;
-  /// Global order number recovered from the SC table (root = 0).
+  /// Global order number recovered from the SC values (root = 0).
   std::uint64_t OrderOf(NodeId row) const override;
 
-  /// Batched queries on the fast-path engine: fingerprint rejection plus
+  /// Batched queries on the shared kernels: fingerprint rejection plus
   /// per-anchor reciprocal caching, bit-identical to the scalar tests.
   void IsAncestorBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
                        std::vector<std::uint8_t>* results) const override;
@@ -214,19 +164,19 @@ class LoadedCatalog : public StructureOracle {
                        std::vector<NodeId>* out) const override;
 
  private:
-  /// Uninitialized shell for the v4 open paths, which fill the arena
-  /// views in place (ParseV4Image).
+  /// Uninitialized shell for the open paths, which fill the views in
+  /// place (ParseV4Image).
   LoadedCatalog() = default;
 
-  /// Parses a v4 image into arena mode: validates header and section
-  /// digests, opens the column views over `bytes` (which must outlive
-  /// `out` — the caller attaches the backing), and decodes the row/SC
-  /// metadata. kCorruption on any digest or shape mismatch.
+  /// Parses a v4 image: validates header and section digests, opens the
+  /// column views over `bytes` (which must outlive `out` — the caller
+  /// attaches the backing), and decodes the row/SC metadata.
+  /// kCorruption on any digest or shape mismatch.
   static Status ParseV4Image(std::span<const std::uint8_t> bytes,
                              const std::string& origin, LoadedCatalog* out);
 
-  /// Compact per-row metadata decoded from a v4 ROWMETA section (arena
-  /// mode only) — everything CatalogRow holds except the big columns.
+  /// Compact per-row metadata decoded from the v4 ROWMETA section —
+  /// everything CatalogRow holds except the big columns.
   struct RowMeta {
     std::string tag;
     std::vector<std::pair<std::string, std::string>> attributes;
@@ -234,29 +184,25 @@ class LoadedCatalog : public StructureOracle {
     bool is_element = true;
   };
 
-  const CatalogRow& row(NodeId id) const {
-    return rows_[static_cast<std::size_t>(id)];
-  }
-  const LabelFingerprint& fingerprint(NodeId id) const {
-    return fps_view_[static_cast<std::size_t>(id)];
-  }
+  /// The label column the batch kernels read.
+  struct Column {
+    const LabelArena& labels;
+    const LabelFingerprint* fps;
+    LimbSpan label(NodeId id) const { return labels[id]; }
+    const LabelFingerprint& fingerprint(NodeId id) const { return fps[id]; }
+  };
+  Column column() const { return Column{labels_, fps_}; }
 
-  // Heap mode.
-  std::vector<CatalogRow> rows_;
-  std::vector<LabelFingerprint> fps_;
-  ScTable sc_table_;
-
-  // Arena mode: views into the v4 image plus the backing that keeps the
-  // image alive (exactly one of owned_bytes_/mapped_ is engaged). The
-  // pointers survive moves — they target the image / heap buffers, which
-  // transfer with the object.
-  bool arena_backed_ = false;
+  // Views into the v4 image plus the backing that keeps the image alive
+  // (exactly one of owned_bytes_/mapped_ is engaged). The pointers
+  // survive moves — they target the image, which transfers with the
+  // object.
   std::vector<std::uint8_t> owned_bytes_;
   std::unique_ptr<MappedRegion> mapped_;
   LabelArena labels_;
   LabelArena sc_values_;
-  const LabelFingerprint* fps_view_ = nullptr;  ///< both modes (see ctors)
-  const std::uint64_t* selfs_ = nullptr;        ///< SELF column, arena mode
+  const LabelFingerprint* fps_ = nullptr;    ///< FPS column
+  const std::uint64_t* selfs_ = nullptr;     ///< SELF column
   std::vector<RowMeta> meta_;
   /// SC record shapes (moduli/orders; sc left empty — the magnitudes stay
   /// in sc_values_) and the modulus -> record index needed by OrderOf.
@@ -267,7 +213,7 @@ class LoadedCatalog : public StructureOracle {
   int format_version_ = kCatalogFormatVersion;
   bool fingerprints_persisted_ = false;
 
-  friend Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path);
+  friend Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path);
   friend Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs,
                                                  const std::string& path);
 };
@@ -279,43 +225,38 @@ void EncodeCatalogRow(const CatalogRow& row, bool with_fingerprint,
                       ByteWriter* out);
 Status DecodeCatalogRow(ByteReader* in, bool with_fingerprint,
                         CatalogRow* row);
+/// Fewest bytes one EncodeCatalogRow image takes (an empty tag, no
+/// attributes, a zero label), so a reader can bound an untrusted row
+/// count by the bytes left before reserving for it.
+std::size_t MinCatalogRowBytes(bool with_fingerprint);
 void EncodeScRecord(const ScRecord& record, ByteWriter* out);
 Status DecodeScRecord(ByteReader* in, ScRecord* record);
 
-/// Knobs for WriteCatalog. The version knob exists for compatibility
-/// testing and the v2-vs-v3 load benchmarks; production callers take the
-/// default (newest) format.
-struct CatalogWriteOptions {
-  int format_version = kCatalogFormatVersion;
-};
-
-/// Row-level catalog writer: rows must be in document order with parents
-/// referenced by row index (v3 additionally persists each row's
-/// fingerprint, which the caller must have filled in). Document-level
+/// Writes a v4 catalog: rows must be in document order with parents
+/// referenced by row index, each carrying its fingerprint. Document-level
 /// callers go through SaveCatalog(path, LabeledDocument) in corpus/, which
-/// assembles the rows. The file is assembled in memory and handed to the
+/// assembles the rows. The image is assembled in memory and handed to the
 /// Vfs as one write + fsync.
 Status WriteCatalog(Vfs& vfs, const std::string& path,
                     const std::vector<CatalogRow>& rows,
-                    const ScTable& sc_table,
-                    const CatalogWriteOptions& options = {});
+                    const ScTable& sc_table);
 
-/// Reads a catalog written by WriteCatalog into heap mode (decoded rows),
-/// whatever its version — the recovery/delta paths' loader. Fails with
-/// kParseError on a bad magic, an unsupported version (the message names
-/// found vs. supported versions) or a truncated v2/v3 file; a v4 file
-/// whose section digests do not match fails with kCorruption.
-Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path);
+/// Decodes a catalog of any supported version into its rows and SC table
+/// — the loader of recovery, delta replay and LabeledDocument::Load.
+/// Fails with kParseError on a bad magic, an unsupported version (the
+/// message names found vs. supported versions), or a truncated or
+/// implausible v2/v3 file; a v4 file whose section digests do not match
+/// fails with kCorruption.
+Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path);
 
-/// Opens a catalog for reading with zero-copy intent: a v4 file on a
-/// little-endian host whose fingerprint config matches this binary comes
-/// back arena-backed over Vfs::MapReadOnly — section digests verified
-/// eagerly, then queries run straight out of the mapped image. Anything
-/// else (v2/v3 file, stale fingerprint config, big-endian host) falls
-/// back to LoadCatalog's heap mode, so callers can treat this as "the
-/// fastest correct open" and inspect arena_backed() if they care.
-/// Corruption never falls back: a v4 file with a bad digest fails with
-/// kCorruption from either entry point.
+/// Opens a catalog for serving. A v4 file whose fingerprint config
+/// matches this binary is served zero-copy over Vfs::MapReadOnly —
+/// section digests verified eagerly, then queries run straight out of the
+/// mapped image. A v2/v3 file, or a v4 file with a stale fingerprint
+/// config, is decoded with LoadCatalog, fingerprinted if needed, and
+/// re-encoded as a v4 image held in memory, so every caller gets the same
+/// image-backed catalog. Corruption is never converted: a v4 file with a
+/// bad digest fails with kCorruption.
 Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path);
 
 }  // namespace primelabel

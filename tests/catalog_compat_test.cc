@@ -231,12 +231,12 @@ TEST(CatalogCompat, RecoveredLabelBytesRoundTrip) {
 
 // ---------------------------------------------------------------------------
 // Cross-format catalog compatibility: the fixture under
-// tests/data/catalog_formats holds one document saved as format v2 and as
-// format v3, with its observable state recorded in DIGEST.txt at write
-// time. The current build must load both, and re-saving either as format
-// v4 — heap-loaded or arena-mapped — must answer every oracle query with
-// the exact recorded state. Regenerating (any checkout; the formats are
-// limb-width independent):
+// tests/data/catalog_formats holds one document saved as formats v2, v3
+// and v4, with its observable state recorded in DIGEST.txt when v2 and v3
+// were written. The current build must serve all three with the exact
+// recorded state, and re-saving any of them must reproduce v4.plc byte
+// for byte. v2.plc, v3.plc and DIGEST.txt are kept as written (this build
+// writes v4 only); regenerating v4.plc from any checkout:
 //   PRIMELABEL_WRITE_COMPAT_FIXTURE=1 ./catalog_compat_test \
 //     --gtest_also_run_disabled_tests --gtest_filter='*FormatsFixture*'
 
@@ -254,9 +254,9 @@ std::string FormatsXml() {
   return SerializeXml(GeneratePlay("formats", options));
 }
 
-/// Observable state of a loaded catalog through the mode-neutral
-/// accessors: identical digests mean identical answers to every tag,
-/// structure, attribute, and order query, in either storage mode.
+/// Observable state of a served catalog through its per-row accessors:
+/// identical digests mean identical answers to every tag, structure,
+/// attribute, and order query.
 std::string CatalogDigest(const LoadedCatalog& catalog) {
   std::ostringstream out;
   for (std::size_t i = 0; i < catalog.row_count(); ++i) {
@@ -274,83 +274,67 @@ std::string CatalogDigest(const LoadedCatalog& catalog) {
 }
 
 // Disabled by default: fixture generator, overwrites
-// tests/data/catalog_formats in the SOURCE tree.
+// tests/data/catalog_formats/v4.plc in the SOURCE tree.
 TEST(CatalogCompat, DISABLED_WriteFormatsFixture) {
   if (std::getenv("PRIMELABEL_WRITE_COMPAT_FIXTURE") == nullptr) {
     GTEST_SKIP() << "set PRIMELABEL_WRITE_COMPAT_FIXTURE=1 to regenerate";
   }
-  const std::string dir = FormatsDir();
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir);
-
   Result<LabeledDocument> doc =
       LabeledDocument::FromXml(FormatsXml(), /*group=*/5);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const std::vector<CatalogRow> rows = doc->ToCatalogRows();
-  for (int version : {2, 3}) {
-    CatalogWriteOptions options;
-    options.format_version = version;
-    ASSERT_TRUE(WriteCatalog(DefaultVfs(),
-                             dir + "/v" + std::to_string(version) + ".plc",
-                             rows, doc->scheme().sc_table(), options)
-                    .ok());
-  }
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), dir + "/v2.plc");
-  ASSERT_TRUE(loaded.ok());
-  std::ofstream digest(dir + "/DIGEST.txt", std::ios::binary);
-  digest << CatalogDigest(*loaded);
-  ASSERT_TRUE(digest.good());
+  const std::string path = FormatsDir() + "/v4.plc";
+  ASSERT_TRUE(doc->Save(path).ok());
+  // The new file must hold the state the older formats recorded.
+  Result<LoadedCatalog> written = OpenCatalogMapped(DefaultVfs(), path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(CatalogDigest(*written),
+            ReadWholeFile(FormatsDir() + "/DIGEST.txt"));
 }
 
 class CatalogFormatUpgrade : public ::testing::TestWithParam<int> {};
 
-/// v2/v3 file -> heap load -> digest check -> v4 re-save -> digest check
-/// through both the heap and the arena open. One parameterized walk pins
-/// the whole upgrade path bit-identically against the recorded state.
+/// vN file -> decode -> served image -> v4 re-save, each checked against
+/// the recorded state. One parameterized walk pins the whole upgrade path
+/// bit-identically.
 TEST_P(CatalogFormatUpgrade, RoundTripsToV4BitIdentically) {
   const int version = GetParam();
   const std::string source =
       FormatsDir() + "/v" + std::to_string(version) + ".plc";
-  ASSERT_TRUE(fs::exists(source))
-      << "missing fixture; run the DISABLED_WriteFormatsFixture generator";
+  ASSERT_TRUE(fs::exists(source)) << "missing fixture " << source;
   const std::string expected = ReadWholeFile(FormatsDir() + "/DIGEST.txt");
   ASSERT_FALSE(expected.empty());
 
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), source);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), source);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format_version(), version);
-  EXPECT_FALSE(loaded->arena_backed());
-  EXPECT_EQ(CatalogDigest(*loaded), expected);
+  EXPECT_EQ(loaded->fingerprints_valid, version >= 3);
 
-  // OpenCatalogMapped on a pre-v4 file falls back to heap mode (that is
-  // the documented contract — only corruption refuses to fall back).
-  Result<LoadedCatalog> fallback = OpenCatalogMapped(DefaultVfs(), source);
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_FALSE(fallback->arena_backed());
-  EXPECT_EQ(CatalogDigest(*fallback), expected);
+  // Serving: a v4 file maps in place, v2/v3 convert to an in-memory v4
+  // image; either way the answers are the recorded ones.
+  Result<LoadedCatalog> served = OpenCatalogMapped(DefaultVfs(), source);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->format_version(), version);
+  EXPECT_EQ(CatalogDigest(*served), expected);
 
-  // Upgrade: re-save as v4, then verify both open modes.
+  // Upgrade: the restored document re-saves as exactly the committed v4
+  // image, whatever format it came from, and that re-save maps in place.
+  Result<LabeledDocument> doc = LabeledDocument::Load(source);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const std::string upgraded =
       TempDirPath(("formats_v" + std::to_string(version) + "_to_v4.plc")
                       .c_str());
-  ASSERT_TRUE(WriteCatalog(DefaultVfs(), upgraded, loaded->rows(),
-                           loaded->sc_table())
-                  .ok());
-  Result<LoadedCatalog> v4_heap = LoadCatalog(DefaultVfs(), upgraded);
-  ASSERT_TRUE(v4_heap.ok()) << v4_heap.status().ToString();
-  EXPECT_EQ(v4_heap->format_version(), 4);
-  EXPECT_EQ(CatalogDigest(*v4_heap), expected);
-
-  Result<LoadedCatalog> v4_arena = OpenCatalogMapped(DefaultVfs(), upgraded);
-  ASSERT_TRUE(v4_arena.ok()) << v4_arena.status().ToString();
-  EXPECT_TRUE(v4_arena->arena_backed());
-  EXPECT_EQ(CatalogDigest(*v4_arena), expected);
+  ASSERT_TRUE(doc->Save(upgraded).ok());
+  EXPECT_EQ(ReadWholeFile(upgraded), ReadWholeFile(FormatsDir() + "/v4.plc"));
+  Result<LoadedCatalog> v4 = OpenCatalogMapped(DefaultVfs(), upgraded);
+  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
+  EXPECT_EQ(v4->format_version(), 4);
+  EXPECT_TRUE(v4->fingerprints_persisted());
+  EXPECT_EQ(CatalogDigest(*v4), expected);
   std::remove(upgraded.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(V2AndV3, CatalogFormatUpgrade,
                          ::testing::Values(2, 3));
+INSTANTIATE_TEST_SUITE_P(V4, CatalogFormatUpgrade, ::testing::Values(4));
 
 }  // namespace
 }  // namespace primelabel

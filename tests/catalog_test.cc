@@ -3,9 +3,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,10 @@
 #include "corpus/labeled_document.h"
 #include "xml/datasets.h"
 #include "xml/shakespeare.h"
+
+#ifndef PRIMELABEL_TEST_DATA_DIR
+#define PRIMELABEL_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace primelabel {
 namespace {
@@ -22,6 +28,29 @@ namespace {
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/p" +
          std::to_string(::getpid()) + "-" + name;
+}
+
+/// A committed format fixture: one document saved as v2, v3 and v4 (see
+/// catalog_compat_test.cc, which pins their recorded state).
+std::string FormatsFixture(const char* name) {
+  return std::string(PRIMELABEL_TEST_DATA_DIR) + "/catalog_formats/" + name;
+}
+
+/// Copies `fixture` to a temp file named `name` with the byte at `offset`
+/// XORed by `mask`; returns the copy's path.
+std::string FlippedCopy(const std::string& fixture, std::size_t offset,
+                        std::uint8_t mask, const char* name) {
+  std::ifstream in(fixture, std::ios::binary);
+  EXPECT_TRUE(in.good()) << fixture;
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_LT(offset, bytes.size()) << fixture;
+  bytes[offset] = static_cast<char>(bytes[offset] ^ mask);
+  const std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(out.good()) << path;
+  return path;
 }
 
 class CatalogTest : public ::testing::Test {
@@ -46,13 +75,14 @@ class CatalogTest : public ::testing::Test {
 TEST_F(CatalogTest, SaveLoadRoundTripsRows) {
   std::string path = TempPath("roundtrip.plc");
   ASSERT_TRUE(SaveCatalog(path, *doc_).ok());
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->fingerprints_valid);
 
   std::vector<NodeId> preorder = tree().PreorderNodes();
-  ASSERT_EQ(loaded->rows().size(), preorder.size());
+  ASSERT_EQ(loaded->rows.size(), preorder.size());
   for (std::size_t i = 0; i < preorder.size(); ++i) {
-    const CatalogRow& row = loaded->rows()[i];
+    const CatalogRow& row = loaded->rows[i];
     EXPECT_EQ(row.tag, tree().name(preorder[i]));
     EXPECT_EQ(row.is_element, tree().IsElement(preorder[i]));
     EXPECT_EQ(row.attributes, tree().node(preorder[i]).attributes);
@@ -65,7 +95,7 @@ TEST_F(CatalogTest, SaveLoadRoundTripsRows) {
 TEST_F(CatalogTest, LoadedCatalogAnswersStructureQueries) {
   std::string path = TempPath("structure.plc");
   ASSERT_TRUE(SaveCatalog(path, *doc_).ok());
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<LoadedCatalog> loaded = OpenCatalogMapped(DefaultVfs(), path);
   ASSERT_TRUE(loaded.ok());
 
   std::vector<NodeId> preorder = tree().PreorderNodes();
@@ -87,10 +117,10 @@ TEST_F(CatalogTest, LoadedCatalogAnswersStructureQueries) {
 TEST_F(CatalogTest, LoadedCatalogAnswersOrderQueries) {
   std::string path = TempPath("order.plc");
   ASSERT_TRUE(SaveCatalog(path, *doc_).ok());
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<LoadedCatalog> loaded = OpenCatalogMapped(DefaultVfs(), path);
   ASSERT_TRUE(loaded.ok());
   // Row index == preorder rank == order number.
-  for (std::size_t i = 0; i < loaded->rows().size(); i += 3) {
+  for (std::size_t i = 0; i < loaded->row_count(); i += 3) {
     EXPECT_EQ(loaded->OrderOf(i), i);
   }
   std::remove(path.c_str());
@@ -102,7 +132,7 @@ TEST_F(CatalogTest, SurvivesOrderSensitiveUpdateBeforeSave) {
   doc_->InsertBefore(acts[1], "act");
   std::string path = TempPath("updated.plc");
   ASSERT_TRUE(doc_->Save(path).ok());
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<LoadedCatalog> loaded = OpenCatalogMapped(DefaultVfs(), path);
   ASSERT_TRUE(loaded.ok());
   std::vector<NodeId> preorder = tree().PreorderNodes();
   for (std::size_t i = 0; i < preorder.size(); ++i) {
@@ -198,117 +228,105 @@ TEST(CatalogAttributes, RoundTripThroughSaveAndLoad) {
   EXPECT_EQ(restored->tree().name(text), "payload");
 }
 
-TEST_F(CatalogTest, V3PersistsFingerprintsAndSkipsRecompute) {
-  // Emit the document's rows as format v3 explicitly (Save now writes the
-  // newest format, v4 — its adoption path is covered separately).
-  std::string v4_path = TempPath("v3-fps-src.plc");
-  ASSERT_TRUE(doc_->Save(v4_path).ok());
-  Result<LoadedCatalog> src = LoadCatalog(DefaultVfs(), v4_path);
-  ASSERT_TRUE(src.ok());
-  std::string path = TempPath("v3-fps.plc");
-  CatalogWriteOptions v3_options;
-  v3_options.format_version = 3;
-  ASSERT_TRUE(WriteCatalog(DefaultVfs(), path, src->rows(), src->sc_table(),
-                           v3_options)
-                  .ok());
-  std::remove(v4_path.c_str());
+/// Scalar and order answers of two catalogs over the same rows agree.
+void ExpectSameAnswers(const LoadedCatalog& a, const LoadedCatalog& b) {
+  ASSERT_EQ(a.row_count(), b.row_count());
+  for (std::size_t x = 0; x < a.row_count(); x += 5) {
+    for (std::size_t y = 0; y < a.row_count(); y += 3) {
+      EXPECT_EQ(a.IsAncestor(x, y), b.IsAncestor(x, y)) << x << " " << y;
+    }
+    EXPECT_EQ(a.OrderOf(x), b.OrderOf(x)) << x;
+  }
+}
 
+TEST_F(CatalogTest, V3PersistsFingerprintsAndSkipsRecompute) {
   // Loading a v3 catalog whose config hash matches this binary must adopt
   // the stored fingerprints wholesale: zero FingerprintOf calls on the
   // load path (counter-instrumented in bigint/reduction.cc).
+  const std::string path = FormatsFixture("v3.plc");
   std::uint64_t before = FingerprintComputeCount();
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format_version(), 3);
-  EXPECT_TRUE(loaded->fingerprints_persisted());
+  EXPECT_TRUE(loaded->fingerprints_valid);
+  EXPECT_EQ(FingerprintComputeCount(), before);
+
+  // Serving it converts the rows to a v4 image without recomputing.
+  Result<LoadedCatalog> served = OpenCatalogMapped(DefaultVfs(), path);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->format_version(), 3);
+  EXPECT_TRUE(served->fingerprints_persisted());
   EXPECT_EQ(FingerprintComputeCount(), before);
 
   // The document-level load adopts them too.
-  before = FingerprintComputeCount();
   Result<LabeledDocument> restored = LabeledDocument::Load(path);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(FingerprintComputeCount(), before);
 
   // Adopted fingerprints reject/accept exactly like recomputed ones.
-  std::vector<NodeId> live = restored->Query("//speech").value();
-  EXPECT_EQ(live.size(), doc_->Query("//speech").value().size());
-  std::remove(path.c_str());
+  Result<LabeledDocument> recomputed =
+      LabeledDocument::Load(FormatsFixture("v2.plc"));
+  ASSERT_TRUE(recomputed.ok());
+  for (const char* q : {"//speech", "//act//line", "//scene/title"}) {
+    EXPECT_EQ(restored->Query(q).value(), recomputed->Query(q).value()) << q;
+  }
 }
 
 TEST_F(CatalogTest, V2FilesStayLoadableWithRecompute) {
-  std::string v3_path = TempPath("compat.plc");
-  ASSERT_TRUE(doc_->Save(v3_path).ok());
-  Result<LoadedCatalog> v3 = LoadCatalog(DefaultVfs(), v3_path);
-  ASSERT_TRUE(v3.ok());
-
-  // Re-emit the same rows as format v2 (the compatibility knob).
-  std::string v2_path = TempPath("compat-v2.plc");
-  CatalogWriteOptions options;
-  options.format_version = 2;
-  ASSERT_TRUE(
-      WriteCatalog(DefaultVfs(), v2_path, v3->rows(), v3->sc_table(), options).ok());
-
+  const std::string path = FormatsFixture("v2.plc");
   std::uint64_t before = FingerprintComputeCount();
-  Result<LoadedCatalog> v2 = LoadCatalog(DefaultVfs(), v2_path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded->fingerprints_valid);
+  EXPECT_EQ(loaded->rows.size(), 124u);
+  // Decoding alone derives nothing; the consumer fingerprints.
+  EXPECT_EQ(FingerprintComputeCount(), before);
+
+  // Serving a v2 file pays the per-row recompute the v3 format
+  // eliminates, once per row.
+  Result<LoadedCatalog> v2 = OpenCatalogMapped(DefaultVfs(), path);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_EQ(v2->format_version(), 2);
   EXPECT_FALSE(v2->fingerprints_persisted());
-  // The v2 path pays the per-row recompute the v3 format eliminates.
-  EXPECT_GE(FingerprintComputeCount() - before, v2->rows().size());
+  EXPECT_EQ(FingerprintComputeCount() - before, loaded->rows.size());
 
-  // Both answer identically.
-  for (std::size_t x = 0; x < v2->rows().size(); x += 5) {
-    for (std::size_t y = 0; y < v2->rows().size(); y += 3) {
-      EXPECT_EQ(v2->IsAncestor(x, y), v3->IsAncestor(x, y));
-    }
-    EXPECT_EQ(v2->OrderOf(x), v3->OrderOf(x));
-  }
-  std::remove(v3_path.c_str());
-  std::remove(v2_path.c_str());
+  // So does the document load (in OrderedPrimeScheme::Adopt): once per
+  // row, not once while decoding and again while adopting.
+  before = FingerprintComputeCount();
+  Result<LabeledDocument> doc = LabeledDocument::Load(path);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(FingerprintComputeCount() - before, loaded->rows.size());
+
+  // Both formats answer identically.
+  Result<LoadedCatalog> v3 =
+      OpenCatalogMapped(DefaultVfs(), FormatsFixture("v3.plc"));
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  ExpectSameAnswers(*v2, *v3);
 }
 
 TEST_F(CatalogTest, V3StaleConfigHashFallsBackToRecompute) {
-  // Write a v3 file explicitly; in v4 the config hash sits inside the
-  // digested header, so flipping it is (correctly) corruption, not a
-  // stale-config fallback.
-  std::string v4_path = TempPath("stale-hash-src.plc");
-  ASSERT_TRUE(doc_->Save(v4_path).ok());
-  Result<LoadedCatalog> src = LoadCatalog(DefaultVfs(), v4_path);
-  ASSERT_TRUE(src.ok());
-  std::string path = TempPath("stale-hash.plc");
-  CatalogWriteOptions v3_options;
-  v3_options.format_version = 3;
-  ASSERT_TRUE(WriteCatalog(DefaultVfs(), path, src->rows(), src->sc_table(),
-                           v3_options)
-                  .ok());
-  std::remove(v4_path.c_str());
-
   // Flip a byte of the stored FingerprintConfigHash (the 8 bytes right
   // after the magic): the stored fingerprints were built by a "different"
-  // binary, so the load must recompute rather than adopt.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 8, SEEK_SET);
-  int byte = std::fgetc(f);
-  std::fseek(f, 8, SEEK_SET);
-  std::fputc(byte ^ 0x5A, f);
-  std::fclose(f);
+  // binary, so the load must recompute rather than adopt. (In v4 the
+  // config hash sits inside the digested header, so flipping it is
+  // corruption, not a stale config.)
+  const std::string path =
+      FlippedCopy(FormatsFixture("v3.plc"), 8, 0x5A, "stale-hash.plc");
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded->fingerprints_valid);
 
   std::uint64_t before = FingerprintComputeCount();
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format_version(), 3);
-  EXPECT_FALSE(loaded->fingerprints_persisted());
-  EXPECT_GE(FingerprintComputeCount() - before, loaded->rows().size());
+  Result<LoadedCatalog> stale = OpenCatalogMapped(DefaultVfs(), path);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_EQ(stale->format_version(), 3);
+  EXPECT_FALSE(stale->fingerprints_persisted());
+  EXPECT_EQ(FingerprintComputeCount() - before, loaded->rows.size());
 
   // Recomputed fingerprints keep the oracle sound.
-  std::vector<NodeId> preorder = tree().PreorderNodes();
-  for (std::size_t x = 0; x < preorder.size(); x += 7) {
-    for (std::size_t y = 0; y < preorder.size(); y += 5) {
-      EXPECT_EQ(loaded->IsAncestor(x, y),
-                tree().IsAncestor(preorder[x], preorder[y]));
-    }
-  }
+  Result<LoadedCatalog> pristine =
+      OpenCatalogMapped(DefaultVfs(), FormatsFixture("v3.plc"));
+  ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
+  ExpectSameAnswers(*stale, *pristine);
   std::remove(path.c_str());
 }
 
@@ -319,7 +337,7 @@ TEST(CatalogErrors, UnsupportedVersionNamesFoundAndSupported) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("PLCATLG7", f);
   std::fclose(f);
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::string message = loaded.status().ToString();
@@ -329,7 +347,8 @@ TEST(CatalogErrors, UnsupportedVersionNamesFoundAndSupported) {
 }
 
 TEST(CatalogErrors, MissingFile) {
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), TempPath("does-not-exist.plc"));
+  Result<CatalogState> loaded =
+      LoadCatalog(DefaultVfs(), TempPath("does-not-exist.plc"));
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
@@ -339,7 +358,7 @@ TEST(CatalogErrors, BadMagic) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("not a catalog at all", f);
   std::fclose(f);
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
@@ -352,7 +371,7 @@ TEST(CatalogErrors, RejectsV1Files) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("PLCATLG1", f);
   std::fclose(f);
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
@@ -378,10 +397,33 @@ TEST(CatalogErrors, TruncatedFile) {
   f = std::fopen(path.c_str(), "wb");
   std::fwrite(data.data(), 1, data.size() * 6 / 10, f);
   std::fclose(f);
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_FALSE(LabeledDocument::Load(path).ok());
   std::remove(path.c_str());
+}
+
+TEST(CatalogErrors, RowCountBeyondFileFailsCleanly) {
+  // v2/v3 files carry no checksum. Setting bit 31 of the row count (byte
+  // 11 of v2.plc, byte 19 of v3.plc, after the magic and v3's config
+  // hash) claims ~2^31 rows the file cannot hold: every reader must fail
+  // typed before sizing anything from that count.
+  for (const auto& [fixture, offset] :
+       {std::pair<const char*, std::size_t>{"v2.plc", 11},
+        std::pair<const char*, std::size_t>{"v3.plc", 19}}) {
+    const std::string path =
+        FlippedCopy(FormatsFixture(fixture), offset, 0x80, fixture);
+    Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
+    ASSERT_FALSE(loaded.ok()) << fixture;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << fixture << ": " << loaded.status().ToString();
+    Result<LoadedCatalog> served = OpenCatalogMapped(DefaultVfs(), path);
+    ASSERT_FALSE(served.ok()) << fixture;
+    EXPECT_EQ(served.status().code(), StatusCode::kParseError)
+        << fixture << ": " << served.status().ToString();
+    EXPECT_FALSE(LabeledDocument::Load(path).ok()) << fixture;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

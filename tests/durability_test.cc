@@ -15,12 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include "durability/delta.h"
 #include "durability/frame.h"
 #include "durability/recovery.h"
 #include "durability/vfs.h"
 #include "durability/wal.h"
 #include "xml/serializer.h"
 #include "xml/shakespeare.h"
+
+#ifndef PRIMELABEL_TEST_DATA_DIR
+#define PRIMELABEL_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace primelabel {
 namespace {
@@ -1275,6 +1280,35 @@ TEST(DurabilityDelta, DeltaIsMuchSmallerThanFullSnapshotForSparseChanges) {
       << "delta " << delta_bytes << "B vs snapshot " << snapshot_bytes
       << "B";
   RemoveTree(dir);
+}
+
+TEST(DurabilityDelta, CraftedFinalCountsFailRecoveryCleanly) {
+  // A delta whose checksum verifies but whose final row count or final SC
+  // record count claims 2^40 entries: recovery must reject it before
+  // sizing anything from those counts. The store is a copy of the
+  // committed fixture (epoch-0 snapshot + delta-1 + journal).
+  const std::string fixture =
+      std::string(PRIMELABEL_TEST_DATA_DIR) + "/limb32_store";
+  const std::string delta_name = "delta-1.pld";
+  Result<DeltaSnapshot> decoded = DecodeDelta(
+      ReadFileBytes(fixture + "/" + delta_name), delta_name);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  for (int field = 0; field < 2; ++field) {
+    DeltaSnapshot crafted = decoded.value();
+    (field == 0 ? crafted.final_row_count : crafted.sc_final_record_count) =
+        kHuge;
+    const std::string dir = TempDirPath("crafted-delta");
+    RemoveTree(dir);
+    fs::create_directories(dir);
+    for (const auto& entry : fs::directory_iterator(fixture)) {
+      fs::copy_file(entry.path(), fs::path(dir) / entry.path().filename());
+    }
+    WriteFileBytes(dir + "/" + delta_name, EncodeDelta(crafted));
+    Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
+    EXPECT_FALSE(store.ok()) << "field " << field;
+    RemoveTree(dir);
+  }
 }
 
 // --- Epoch pins (single-threaded lifecycle; concurrency lives in

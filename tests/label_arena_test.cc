@@ -6,12 +6,13 @@
 //   2. Every byte of a v4 catalog is covered by a digest: flipping one
 //      byte inside the header, the directory, or any of the six sections
 //      must surface kCorruption from both LoadCatalog and
-//      OpenCatalogMapped (corruption never falls back to heap mode).
-//      Truncating the image mid-mmap-length also fails typed; a missing
-//      file is kNotFound.
-//   3. An arena-backed catalog answers every oracle query bit-identically
-//      to the heap catalog loaded from the same file — scalar tests,
-//      batch kernels, order lookups, and full XPath evaluation.
+//      OpenCatalogMapped (corruption is never converted to a fresh
+//      image). Truncating the image mid-mmap-length also fails typed; a
+//      missing file is kNotFound.
+//   3. A mapped catalog answers every oracle query bit-identically to the
+//      document LabeledDocument::Load restores from the same file — row
+//      contents, scalar tests, batch kernels, order lookups, and full
+//      XPath evaluation.
 
 #include <unistd.h>
 
@@ -189,13 +190,13 @@ class CatalogV4Test : public ::testing::Test {
   }
 
   /// Both entry points must report kCorruption for the image at `path`;
-  /// OpenCatalogMapped must not quietly fall back to heap mode.
+  /// OpenCatalogMapped must not quietly re-encode a damaged file.
   void ExpectCorrupt(const std::string& context) {
-    Result<LoadedCatalog> heap = LoadCatalog(DefaultVfs(), path_);
-    EXPECT_FALSE(heap.ok()) << context;
-    if (!heap.ok()) {
-      EXPECT_EQ(heap.status().code(), StatusCode::kCorruption)
-          << context << ": " << heap.status().ToString();
+    Result<CatalogState> decoded = LoadCatalog(DefaultVfs(), path_);
+    EXPECT_FALSE(decoded.ok()) << context;
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+          << context << ": " << decoded.status().ToString();
     }
     Result<LoadedCatalog> mapped = OpenCatalogMapped(DefaultVfs(), path_);
     EXPECT_FALSE(mapped.ok()) << context;
@@ -265,57 +266,61 @@ TEST_F(CatalogV4Test, MissingFileIsNotFound) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena-vs-heap bit-identity.
+// Arena-vs-heap bit-identity: the mapped image against the heap document
+// LabeledDocument::Load restores from the same file (NodeId == row index
+// on both sides).
 
 class ArenaHeapEquivalenceTest : public CatalogV4Test {
  protected:
   void SetUp() override {
     CatalogV4Test::SetUp();
-    Result<LoadedCatalog> heap = LoadCatalog(DefaultVfs(), path_);
+    Result<LabeledDocument> heap = LabeledDocument::Load(path_);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_.emplace(std::move(heap.value()));
     Result<LoadedCatalog> arena = OpenCatalogMapped(DefaultVfs(), path_);
     ASSERT_TRUE(arena.ok()) << arena.status().ToString();
-    ASSERT_TRUE(arena->arena_backed()) << "expected the zero-copy open";
-    ASSERT_FALSE(heap_->arena_backed());
     arena_.emplace(std::move(arena.value()));
-    ASSERT_EQ(arena_->row_count(), heap_->row_count());
+    ASSERT_EQ(arena_->row_count(), heap_->tree().node_count());
   }
 
-  std::optional<LoadedCatalog> heap_;
+  const XmlTree& tree() const { return heap_->tree(); }
+  const OrderedPrimeScheme& scheme() const { return heap_->scheme(); }
+
+  std::optional<LabeledDocument> heap_;
   std::optional<LoadedCatalog> arena_;
 };
 
 TEST_F(ArenaHeapEquivalenceTest, RowAccessorsMatch) {
-  for (std::size_t i = 0; i < heap_->row_count(); ++i) {
+  for (std::size_t i = 0; i < arena_->row_count(); ++i) {
     const NodeId id = static_cast<NodeId>(i);
-    EXPECT_EQ(arena_->tag_of(id), heap_->tag_of(id)) << i;
-    EXPECT_EQ(arena_->is_element_of(id), heap_->is_element_of(id)) << i;
-    EXPECT_EQ(arena_->parent_of(id), heap_->parent_of(id)) << i;
-    EXPECT_EQ(arena_->attributes_of(id), heap_->attributes_of(id)) << i;
-    EXPECT_EQ(arena_->self_of(id), heap_->self_of(id)) << i;
+    EXPECT_EQ(arena_->tag_of(id), tree().name(id)) << i;
+    EXPECT_EQ(arena_->is_element_of(id), tree().IsElement(id)) << i;
+    // The root's parent is -1 on both sides (kInvalidNodeId).
+    EXPECT_EQ(arena_->parent_of(id), tree().parent(id)) << i;
+    EXPECT_EQ(arena_->attributes_of(id), tree().node(id).attributes) << i;
+    EXPECT_EQ(arena_->self_of(id), scheme().structure().self_label(id)) << i;
     LabelView a = arena_->label_view(id);
-    LabelView h = heap_->label_view(id);
+    LabelView h = scheme().structure().label(id).Magnitude();
     ASSERT_EQ(a.size(), h.size()) << i;
     for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], h[k]) << i;
   }
 }
 
 TEST_F(ArenaHeapEquivalenceTest, ScalarOracleAnswersMatch) {
-  const std::size_t n = heap_->row_count();
+  const std::size_t n = arena_->row_count();
   for (std::size_t x = 0; x < n; x += 3) {
-    EXPECT_EQ(arena_->OrderOf(x), heap_->OrderOf(x)) << x;
+    EXPECT_EQ(arena_->OrderOf(x), scheme().OrderOf(x)) << x;
     for (std::size_t y = 0; y < n; y += 5) {
-      EXPECT_EQ(arena_->IsAncestor(x, y), heap_->IsAncestor(x, y))
+      EXPECT_EQ(arena_->IsAncestor(x, y), scheme().IsAncestor(x, y))
           << x << " " << y;
-      EXPECT_EQ(arena_->IsParent(x, y), heap_->IsParent(x, y))
+      EXPECT_EQ(arena_->IsParent(x, y), scheme().IsParent(x, y))
           << x << " " << y;
     }
   }
 }
 
 TEST_F(ArenaHeapEquivalenceTest, BatchKernelsMatch) {
-  const std::size_t n = heap_->row_count();
+  const std::size_t n = arena_->row_count();
   std::vector<std::pair<NodeId, NodeId>> pairs;
   std::vector<NodeId> candidates;
   for (std::size_t x = 0; x < n; x += 2) {
@@ -324,25 +329,25 @@ TEST_F(ArenaHeapEquivalenceTest, BatchKernelsMatch) {
     candidates.push_back(static_cast<NodeId>((x * 5 + 1) % n));
   }
   std::vector<std::uint8_t> heap_bits, arena_bits;
-  heap_->IsAncestorBatch(pairs, &heap_bits);
+  scheme().IsAncestorBatch(pairs, &heap_bits);
   arena_->IsAncestorBatch(pairs, &arena_bits);
   EXPECT_EQ(arena_bits, heap_bits);
 
   for (NodeId anchor : {NodeId{0}, NodeId{1}, static_cast<NodeId>(n / 2)}) {
     std::vector<NodeId> heap_desc, arena_desc, heap_anc, arena_anc;
-    heap_->SelectDescendants(anchor, candidates, &heap_desc);
+    scheme().SelectDescendants(anchor, candidates, &heap_desc);
     arena_->SelectDescendants(anchor, candidates, &arena_desc);
     EXPECT_EQ(arena_desc, heap_desc) << "anchor " << anchor;
-    heap_->SelectAncestors(anchor, candidates, &heap_anc);
+    scheme().SelectAncestors(anchor, candidates, &heap_anc);
     arena_->SelectAncestors(anchor, candidates, &arena_anc);
     EXPECT_EQ(arena_anc, heap_anc) << "anchor " << anchor;
   }
 }
 
 TEST_F(ArenaHeapEquivalenceTest, XPathEvaluationMatchesLiveDocument) {
-  // Same query pipeline all three ways: the live document, a LabelTable +
-  // oracle built over the heap catalog, and one over the arena catalog.
-  LabelTable heap_table(*heap_);
+  // Same query pipeline three ways: the live document, the restored
+  // document's label table + scheme, and a LabelTable + oracle built over
+  // the mapped catalog.
   LabelTable arena_table(*arena_);
   for (const char* q :
        {"/play", "/play//act", "//speech/speaker", "/play//scene[2]",
@@ -350,7 +355,7 @@ TEST_F(ArenaHeapEquivalenceTest, XPathEvaluationMatchesLiveDocument) {
     Result<std::vector<NodeId>> live = doc_->Query(q);
     ASSERT_TRUE(live.ok()) << q;
     Result<std::vector<NodeId>> heap_ids =
-        EvaluateSnapshot(heap_table, *heap_, q);
+        EvaluateSnapshot(heap_->label_table(), scheme(), q);
     Result<std::vector<NodeId>> arena_ids =
         EvaluateSnapshot(arena_table, *arena_, q);
     ASSERT_TRUE(heap_ids.ok()) << q;

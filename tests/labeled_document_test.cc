@@ -75,9 +75,9 @@ TEST(LabeledDocument, SaveProducesLoadableCatalog) {
   ASSERT_TRUE(doc.ok());
   std::string path = std::string(::testing::TempDir()) + "/facade.plc";
   ASSERT_TRUE(doc->Save(path).ok());
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rows().size(), doc->tree().node_count());
+  EXPECT_EQ(loaded->rows.size(), doc->tree().node_count());
   std::remove(path.c_str());
 }
 

@@ -48,7 +48,7 @@ class OracleTest : public ::testing::TestWithParam<std::string> {
                          "/oracle_suite_" + std::to_string(::getpid()) +
                          ".plc";
       ASSERT_TRUE(doc_->Save(path).ok());
-      Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+      Result<LoadedCatalog> loaded = OpenCatalogMapped(DefaultVfs(), path);
       std::remove(path.c_str());
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
       catalog_ = std::make_unique<LoadedCatalog>(std::move(loaded.value()));

@@ -147,13 +147,13 @@ TEST(ParallelJoin, CatalogJoinWorkersBitIdentical) {
   const std::string path =
       std::string(::testing::TempDir()) + "/parallel_join_suite.plc";
   ASSERT_TRUE(doc.Save(path).ok());
-  Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), path);
+  Result<LoadedCatalog> loaded = OpenCatalogMapped(DefaultVfs(), path);
   std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   LoadedCatalog catalog = std::move(loaded.value());
 
   // Catalog NodeIds are preorder row indices.
-  const NodeId row_count = static_cast<NodeId>(catalog.rows().size());
+  const NodeId row_count = static_cast<NodeId>(catalog.row_count());
   Rng rng(507);
   JoinInputs in;
   for (int i = 0; i < 12; ++i) {

@@ -130,8 +130,8 @@ TEST(PlannerCompile, ParseErrorsPropagate) {
 // --- Planned-vs-walked differential equivalence --------------------------
 
 /// One (table, oracle) backend the differential battery runs on: the live
-/// prime scheme, a heap-loaded catalog, or a zero-copy mmap arena catalog
-/// — the planner and evaluator must agree bit-for-bit on all of them.
+/// prime scheme or a zero-copy mmap arena catalog — the planner and
+/// evaluator must agree bit-for-bit on both.
 class PlannerDifferentialTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -144,15 +144,11 @@ class PlannerDifferentialTest : public ::testing::TestWithParam<const char*> {
       ctx_.oracle = &doc_->scheme();
       return;
     }
-    path_ = TempPath(which == "catalog-heap" ? "planner-heap.plc"
-                                             : "planner-arena.plc");
+    path_ = TempPath("planner-arena.plc");
     ASSERT_TRUE(SaveCatalog(path_, *doc_).ok());
-    Result<LoadedCatalog> loaded =
-        which == "catalog-heap" ? LoadCatalog(DefaultVfs(), path_)
-                                : OpenCatalogMapped(DefaultVfs(), path_);
+    Result<LoadedCatalog> loaded = OpenCatalogMapped(DefaultVfs(), path_);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     catalog_ = std::make_unique<LoadedCatalog>(std::move(loaded.value()));
-    EXPECT_EQ(catalog_->arena_backed(), which == "catalog-arena");
     table_ = std::make_unique<LabelTable>(*catalog_);
     ctx_.table = table_.get();
     ctx_.oracle = catalog_.get();
@@ -245,8 +241,7 @@ TEST_P(PlannerDifferentialTest, RandomizedStepCombinations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, PlannerDifferentialTest,
-                         ::testing::Values("scheme", "catalog-heap",
-                                           "catalog-arena"),
+                         ::testing::Values("scheme", "catalog-arena"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {

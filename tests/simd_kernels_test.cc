@@ -207,25 +207,25 @@ TEST(SimdKernels, DividesBatchMatchesScalarDivides) {
     const BigInt& divisor = pairs[start].first;
     rd.Assign(divisor);
     for (std::size_t count = 1; count <= simd::kRedcLanes; ++count) {
-      const BigInt* batch[simd::kRedcLanes];
+      LimbSpan batch[simd::kRedcLanes];
       bool expected[simd::kRedcLanes];
       for (std::size_t k = 0; k < count; ++k) {
-        batch[k] = &pairs[start + k].second;
-        expected[k] = rd.Divides(*batch[k]);
+        batch[k] = pairs[start + k].second.Magnitude();
+        expected[k] = rd.Divides(batch[k]);
       }
       bool vec_out[simd::kRedcLanes];
-      rd.DividesBatch(std::span<const BigInt* const>(batch, count), vec_out);
+      rd.DividesBatch(std::span<const LimbSpan>(batch, count), vec_out);
       bool scalar_out[simd::kRedcLanes];
       simd::SetActiveIsa(simd::Isa::kScalar);
-      rd.DividesBatch(std::span<const BigInt* const>(batch, count),
-                      scalar_out);
+      rd.DividesBatch(std::span<const LimbSpan>(batch, count), scalar_out);
       simd::ResetActiveIsa();
       for (std::size_t k = 0; k < count; ++k) {
         ASSERT_EQ(vec_out[k], expected[k])
             << "lane " << k << "/" << count << " divisor " << divisor;
         ASSERT_EQ(scalar_out[k], expected[k])
             << "lane " << k << "/" << count << " divisor " << divisor;
-        ASSERT_EQ(expected[k], batch[k]->IsDivisibleBy(divisor));
+        ASSERT_EQ(expected[k],
+                  pairs[start + k].second.IsDivisibleBy(divisor));
       }
     }
   }
@@ -241,26 +241,24 @@ TEST(SimdKernels, DividesIntoBatchMatchesIsDivisibleBy) {
     // product of two pool divisors.
     const BigInt dividend = pairs[start].first * pairs[start + 1].first;
     for (std::size_t count = 1; count <= simd::kRedcLanes; ++count) {
-      const BigInt* divisors[simd::kRedcLanes];
+      LimbSpan divisors[simd::kRedcLanes];
       for (std::size_t k = 0; k < count; ++k) {
-        divisors[k] = &pairs[start + k].first;
+        divisors[k] = pairs[start + k].first.Magnitude();
       }
       bool vec_out[simd::kRedcLanes];
-      DividesIntoBatch(dividend,
-                       std::span<const BigInt* const>(divisors, count),
-                       vec_out);
+      DividesIntoBatch(dividend.Magnitude(),
+                       std::span<const LimbSpan>(divisors, count), vec_out);
       bool scalar_out[simd::kRedcLanes];
       simd::SetActiveIsa(simd::Isa::kScalar);
-      DividesIntoBatch(dividend,
-                       std::span<const BigInt* const>(divisors, count),
+      DividesIntoBatch(dividend.Magnitude(),
+                       std::span<const LimbSpan>(divisors, count),
                        scalar_out);
       simd::ResetActiveIsa();
       for (std::size_t k = 0; k < count; ++k) {
-        const bool truth = dividend.IsDivisibleBy(*divisors[k]);
-        ASSERT_EQ(vec_out[k], truth)
-            << *divisors[k] << " into " << dividend;
-        ASSERT_EQ(scalar_out[k], truth)
-            << *divisors[k] << " into " << dividend;
+        const BigInt& divisor = pairs[start + k].first;
+        const bool truth = dividend.IsDivisibleBy(divisor);
+        ASSERT_EQ(vec_out[k], truth) << divisor << " into " << dividend;
+        ASSERT_EQ(scalar_out[k], truth) << divisor << " into " << dividend;
       }
     }
   }
