@@ -23,11 +23,11 @@
 #include "labeling/interval.h"
 #include "labeling/prefix.h"
 #include "labeling/prime_optimized.h"
+#include "planner/executor.h"
 #include "store/catalog.h"
 #include "store/label_table.h"
 #include "xml/parser.h"
 #include "xml/stats.h"
-#include "xpath/evaluator.h"
 
 namespace {
 
@@ -126,11 +126,9 @@ int RunQuery(const std::string& file, const std::string& query) {
   OrderedPrimeScheme scheme;
   scheme.LabelTree(tree);
   LabelTable table(tree);
-  QueryContext ctx;
-  ctx.table = &table;
-  ctx.oracle = &scheme;
-  XPathEvaluator evaluator(&ctx);
-  Result<std::vector<NodeId>> result = evaluator.Evaluate(query);
+  EvalStats stats;
+  Result<std::vector<NodeId>> result =
+      ExecuteXPath(table, scheme, query, /*num_workers=*/1, &stats);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
@@ -138,9 +136,9 @@ int RunQuery(const std::string& file, const std::string& query) {
   for (NodeId id : result.value()) {
     std::cout << PathOf(tree, id) << "\n";
   }
-  std::cerr << result->size() << " node(s); " << ctx.stats.rows_scanned
-            << " rows scanned, " << ctx.stats.label_tests << " label tests, "
-            << ctx.stats.order_lookups << " order lookups\n";
+  std::cerr << result->size() << " node(s); " << stats.rows_scanned
+            << " rows scanned, " << stats.label_tests << " label tests, "
+            << stats.order_lookups << " order lookups\n";
   return 0;
 }
 

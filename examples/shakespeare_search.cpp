@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "core/ordered_prime_scheme.h"
+#include "planner/executor.h"
 #include "store/label_table.h"
 #include "xml/shakespeare.h"
 #include "xml/stats.h"
-#include "xpath/evaluator.h"
 
 int main(int argc, char** argv) {
   using namespace primelabel;
@@ -27,11 +27,7 @@ int main(int argc, char** argv) {
   OrderedPrimeScheme scheme(/*sc_group_size=*/5);
   scheme.LabelTree(corpus);
   LabelTable table(corpus);
-
-  QueryContext ctx;
-  ctx.table = &table;
-  ctx.oracle = &scheme;
-  XPathEvaluator evaluator(&ctx);
+  EvalStats stats;
 
   std::vector<std::string> queries;
   if (argc > 1) {
@@ -47,7 +43,8 @@ int main(int argc, char** argv) {
   }
 
   for (const std::string& query : queries) {
-    Result<std::vector<NodeId>> result = evaluator.Evaluate(query);
+    Result<std::vector<NodeId>> result =
+        ExecuteXPath(table, scheme, query, /*num_workers=*/1, &stats);
     if (!result.ok()) {
       std::cout << query << "\n  error: " << result.status().ToString()
                 << "\n\n";
@@ -63,9 +60,9 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n\n";
   }
-  std::cout << "Query engine stats: " << ctx.stats.rows_scanned
-            << " rows scanned, " << ctx.stats.label_tests
-            << " label tests, " << ctx.stats.order_lookups
+  std::cout << "Query engine stats: " << stats.rows_scanned
+            << " rows scanned, " << stats.label_tests
+            << " label tests, " << stats.order_lookups
             << " order lookups\n";
   return 0;
 }

@@ -9,7 +9,6 @@
 
 #include "bigint/reduction.h"
 #include "bigint/simd.h"
-#include "util/thread_pool.h"
 #include "xml/tree.h"
 
 namespace primelabel {
@@ -34,12 +33,9 @@ namespace primelabel {
 //      ReciprocalDivisor is built once per anchor run; SelectAncestors
 //      flips the roles (one dividend, many divisors) and sweeps through
 //      DividesIntoBatch.
-//   3. `shards` (StructureOracle::BatchShards) fans the input across a
-//      private pool. Shards write disjoint result slots, or per-shard
-//      buffers concatenated in shard order, so every worker count is
-//      bit-identical to the sequential run.
-
-using BatchShardRanges = std::vector<std::pair<std::size_t, std::size_t>>;
+//
+// Each kernel is one sequential sweep. Parallelism lives one level up, in
+// the join executor's anchor fan-out (QueryContext::num_workers).
 
 /// What a candidate is tested to be relative to its anchor, which fixes
 /// the divisibility direction: an anchor's label divides its
@@ -48,14 +44,14 @@ enum class Relation { kDescendant, kAncestor };
 
 namespace batch_internal {
 
-/// The loop every kernel runs over items [begin, end): pair_at(i) yields
+/// The loop every kernel runs over items [0, count): pair_at(i) yields
 /// item i's (anchor, candidate), and emit(i, related) receives the exact
 /// verdict of every fingerprint survivor, in item order. Items the screen
 /// rejects are not emitted.
 template <Relation kCandidate, typename Column, typename PairAt,
           typename Emit>
-void SweepRange(const Column& column, std::size_t begin, std::size_t end,
-                const PairAt& pair_at, const Emit& emit) {
+void Sweep(const Column& column, std::size_t count, const PairAt& pair_at,
+           const Emit& emit) {
   constexpr bool kAnchorDivides = kCandidate == Relation::kDescendant;
   ReciprocalDivisor divisor;
   NodeId anchor = kInvalidNodeId;
@@ -77,7 +73,7 @@ void SweepRange(const Column& column, std::size_t begin, std::size_t end,
     }
     pending = 0;
   };
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const auto [a, c] = pair_at(i);
     if (a == c) continue;
     const LabelFingerprint& anchor_fp = column.fingerprint(a);
@@ -100,39 +96,19 @@ void SweepRange(const Column& column, std::size_t begin, std::size_t end,
   flush();
 }
 
-/// Runs run(shard, begin, end) for every shard on a private pool.
-template <typename Run>
-void RunShards(const BatchShardRanges& shards, const Run& run) {
-  ThreadPool pool(static_cast<int>(shards.size()));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    pool.Submit([&run, s, range = shards[s]] {
-      run(s, range.first, range.second);
-    });
-  }
-  pool.Wait();
-}
-
 }  // namespace batch_internal
 
 /// StructureOracle::IsAncestorBatch over `column`.
 template <typename Column>
 void IsAncestorBatchKernel(const Column& column,
                            std::span<const std::pair<NodeId, NodeId>> pairs,
-                           const BatchShardRanges& shards,
                            std::vector<std::uint8_t>* results) {
   results->assign(pairs.size(), 0);
-  auto run = [&](std::size_t, std::size_t begin, std::size_t end) {
-    batch_internal::SweepRange<Relation::kDescendant>(
-        column, begin, end, [&](std::size_t i) { return pairs[i]; },
-        [results](std::size_t i, bool ancestor) {
-          (*results)[i] = ancestor ? 1 : 0;
-        });
-  };
-  if (shards.empty()) {
-    run(0, 0, pairs.size());
-  } else {
-    batch_internal::RunShards(shards, run);
-  }
+  batch_internal::Sweep<Relation::kDescendant>(
+      column, pairs.size(), [&](std::size_t i) { return pairs[i]; },
+      [results](std::size_t i, bool ancestor) {
+        (*results)[i] = ancestor ? 1 : 0;
+      });
 }
 
 /// StructureOracle::SelectDescendants (kDescendant) and SelectAncestors
@@ -141,28 +117,13 @@ void IsAncestorBatchKernel(const Column& column,
 template <Relation kCandidate, typename Column>
 void SelectKernel(const Column& column, NodeId anchor,
                   std::span<const NodeId> candidates,
-                  const BatchShardRanges& shards, std::vector<NodeId>* out) {
-  auto run = [&](std::size_t begin, std::size_t end,
-                 std::vector<NodeId>* dst) {
-    batch_internal::SweepRange<kCandidate>(
-        column, begin, end,
-        [&](std::size_t i) { return std::pair(anchor, candidates[i]); },
-        [&](std::size_t i, bool related) {
-          if (related) dst->push_back(candidates[i]);
-        });
-  };
-  if (shards.empty()) {
-    run(0, candidates.size(), out);
-    return;
-  }
-  std::vector<std::vector<NodeId>> parts(shards.size());
-  batch_internal::RunShards(
-      shards, [&](std::size_t s, std::size_t begin, std::size_t end) {
-        run(begin, end, &parts[s]);
+                  std::vector<NodeId>* out) {
+  batch_internal::Sweep<kCandidate>(
+      column, candidates.size(),
+      [&](std::size_t i) { return std::pair(anchor, candidates[i]); },
+      [&](std::size_t i, bool related) {
+        if (related) out->push_back(candidates[i]);
       });
-  for (const auto& part : parts) {
-    out->insert(out->end(), part.begin(), part.end());
-  }
 }
 
 }  // namespace primelabel

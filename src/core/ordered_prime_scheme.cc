@@ -84,24 +84,21 @@ struct SchemeLabelColumn {
 void OrderedPrimeScheme::IsAncestorBatch(
     std::span<const std::pair<NodeId, NodeId>> pairs,
     std::vector<std::uint8_t>* results) const {
-  IsAncestorBatchKernel(SchemeLabelColumn{structure_}, pairs,
-                        BatchShards(pairs.size()), results);
+  IsAncestorBatchKernel(SchemeLabelColumn{structure_}, pairs, results);
 }
 
 void OrderedPrimeScheme::SelectDescendants(NodeId ancestor,
                                            std::span<const NodeId> candidates,
                                            std::vector<NodeId>* out) const {
   SelectKernel<Relation::kDescendant>(SchemeLabelColumn{structure_}, ancestor,
-                                      candidates,
-                                      BatchShards(candidates.size()), out);
+                                      candidates, out);
 }
 
 void OrderedPrimeScheme::SelectAncestors(NodeId descendant,
                                          std::span<const NodeId> candidates,
                                          std::vector<NodeId>* out) const {
   SelectKernel<Relation::kAncestor>(SchemeLabelColumn{structure_}, descendant,
-                                    candidates,
-                                    BatchShards(candidates.size()), out);
+                                    candidates, out);
 }
 
 ScUpdateStats OrderedPrimeScheme::RegisterOrder(NodeId new_node) {

@@ -1,33 +1,6 @@
 #include "core/structure_oracle.h"
 
-#include <algorithm>
-
-#include "util/thread_pool.h"
-
 namespace primelabel {
-
-std::vector<std::pair<std::size_t, std::size_t>> StructureOracle::BatchShards(
-    std::size_t total) const {
-  if (query_workers_ <= 1 || ThreadPool::InWorkerThread() ||
-      total < 2 * kMinBatchItemsPerWorker) {
-    return {};
-  }
-  const std::size_t shards =
-      std::min(static_cast<std::size_t>(query_workers_),
-               total / kMinBatchItemsPerWorker);
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  ranges.reserve(shards);
-  // Even split; the first (total % shards) ranges take one extra item.
-  const std::size_t base = total / shards;
-  const std::size_t extra = total % shards;
-  std::size_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t end = begin + base + (s < extra ? 1 : 0);
-    ranges.emplace_back(begin, end);
-    begin = end;
-  }
-  return ranges;
-}
 
 void StructureOracle::IsAncestorBatch(
     std::span<const std::pair<NodeId, NodeId>> pairs,

@@ -35,23 +35,9 @@ using OrderFn = std::function<std::uint64_t(NodeId)>;
 /// per-test setup (the bigint division scratch buffers) out of the loop.
 /// The defaults simply loop over the pairwise calls, so implementing the
 /// three scalar queries is enough for correctness.
-///
-/// Large batches can additionally fan across threads: set_query_workers
-/// publishes a worker budget, and implementations shard a batch into
-/// contiguous index ranges (BatchShards) processed on a private pool.
-/// Shards write to disjoint output ranges (or per-shard buffers merged in
-/// shard order), so results — values and ordering — are bit-identical to
-/// the sequential path at every worker count.
 class StructureOracle {
  public:
   virtual ~StructureOracle() = default;
-
-  /// Sets the worker-thread budget for the batch entry points (clamped to
-  /// >= 1; 1 = sequential, the default). Plain data, not synchronized:
-  /// set it before issuing queries, not concurrently with them. Purely a
-  /// speed knob — results are identical at any setting.
-  void set_query_workers(int n) { query_workers_ = n < 1 ? 1 : n; }
-  int query_workers() const { return query_workers_; }
 
   /// True iff `x` is a proper ancestor of `y`, decided from labels only.
   virtual bool IsAncestor(NodeId x, NodeId y) const = 0;
@@ -99,23 +85,6 @@ class StructureOracle {
   virtual void SelectAncestors(NodeId descendant,
                                std::span<const NodeId> candidates,
                                std::vector<NodeId>* out) const;
-
- protected:
-  /// Below this many items per worker a shard is not worth a thread: the
-  /// fan-out/join overhead exceeds the limb work it offloads.
-  static constexpr std::size_t kMinBatchItemsPerWorker = 512;
-
-  /// Splits [0, total) into contiguous (begin, end) ranges for the batch
-  /// kernels — at most query_workers() of them, each at least
-  /// kMinBatchItemsPerWorker long. Empty means "run sequentially": one
-  /// worker, a batch too small to shard, or the caller is already on a
-  /// ThreadPool worker (a parallel join fanning over a parallel oracle
-  /// must not nest pools).
-  std::vector<std::pair<std::size_t, std::size_t>> BatchShards(
-      std::size_t total) const;
-
- private:
-  int query_workers_ = 1;
 };
 
 /// Adapts any (LabelingScheme, OrderFn) pair to the oracle interface —

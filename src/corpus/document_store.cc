@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "xpath/evaluator.h"
-#include "xpath/parser.h"
+#include "planner/compiler.h"
+#include "planner/executor.h"
 
 namespace primelabel {
 
@@ -39,21 +39,15 @@ const OrderedPrimeScheme& DocumentStore::scheme(DocId doc) const {
 
 Result<DocumentStore::QueryResult> DocumentStore::Query(
     std::string_view xpath) const {
-  Result<XPathQuery> parsed = ParseXPath(xpath);
-  if (!parsed.ok()) return parsed.status();
-  return Query(parsed.value());
-}
-
-DocumentStore::QueryResult DocumentStore::Query(
-    const XPathQuery& query) const {
+  Result<PhysicalPlan> plan = PlanCompiler::Compile(xpath);
+  if (!plan.ok()) return plan.status();
   QueryResult result;
   for (std::size_t d = 0; d < documents_.size(); ++d) {
     const Document& doc = documents_[d];
     QueryContext ctx;
     ctx.table = doc.table.get();
     ctx.oracle = doc.scheme.get();
-    XPathEvaluator evaluator(&ctx);
-    for (NodeId node : evaluator.Evaluate(query)) {
+    for (NodeId node : ExecutePlan(plan.value(), ctx)) {
       result.hits.push_back({static_cast<DocId>(d), node});
     }
     result.stats += ctx.stats;

@@ -11,7 +11,6 @@
 #include "store/plan.h"
 #include "util/status.h"
 #include "xml/tree.h"
-#include "xpath/ast.h"
 
 namespace primelabel {
 
@@ -58,11 +57,9 @@ class DocumentStore {
   const XmlTree& document(DocId doc) const;
   const OrderedPrimeScheme& scheme(DocId doc) const;
 
-  /// Evaluates the query against every document (kParseError on bad
-  /// syntax).
+  /// Evaluates the query against every document: compiled once, its plan
+  /// executed per document (kParseError on bad syntax).
   Result<QueryResult> Query(std::string_view xpath) const;
-  /// Same, for a pre-parsed query.
-  QueryResult Query(const XPathQuery& query) const;
 
   /// Largest label across the corpus — with per-document labeling this is
   /// the max over per-file maxima, the quantity Figure 14 stores.

@@ -79,10 +79,11 @@ class Snapshot {
   /// order, and the batched entry points, decidable with no tree locks.
   const StructureOracle& oracle() const { return view_->oracle(); }
 
-  /// Evaluates an XPath against the frozen view. Concurrency-safe across
-  /// sessions sharing the view (per-call QueryContext; the label table
-  /// was force-built at materialization). `num_workers` fans the batched
-  /// join executor without mutating shared state.
+  /// Evaluates an XPath against the frozen view through the planner,
+  /// uncached (ExecuteXPath). Concurrency-safe across sessions sharing the
+  /// view (per-call QueryContext; the label table was force-built at
+  /// materialization). `num_workers` fans the batched join executor
+  /// without mutating shared state.
   Result<std::vector<NodeId>> Query(std::string_view xpath,
                                     int num_workers = 1) const;
 

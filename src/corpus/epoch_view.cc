@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "xpath/evaluator.h"
+#include "planner/executor.h"
 
 namespace primelabel {
 
@@ -52,6 +52,10 @@ std::size_t EpochView::node_count() const {
   return arena_backed() ? catalog_->row_count() : doc_->tree().node_count();
 }
 
+std::size_t EpochView::id_limit() const {
+  return arena_backed() ? catalog_->row_count() : doc_->tree().arena_size();
+}
+
 const StructureOracle& EpochView::oracle() const {
   if (arena_backed()) return *catalog_;
   return doc_->scheme();
@@ -67,7 +71,7 @@ std::size_t EpochView::label_store_bytes() const {
 
 Result<std::vector<NodeId>> EpochView::Query(std::string_view xpath,
                                              int num_workers) const {
-  return EvaluateSnapshot(label_table(), oracle(), xpath, num_workers);
+  return ExecuteXPath(label_table(), oracle(), xpath, num_workers);
 }
 
 const LabeledDocument& EpochView::document() const {

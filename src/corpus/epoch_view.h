@@ -53,6 +53,12 @@ class EpochView {
   /// Rows in the view — equals the document's attached node count.
   std::size_t node_count() const;
 
+  /// One past the largest NodeId the oracle can index: the row count of
+  /// an arena view, the tree's arena size (detached slots included) of a
+  /// heap view. The oracle's batch kernels do not bound-check ids, so
+  /// callers holding untrusted ids check them against this first.
+  std::size_t id_limit() const;
+
   /// The frozen structural oracle (ancestry, order, batched kernels).
   const StructureOracle& oracle() const;
 
@@ -64,7 +70,8 @@ class EpochView {
   /// heap views report the per-view BigInt + fingerprint + SC footprint.
   std::size_t label_store_bytes() const;
 
-  /// Evaluates an XPath against the frozen view (document order).
+  /// Evaluates an XPath against the frozen view through the planner
+  /// (document order).
   Result<std::vector<NodeId>> Query(std::string_view xpath,
                                     int num_workers) const;
 

@@ -2,9 +2,9 @@
 
 #include <unordered_map>
 
+#include "planner/executor.h"
 #include "store/catalog.h"
 #include "xml/parser.h"
-#include "xpath/evaluator.h"
 
 namespace primelabel {
 
@@ -35,11 +35,7 @@ const LabelTable& LabeledDocument::table() const {
 
 Result<std::vector<NodeId>> LabeledDocument::Query(
     std::string_view xpath) const {
-  QueryContext ctx;
-  ctx.table = &table();
-  ctx.oracle = scheme_.get();
-  XPathEvaluator evaluator(&ctx);
-  return evaluator.Evaluate(xpath);
+  return ExecuteXPath(table(), *scheme_, xpath);
 }
 
 NodeId LabeledDocument::Finish(NodeId fresh) {

@@ -17,9 +17,10 @@ namespace primelabel {
 
 /// One-stop facade over the full pipeline: parse -> prime-label -> index ->
 /// query -> update -> persist. The individual pieces (XmlTree,
-/// OrderedPrimeScheme, LabelTable, XPathEvaluator, catalog) stay available
-/// for callers who need control; this class wires them correctly for the
-/// common case and keeps the label bookkeeping in sync with mutations.
+/// OrderedPrimeScheme, LabelTable, the XPath planner, catalog) stay
+/// available for callers who need control; this class wires them correctly
+/// for the common case and keeps the label bookkeeping in sync with
+/// mutations.
 class LabeledDocument {
  public:
   /// Parses and labels a document (kParseError on malformed XML).
@@ -62,7 +63,8 @@ class LabeledDocument {
   const LabelTable& label_table() const { return table(); }
 
   /// Evaluates an XPath (Table 2 subset + attribute predicates + reverse
-  /// axes) against the current labels. Results in document order.
+  /// axes) against the current labels through the planner (ExecuteXPath).
+  /// Results in document order.
   Result<std::vector<NodeId>> Query(std::string_view xpath) const;
 
   // --- Updates (labels maintained incrementally) -------------------------

@@ -106,10 +106,4 @@ Result<PhysicalPlan> PlanCompiler::Compile(std::string_view xpath) {
   return Compile(parsed.value());
 }
 
-Result<std::string> PlanCompiler::Normalize(std::string_view xpath) {
-  Result<XPathQuery> parsed = ParseXPath(xpath);
-  if (!parsed.ok()) return parsed.status();
-  return parsed.value().ToString();
-}
-
 }  // namespace primelabel

@@ -37,10 +37,6 @@ class PlanCompiler {
 
   /// Lowers an already-parsed query.
   static PhysicalPlan Compile(const XPathQuery& query);
-
-  /// Canonical cache key: parse + round-trip, so "/play//act" and
-  /// "//play//act" (which the grammar roots identically) share one entry.
-  static Result<std::string> Normalize(std::string_view xpath);
 };
 
 }  // namespace primelabel

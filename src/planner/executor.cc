@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "util/status.h"
+#include "planner/compiler.h"
 
 namespace primelabel {
 
@@ -131,6 +131,21 @@ std::vector<NodeId> ExecutePlan(const PhysicalPlan& plan,
         ctx.stats.order_lookups - run_start.order_lookups;
   }
   return *slot.back();
+}
+
+Result<std::vector<NodeId>> ExecuteXPath(const LabelTable& table,
+                                         const StructureOracle& oracle,
+                                         std::string_view xpath,
+                                         int num_workers, EvalStats* stats) {
+  Result<PhysicalPlan> plan = PlanCompiler::Compile(xpath);
+  if (!plan.ok()) return plan.status();
+  QueryContext ctx;
+  ctx.table = &table;
+  ctx.oracle = &oracle;
+  ctx.num_workers = num_workers < 1 ? 1 : num_workers;
+  std::vector<NodeId> result = ExecutePlan(plan.value(), ctx);
+  if (stats != nullptr) *stats += ctx.stats;
+  return result;
 }
 
 }  // namespace primelabel

@@ -1,18 +1,21 @@
 #ifndef PRIMELABEL_PLANNER_EXECUTOR_H_
 #define PRIMELABEL_PLANNER_EXECUTOR_H_
 
+#include <string_view>
 #include <vector>
 
 #include "planner/physical_plan.h"
 #include "store/plan.h"
+#include "util/status.h"
 
 namespace primelabel {
 
 /// Runs a compiled plan against a snapshot. Joins and sorts execute
 /// through the store/plan.h kernels (and so through the oracle's batch
 /// entry points — IsAncestorBatch / SelectDescendants / SelectAncestors,
-/// sharded per ctx.num_workers); tag scans borrow the tag index in place
-/// (no copies); predicate filters are row-local string compares.
+/// with anchor runs fanned across ctx.num_workers); tag scans borrow the
+/// tag index in place (no copies); predicate filters are row-local string
+/// compares.
 ///
 /// The returned node set is bit-identical to XPathEvaluator on the same
 /// context — the differential suite in tests/planner_test.cc holds this
@@ -23,6 +26,19 @@ namespace primelabel {
 std::vector<NodeId> ExecutePlan(const PhysicalPlan& plan,
                                 const QueryContext& ctx,
                                 PlanProfile* profile = nullptr);
+
+/// Parses, compiles and executes `xpath` over a (table, oracle) pair with
+/// a private QueryContext, caching nothing — the query path of every
+/// caller outside the query service (LabeledDocument, EpochView and so
+/// Snapshot, DocumentStore's per-document loop). Safe to call concurrently
+/// over one shared table and oracle. `num_workers` feeds the join
+/// executor's anchor fan-out; `stats` (optional) accumulates the run's
+/// counters. Fails only with kParseError.
+Result<std::vector<NodeId>> ExecuteXPath(const LabelTable& table,
+                                         const StructureOracle& oracle,
+                                         std::string_view xpath,
+                                         int num_workers = 1,
+                                         EvalStats* stats = nullptr);
 
 }  // namespace primelabel
 

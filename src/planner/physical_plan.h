@@ -16,9 +16,9 @@ namespace primelabel {
 ///
 /// Join and filter operators execute through the store/plan.h kernels,
 /// which drive the StructureOracle batch entry points (IsAncestorBatch /
-/// SelectDescendants / SelectAncestors, sharded via set_query_workers),
-/// so a planned query reaches the REDC batch engine and arena LabelView
-/// spans directly instead of through per-step evaluator calls.
+/// SelectDescendants / SelectAncestors), so a planned query reaches the
+/// REDC batch engine and arena LabelView spans directly instead of
+/// through per-step evaluator calls.
 enum class PlanOpKind {
   /// Tag-index scan: all rows with a tag (or every row for "*"), in
   /// document order. The leaf of every step.

@@ -27,8 +27,8 @@ Result<QueryPlanner::NodeSet> QueryPlanner::Query(
     int num_workers, EvalStats* stats, bool* result_cache_hit) {
   Result<std::shared_ptr<const PhysicalPlan>> plan = PlanFor(xpath);
   if (!plan.ok()) return plan.status();
-  const std::string& normalized = plan.value()->query;
-  if (NodeSet cached = results_.Lookup(normalized, epoch, journal_bytes)) {
+  ResultKey key{plan.value()->query, epoch, journal_bytes};
+  if (NodeSet cached = results_.Lookup(key)) {
     if (result_cache_hit != nullptr) *result_cache_hit = true;
     return cached;
   }
@@ -40,7 +40,7 @@ Result<QueryPlanner::NodeSet> QueryPlanner::Query(
   auto result = std::make_shared<const std::vector<NodeId>>(
       ExecutePlan(*plan.value(), ctx));
   if (stats != nullptr) *stats += ctx.stats;
-  return results_.Insert(normalized, epoch, journal_bytes, std::move(result));
+  return results_.Insert(key, std::move(result));
 }
 
 Result<std::string> QueryPlanner::Explain(const LabelTable& table,

@@ -14,31 +14,30 @@
 
 namespace primelabel {
 
-/// The planned XPATH path: parse → plan cache → batched execution →
-/// result cache, the front end the query service puts in place of the
-/// tree-walking evaluator (which survives as the differential reference).
-/// One QueryPlanner serves every session and view: plans are
-/// view-independent, results are keyed by the snapshot point
-/// (epoch, journal bytes), and both caches are internally locked —
-/// execution itself runs outside any cache lock.
+/// The query service's XPATH path: parse → plan cache → batched execution
+/// → result cache. (Callers outside the service run the same plans
+/// uncached, through ExecuteXPath.) One QueryPlanner serves every session
+/// and view: plans are view-independent, results are keyed by the
+/// snapshot point (epoch, journal bytes), and both caches are internally
+/// locked — execution itself runs outside any cache lock.
 class QueryPlanner {
  public:
-  struct Options {
-    std::size_t plan_cache_capacity = 64;
-    std::size_t result_cache_capacity = 128;
-  };
+  /// Compiled plans kept hot. Plans are view-independent, so entries
+  /// survive epoch swings.
+  static constexpr std::size_t kPlanCacheCapacity = 64;
+  /// Cached query results; swept by the same retirement listener as the
+  /// service's view cache.
+  static constexpr std::size_t kResultCacheCapacity = 128;
 
   struct Stats {
     PlanCache::Stats plan;
     ResultCache::Stats result;
   };
 
-  using NodeSet = ResultCache::NodeSet;
+  using NodeSet = std::shared_ptr<const std::vector<NodeId>>;
 
-  QueryPlanner() : QueryPlanner(Options()) {}
-  explicit QueryPlanner(const Options& options)
-      : plans_(options.plan_cache_capacity),
-        results_(options.result_cache_capacity) {}
+  QueryPlanner()
+      : plans_(kPlanCacheCapacity), results_(kResultCacheCapacity) {}
 
   /// Answers `xpath` against the snapshot identified by
   /// (epoch, journal_bytes), whose data is (table, oracle). On a result
@@ -63,7 +62,9 @@ class QueryPlanner {
   /// cached results for superseded epochs. Plans are epoch-independent
   /// and stay.
   void EvictStale(std::uint64_t current_epoch) {
-    results_.EvictStale(current_epoch);
+    results_.EraseIf([current_epoch](const ResultKey& key) {
+      return key.epoch != current_epoch;
+    });
   }
 
   void Clear() {

@@ -1,7 +1,9 @@
 #include "service/query_service.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "util/status.h"
@@ -9,13 +11,6 @@
 namespace primelabel {
 
 namespace {
-
-QueryPlanner::Options PlannerOptions(const QueryService::Options& options) {
-  QueryPlanner::Options planner;
-  planner.plan_cache_capacity = options.plan_cache_capacity;
-  planner.result_cache_capacity = options.result_cache_capacity;
-  return planner;
-}
 
 /// Items per batch-verb chunk between deadline checks. Small enough that
 /// a chunk completes in well under a millisecond on any corpus label
@@ -32,13 +27,31 @@ Status BatchDeadlineExceeded(const char* verb, std::size_t done,
                                   std::to_string(total) + " items");
 }
 
+/// The oracle's batch kernels index the view's label columns without a
+/// bound, so the batch verbs check every caller id against the view's
+/// [0, id_limit()) first and name the first id outside it.
+Status CheckIds(const Snapshot& snapshot,
+                std::initializer_list<std::span<const NodeId>> lists) {
+  const std::size_t limit = snapshot.view()->id_limit();
+  for (std::span<const NodeId> ids : lists) {
+    for (NodeId id : ids) {
+      if (id < 0 || static_cast<std::size_t>(id) >= limit) {
+        return Status::InvalidArgument(
+            "node id " + std::to_string(id) +
+            " is outside the snapshot's id range [0, " +
+            std::to_string(limit) + ")");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 QueryService::QueryService(DurableDocumentStore store, Options options)
     : store_(std::move(store)),
       options_(options),
-      cache_(options.view_cache_capacity),
-      planner_(PlannerOptions(options)) {
+      cache_(options.view_cache_capacity) {
   store_.set_view_cache(&cache_);
   if (store_.epoch_registry() != nullptr) {
     // One listener sweeps both caches: a checkpoint publish retires the
@@ -222,6 +235,8 @@ Result<std::vector<bool>> Session::IsAncestorBatch(
     return Status::InvalidArgument(
         "IsAncestorBatch requires equally sized ancestor/descendant lists");
   }
+  Status ids = CheckIds(snapshot, {ancestors, descendants});
+  if (!ids.ok()) return ids;
   QueryService::Ticket ticket(service_, state_.get());
   Status admitted = ticket.Admit();
   if (!admitted.ok()) return admitted;
@@ -255,6 +270,8 @@ Result<std::vector<NodeId>> Session::SelectDescendants(
   if (!snapshot.valid()) {
     return Status::InvalidArgument("snapshot is not open");
   }
+  Status ids = CheckIds(snapshot, {{&anchor, 1}, candidates});
+  if (!ids.ok()) return ids;
   QueryService::Ticket ticket(service_, state_.get());
   Status admitted = ticket.Admit();
   if (!admitted.ok()) return admitted;
@@ -281,6 +298,8 @@ Result<std::vector<NodeId>> Session::SelectAncestors(
   if (!snapshot.valid()) {
     return Status::InvalidArgument("snapshot is not open");
   }
+  Status ids = CheckIds(snapshot, {{&descendant, 1}, candidates});
+  if (!ids.ok()) return ids;
   QueryService::Ticket ticket(service_, state_.get());
   Status admitted = ticket.Admit();
   if (!admitted.ok()) return admitted;

@@ -47,12 +47,6 @@ class QueryService {
     std::uint64_t session_request_quota = 0;
     /// Worker fan-out for batched joins inside each query.
     int query_workers = 1;
-    /// Compiled plans kept hot (keyed by canonical query text; plans are
-    /// view-independent, so entries survive epoch swings).
-    std::size_t plan_cache_capacity = 64;
-    /// Cached query results, keyed by (canonical query, epoch, journal
-    /// bytes); swept by the same retirement listener as the view cache.
-    std::size_t result_cache_capacity = 128;
   };
 
   struct Counters {
@@ -135,7 +129,9 @@ class QueryService {
 /// unlimited). The batch verbs execute in chunks and check the deadline
 /// between chunks, so an oversized batch under a tight budget returns
 /// kDeadlineExceeded in bounded time instead of running to completion —
-/// partial results are discarded, and the session stays usable.
+/// partial results are discarded, and the session stays usable. The batch
+/// verbs answer kInvalidArgument, before any oracle call, for an id
+/// outside the snapshot's range (EpochView::id_limit).
 class Session {
  public:
   Session() = default;

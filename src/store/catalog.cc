@@ -243,21 +243,19 @@ std::uint64_t LoadedCatalog::OrderOf(NodeId id) const {
 void LoadedCatalog::IsAncestorBatch(
     std::span<const std::pair<NodeId, NodeId>> pairs,
     std::vector<std::uint8_t>* results) const {
-  IsAncestorBatchKernel(column(), pairs, BatchShards(pairs.size()), results);
+  IsAncestorBatchKernel(column(), pairs, results);
 }
 
 void LoadedCatalog::SelectDescendants(NodeId ancestor,
                                       std::span<const NodeId> candidates,
                                       std::vector<NodeId>* out) const {
-  SelectKernel<Relation::kDescendant>(column(), ancestor, candidates,
-                                      BatchShards(candidates.size()), out);
+  SelectKernel<Relation::kDescendant>(column(), ancestor, candidates, out);
 }
 
 void LoadedCatalog::SelectAncestors(NodeId descendant,
                                     std::span<const NodeId> candidates,
                                     std::vector<NodeId>* out) const {
-  SelectKernel<Relation::kAncestor>(column(), descendant, candidates,
-                                    BatchShards(candidates.size()), out);
+  SelectKernel<Relation::kAncestor>(column(), descendant, candidates, out);
 }
 
 std::vector<CatalogRow> LoadedCatalog::MaterializeRows() const {

@@ -36,12 +36,10 @@ struct QueryContext {
   const StructureOracle* oracle = nullptr;
   /// Worker threads the batched join executor may fan anchor runs across
   /// (1 = sequential, the default). Purely a speed knob: output — values
-  /// and ordering — is identical at any setting. Independent of the
-  /// oracle's own set_query_workers (a worker-thread join call suppresses
-  /// oracle-internal sharding, so the two never nest). `label_tests` may
-  /// come out higher than a sequential run's: parallel anchor groups
-  /// cannot see each other's matches, so the cross-group early-out is
-  /// lost; `rows_scanned` and `order_lookups` are unchanged.
+  /// and ordering — is identical at any setting. `label_tests` may come
+  /// out higher than a sequential run's: parallel anchor groups cannot
+  /// see each other's matches, so the cross-group early-out is lost;
+  /// `rows_scanned` and `order_lookups` are unchanged.
   int num_workers = 1;
   mutable EvalStats stats;
 };

@@ -87,19 +87,4 @@ Result<std::vector<NodeId>> XPathEvaluator::Evaluate(
   return Evaluate(parsed.value());
 }
 
-Result<std::vector<NodeId>> EvaluateSnapshot(const LabelTable& table,
-                                             const StructureOracle& oracle,
-                                             std::string_view xpath,
-                                             int num_workers,
-                                             EvalStats* stats) {
-  QueryContext ctx;
-  ctx.table = &table;
-  ctx.oracle = &oracle;
-  ctx.num_workers = num_workers < 1 ? 1 : num_workers;
-  XPathEvaluator evaluator(&ctx);
-  Result<std::vector<NodeId>> result = evaluator.Evaluate(xpath);
-  if (stats != nullptr) *stats += ctx.stats;
-  return result;
-}
-
 }  // namespace primelabel

@@ -18,6 +18,11 @@ namespace primelabel {
 /// The evaluator is deliberately scheme-agnostic: response-time differences
 /// between schemes come entirely from the cost of their label predicates
 /// and order lookups, which is exactly the comparison Figure 15 makes.
+///
+/// Library callers query through the planner (planner/executor.h). This
+/// step-at-a-time walker is kept as the reference the planner's
+/// differential tests compare against and as the engine whose counters
+/// bench_fig15_queries reports.
 class XPathEvaluator {
  public:
   /// `ctx` must outlive the evaluator; its stats accumulate across queries.
@@ -37,20 +42,6 @@ class XPathEvaluator {
 
   const QueryContext* ctx_;
 };
-
-/// One-shot evaluation against a frozen snapshot's (table, oracle) pair —
-/// the service layer's entry point. Unlike LabeledDocument::Query it never
-/// touches lazily-built document state: the caller hands in an
-/// already-built LabelTable, a private QueryContext is assembled per call
-/// (so EvalStats never race across sessions sharing one view), and
-/// `num_workers` feeds the batched join executor's fan-out without
-/// mutating the shared oracle. Safe to call concurrently from any number
-/// of sessions over the same table/oracle.
-Result<std::vector<NodeId>> EvaluateSnapshot(const LabelTable& table,
-                                             const StructureOracle& oracle,
-                                             std::string_view xpath,
-                                             int num_workers = 1,
-                                             EvalStats* stats = nullptr);
 
 }  // namespace primelabel
 

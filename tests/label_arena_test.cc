@@ -347,17 +347,23 @@ TEST_F(ArenaHeapEquivalenceTest, BatchKernelsMatch) {
 TEST_F(ArenaHeapEquivalenceTest, XPathEvaluationMatchesLiveDocument) {
   // Same query pipeline three ways: the live document, the restored
   // document's label table + scheme, and a LabelTable + oracle built over
-  // the mapped catalog.
+  // the mapped catalog — the last two through the walking evaluator.
   LabelTable arena_table(*arena_);
+  QueryContext heap_ctx;
+  heap_ctx.table = &heap_->label_table();
+  heap_ctx.oracle = &scheme();
+  QueryContext arena_ctx;
+  arena_ctx.table = &arena_table;
+  arena_ctx.oracle = &*arena_;
   for (const char* q :
        {"/play", "/play//act", "//speech/speaker", "/play//scene[2]",
         "//act[1]//speech", "//line"}) {
     Result<std::vector<NodeId>> live = doc_->Query(q);
     ASSERT_TRUE(live.ok()) << q;
     Result<std::vector<NodeId>> heap_ids =
-        EvaluateSnapshot(heap_->label_table(), scheme(), q);
+        XPathEvaluator(&heap_ctx).Evaluate(q);
     Result<std::vector<NodeId>> arena_ids =
-        EvaluateSnapshot(arena_table, *arena_, q);
+        XPathEvaluator(&arena_ctx).Evaluate(q);
     ASSERT_TRUE(heap_ids.ok()) << q;
     ASSERT_TRUE(arena_ids.ok()) << q;
     EXPECT_EQ(arena_ids.value(), heap_ids.value()) << q;

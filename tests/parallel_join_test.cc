@@ -1,11 +1,10 @@
 // Parallel batched-join determinism. The worker fan-out of JoinBatched
-// (store/plan.cc) and the oracle-internal batch sharding
-// (StructureOracle::set_query_workers) are pure speed knobs: shards cover
-// contiguous index ranges and write disjoint output slots, so the result
-// — values and ordering — must be bit-identical to the sequential run at
-// every worker count, on a live OrderedPrimeScheme and on a LoadedCatalog
-// alike. These tests pin that down on a mixed-depth fixture big enough
-// (>= 1024 items per batch) to actually cross the sharding threshold.
+// (store/plan.cc, QueryContext::num_workers) is the one parallel path into
+// the oracle's batch kernels, and it is a pure speed knob: anchor groups
+// cover contiguous context ranges and OR-merge private matched bitmaps, so
+// the result — values and ordering — must be bit-identical to the
+// sequential run at every worker count, on a live OrderedPrimeScheme and
+// on a LoadedCatalog alike.
 //
 // Together with parallel_labeling_test this is the TSan target: configure
 // with -DPRIMELABEL_SANITIZE=thread and run `ctest -R Parallel` to
@@ -33,7 +32,7 @@ constexpr int kWorkerCounts[] = {1, 2, 3, 8};
 /// Shakespeare corpus with deep element chains grafted under its acts, so
 /// batches mix 1-3 limb corpus labels with multi-limb chain labels (the
 /// shape that exercises both the fingerprint reject path and real
-/// divisions inside every shard).
+/// divisions inside every anchor group).
 XmlTree DeepTree() {
   XmlTree tree = GenerateShakespeareCorpus(1);
   std::vector<NodeId> acts = tree.FindAll("act");
@@ -47,8 +46,8 @@ XmlTree DeepTree() {
   return tree;
 }
 
-/// Anchor-ish context plus a candidate pool well past the 512-items-per-
-/// worker sharding floor.
+/// A dozen anchors (enough to split into several anchor groups) plus a
+/// candidate pool of 2048.
 struct JoinInputs {
   std::vector<NodeId> context;
   std::vector<NodeId> candidates;
@@ -103,45 +102,6 @@ TEST(ParallelJoin, JoinAncestorsWorkersBitIdentical) {
   }
 }
 
-TEST(ParallelJoin, OracleBatchShardingBitIdentical) {
-  XmlTree tree = DeepTree();
-  OrderedPrimeScheme scheme(/*sc_group_size=*/5);
-  scheme.LabelTree(tree);
-  std::vector<NodeId> nodes = tree.PreorderNodes();
-  Rng rng(505);
-  // >= 1024 pairs so two or more shards actually form.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (int i = 0; i < 4096; ++i) {
-    pairs.emplace_back(nodes[rng.Below(nodes.size())],
-                       nodes[rng.Below(nodes.size())]);
-  }
-  std::vector<NodeId> candidates;
-  for (int i = 0; i < 2048; ++i) {
-    candidates.push_back(nodes[rng.Below(nodes.size())]);
-  }
-  const NodeId anchor = nodes[nodes.size() / 3];
-
-  scheme.set_query_workers(1);
-  std::vector<std::uint8_t> batch_seq;
-  scheme.IsAncestorBatch(pairs, &batch_seq);
-  std::vector<NodeId> desc_seq, anc_seq;
-  scheme.SelectDescendants(anchor, candidates, &desc_seq);
-  scheme.SelectAncestors(anchor, candidates, &anc_seq);
-
-  for (int workers : kWorkerCounts) {
-    scheme.set_query_workers(workers);
-    std::vector<std::uint8_t> batch;
-    scheme.IsAncestorBatch(pairs, &batch);
-    EXPECT_EQ(batch, batch_seq) << "workers=" << workers;
-    std::vector<NodeId> desc, anc;
-    scheme.SelectDescendants(anchor, candidates, &desc);
-    EXPECT_EQ(desc, desc_seq) << "workers=" << workers;
-    scheme.SelectAncestors(anchor, candidates, &anc);
-    EXPECT_EQ(anc, anc_seq) << "workers=" << workers;
-  }
-  scheme.set_query_workers(1);
-}
-
 TEST(ParallelJoin, CatalogJoinWorkersBitIdentical) {
   LabeledDocument doc = LabeledDocument::FromTree(DeepTree());
   const std::string path =
@@ -176,22 +136,6 @@ TEST(ParallelJoin, CatalogJoinWorkersBitIdentical) {
         << "workers=" << workers;
     EXPECT_EQ(JoinAncestors(ctx, in.context, in.candidates), anc_seq)
         << "workers=" << workers;
-  }
-
-  // Oracle-internal sharding on the catalog, too.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (int i = 0; i < 2048; ++i) {
-    pairs.emplace_back(static_cast<NodeId>(rng.Below(row_count)),
-                       static_cast<NodeId>(rng.Below(row_count)));
-  }
-  catalog.set_query_workers(1);
-  std::vector<std::uint8_t> batch_seq;
-  catalog.IsAncestorBatch(pairs, &batch_seq);
-  for (int workers : kWorkerCounts) {
-    catalog.set_query_workers(workers);
-    std::vector<std::uint8_t> batch;
-    catalog.IsAncestorBatch(pairs, &batch);
-    EXPECT_EQ(batch, batch_seq) << "workers=" << workers;
   }
 }
 

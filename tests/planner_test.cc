@@ -1,15 +1,18 @@
 // Planner suite: plan-compiler lowering shapes, planned-vs-walked
 // differential equivalence across scheme/catalog (heap and arena)
-// backends, plan/result cache units, service wiring (result-cache hits,
-// checkpoint invalidation, the EXPLAIN wire verb and STATS counters),
-// and concurrent cached execution (PlannerConcurrent runs under
-// ThreadSanitizer via the check.sh tsan leg).
+// backends and through every uncached entry point (LabeledDocument,
+// Snapshot sealed and live, DocumentStore), plan/result cache units,
+// service wiring (result-cache hits, checkpoint invalidation, the EXPLAIN
+// wire verb and STATS counters), and concurrent cached execution
+// (PlannerConcurrent runs under ThreadSanitizer via the check.sh tsan
+// leg).
 
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <random>
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus/document_store.h"
 #include "corpus/labeled_document.h"
 #include "durability/vfs.h"
 #include "planner/query_planner.h"
@@ -115,19 +119,80 @@ TEST(PlannerCompile, ExplicitAxisFirstStepJoinsEmptyContext) {
 }
 
 TEST(PlannerCompile, NormalizeCanonicalizesSpellings) {
-  Result<std::string> a = PlanCompiler::Normalize("/play/act");
-  Result<std::string> b = PlanCompiler::Normalize("//play/act");
+  // A plan's `query` is the canonical text the plan cache keys on.
+  Result<PhysicalPlan> a = PlanCompiler::Compile("/play/act");
+  Result<PhysicalPlan> b = PlanCompiler::Compile("//play/act");
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value(), b.value());
-  EXPECT_EQ(a.value(), "//play/act");
+  EXPECT_EQ(a->query, b->query);
+  EXPECT_EQ(a->query, "//play/act");
 }
 
 TEST(PlannerCompile, ParseErrorsPropagate) {
   EXPECT_FALSE(PlanCompiler::Compile("act[").ok());
-  EXPECT_FALSE(PlanCompiler::Normalize("").ok());
+  EXPECT_FALSE(PlanCompiler::Compile("").ok());
 }
 
 // --- Planned-vs-walked differential equivalence --------------------------
+
+/// The paper's Fig. 15 query set, as benched in bench_fig15_queries.
+constexpr const char* kFigure15Battery[] = {
+    "/play//act[4]",
+    "/play//act[3]//Following::act",
+    "/play//act//speaker",
+    "/act[5]//Following::speech",
+    "/speech[4]//Preceding::line",
+    "/play//act[3]//line",
+    "/play//speech[1]//Following-sibling::speech[3]",
+    "/play//speech",
+    "/play//line"};
+
+/// 60 seeded random step combinations over every axis, with attribute
+/// and position predicates.
+std::vector<std::string> RandomizedQueries() {
+  const char* tags[] = {"play", "act",     "scene", "speech",
+                        "speaker", "line", "title", "*"};
+  const char* axes[] = {"Following",         "Preceding", "Following-sibling",
+                        "Preceding-sibling", "Parent",    "Ancestor"};
+  const char* names[] = {"HAMLET", "OPHELIA", "NOBODY"};
+  std::mt19937 rng(811);
+  std::vector<std::string> queries;
+  for (int i = 0; i < 60; ++i) {
+    const int steps = 1 + static_cast<int>(rng() % 3);
+    std::string query;
+    for (int s = 0; s < steps; ++s) {
+      if (rng() % 3 == 0) {
+        query += "//";
+        query += axes[rng() % 6];
+        query += "::";
+      } else {
+        query += rng() % 2 == 0 ? "//" : "/";
+      }
+      query += tags[rng() % 8];
+      if (rng() % 4 == 0) {
+        query += "[@name='";
+        query += names[rng() % 3];
+        query += "']";
+      }
+      if (rng() % 3 == 0) {
+        query += '[';
+        query += std::to_string(1 + rng() % 4);
+        query += ']';
+      }
+    }
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
+
+/// The Fig. 15 battery followed by the randomized queries.
+std::vector<std::string> DifferentialQueries() {
+  std::vector<std::string> queries(std::begin(kFigure15Battery),
+                                   std::end(kFigure15Battery));
+  for (std::string& query : RandomizedQueries()) {
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
 
 /// One (table, oracle) backend the differential battery runs on: the live
 /// prime scheme or a zero-copy mmap arena catalog — the planner and
@@ -178,14 +243,7 @@ class PlannerDifferentialTest : public ::testing::TestWithParam<const char*> {
 };
 
 TEST_P(PlannerDifferentialTest, Figure15Battery) {
-  // The paper's Fig. 15 query set, as benched in bench_fig15_queries.
-  for (const char* query :
-       {"/play//act[4]", "/play//act[3]//Following::act", "/play//act//speaker",
-        "/act[5]//Following::speech", "/speech[4]//Preceding::line",
-        "/play//act[3]//line", "/play//speech[1]//Following-sibling::speech[3]",
-        "/play//speech", "/play//line"}) {
-    ExpectSame(query);
-  }
+  for (const char* query : kFigure15Battery) ExpectSame(query);
 }
 
 TEST_P(PlannerDifferentialTest, AxisAndPredicateCoverage) {
@@ -207,37 +265,7 @@ TEST_P(PlannerDifferentialTest, AxisAndPredicateCoverage) {
 }
 
 TEST_P(PlannerDifferentialTest, RandomizedStepCombinations) {
-  const char* tags[] = {"play", "act",     "scene", "speech",
-                        "speaker", "line", "title", "*"};
-  const char* axes[] = {"Following",         "Preceding", "Following-sibling",
-                        "Preceding-sibling", "Parent",    "Ancestor"};
-  const char* names[] = {"HAMLET", "OPHELIA", "NOBODY"};
-  std::mt19937 rng(811);
-  for (int i = 0; i < 60; ++i) {
-    const int steps = 1 + static_cast<int>(rng() % 3);
-    std::string query;
-    for (int s = 0; s < steps; ++s) {
-      if (rng() % 3 == 0) {
-        query += "//";
-        query += axes[rng() % 6];
-        query += "::";
-      } else {
-        query += rng() % 2 == 0 ? "//" : "/";
-      }
-      query += tags[rng() % 8];
-      if (rng() % 4 == 0) {
-        query += "[@name='";
-        query += names[rng() % 3];
-        query += "']";
-      }
-      if (rng() % 3 == 0) {
-        query += '[';
-        query += std::to_string(1 + rng() % 4);
-        query += ']';
-      }
-    }
-    ExpectSame(query);
-  }
+  for (const std::string& query : RandomizedQueries()) ExpectSame(query);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, PlannerDifferentialTest,
@@ -249,6 +277,103 @@ INSTANTIATE_TEST_SUITE_P(Backends, PlannerDifferentialTest,
                            }
                            return name;
                          });
+
+// --- Entry points outside the service run the planner --------------------
+
+/// The walking evaluator over (table, oracle): the reference every
+/// planner entry point is held to.
+std::vector<NodeId> Walk(const LabelTable& table,
+                         const StructureOracle& oracle,
+                         const std::string& query,
+                         EvalStats* stats = nullptr) {
+  QueryContext ctx;
+  ctx.table = &table;
+  ctx.oracle = &oracle;
+  Result<std::vector<NodeId>> walked = XPathEvaluator(&ctx).Evaluate(query);
+  EXPECT_TRUE(walked.ok()) << query << ": " << walked.status().ToString();
+  if (stats != nullptr) *stats += ctx.stats;
+  return walked.ok() ? walked.value() : std::vector<NodeId>();
+}
+
+TEST(PlannerEntryPoints, LabeledDocumentQueryMatchesEvaluator) {
+  LabeledDocument doc = LabeledDocument::FromTree(DiffPlay(), /*group=*/5);
+  for (const std::string& query : DifferentialQueries()) {
+    Result<std::vector<NodeId>> planned = doc.Query(query);
+    ASSERT_TRUE(planned.ok()) << query;
+    EXPECT_EQ(planned.value(), Walk(doc.label_table(), doc.scheme(), query))
+        << query;
+  }
+}
+
+TEST(PlannerEntryPoints, SnapshotQueryMatchesEvaluatorSealedAndLive) {
+  const std::string dir = TempPath("planner-entry-snapshot");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  Result<DurableDocumentStore> store =
+      DurableDocumentStore::Create(dir, SerializeXml(DiffPlay()));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto expect_same = [](const Snapshot& snap) {
+    for (const std::string& query : DifferentialQueries()) {
+      Result<std::vector<NodeId>> planned = snap.Query(query);
+      ASSERT_TRUE(planned.ok()) << query;
+      EXPECT_EQ(planned.value(),
+                Walk(snap.view()->label_table(), snap.oracle(), query))
+          << query;
+    }
+  };
+
+  Result<Snapshot> sealed = store->OpenSnapshot();
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_TRUE(sealed->arena_backed());
+  expect_same(*sealed);
+
+  // Journal frames on top of the snapshot: the view replays them.
+  const std::vector<NodeId> scenes = store->Query("//scene").value();
+  ASSERT_GE(scenes.size(), 2u);
+  ASSERT_TRUE(store->AppendChild(scenes[0], "speech").ok());
+  ASSERT_TRUE(store->InsertBefore(scenes[1], "scene").ok());
+  Result<Snapshot> live = store->OpenSnapshot();
+  ASSERT_TRUE(live.ok());
+  ASSERT_GT(live->journal_bytes(), sealed->journal_bytes());
+  EXPECT_FALSE(live->arena_backed());
+  expect_same(*live);
+  fs::remove_all(dir, ec);
+}
+
+TEST(PlannerEntryPoints, DocumentStoreQueryMatchesEvaluator) {
+  DocumentStore store;
+  for (int i = 0; i < 3; ++i) {
+    PlayOptions options;
+    options.acts = 3;
+    options.scenes_per_act = 2;
+    options.min_speeches_per_scene = 2;
+    options.max_speeches_per_scene = 4;
+    options.seed = 29 + static_cast<std::uint64_t>(i);
+    store.AddDocument("play-" + std::to_string(i),
+                      GeneratePlay("diff", options));
+  }
+  for (const std::string& query : DifferentialQueries()) {
+    Result<DocumentStore::QueryResult> planned = store.Query(query);
+    ASSERT_TRUE(planned.ok()) << query;
+    std::vector<DocumentStore::Hit> walked;
+    EvalStats walked_stats;
+    for (std::size_t d = 0; d < store.document_count(); ++d) {
+      const auto doc = static_cast<DocumentStore::DocId>(d);
+      const LabelTable table(store.document(doc));
+      for (NodeId node :
+           Walk(table, store.scheme(doc), query, &walked_stats)) {
+        walked.push_back({doc, node});
+      }
+    }
+    EXPECT_EQ(planned->hits, walked) << query;
+    // Predicate pushdown is the planner's only change to label tests.
+    if (query.find('@') == std::string::npos &&
+        query.find("text()") == std::string::npos) {
+      EXPECT_EQ(planned->stats.label_tests, walked_stats.label_tests)
+          << query;
+    }
+  }
+}
 
 // --- Cache units ----------------------------------------------------------
 
@@ -282,43 +407,72 @@ TEST(PlannerCache, PlanCacheRacingInsertKeepsExisting) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-ResultCache::NodeSet MakeResult(std::vector<NodeId> ids) {
+QueryPlanner::NodeSet MakeResult(std::vector<NodeId> ids) {
   return std::make_shared<const std::vector<NodeId>>(std::move(ids));
 }
 
 TEST(PlannerCache, ResultCacheKeysOnSnapshotPoint) {
   ResultCache cache(8);
-  cache.Insert("//a", /*epoch=*/1, /*journal_bytes=*/8, MakeResult({1, 2}));
-  cache.Insert("//a", /*epoch=*/1, /*journal_bytes=*/40, MakeResult({1, 2, 3}));
-  cache.Insert("//a", /*epoch=*/2, /*journal_bytes=*/8, MakeResult({7}));
+  cache.Insert({"//a", /*epoch=*/1, /*journal_bytes=*/8}, MakeResult({1, 2}));
+  cache.Insert({"//a", /*epoch=*/1, /*journal_bytes=*/40},
+               MakeResult({1, 2, 3}));
+  cache.Insert({"//a", /*epoch=*/2, /*journal_bytes=*/8}, MakeResult({7}));
   EXPECT_EQ(cache.size(), 3u);
-  ASSERT_NE(cache.Lookup("//a", 1, 8), nullptr);
-  EXPECT_EQ(cache.Lookup("//a", 1, 8)->size(), 2u);
-  EXPECT_EQ(cache.Lookup("//a", 1, 40)->size(), 3u);
-  EXPECT_EQ(cache.Lookup("//a", 2, 8)->size(), 1u);
-  EXPECT_EQ(cache.Lookup("//b", 1, 8), nullptr);
+  ASSERT_NE(cache.Lookup({"//a", 1, 8}), nullptr);
+  EXPECT_EQ(cache.Lookup({"//a", 1, 8})->size(), 2u);
+  EXPECT_EQ(cache.Lookup({"//a", 1, 40})->size(), 3u);
+  EXPECT_EQ(cache.Lookup({"//a", 2, 8})->size(), 1u);
+  EXPECT_EQ(cache.Lookup({"//b", 1, 8}), nullptr);
 }
 
 TEST(PlannerCache, ResultCacheEvictStaleDropsSupersededEpochs) {
-  ResultCache cache(8);
-  cache.Insert("//a", 1, 8, MakeResult({1}));
-  cache.Insert("//b", 1, 24, MakeResult({2}));
-  cache.Insert("//a", 2, 8, MakeResult({3}));
-  cache.EvictStale(/*current_epoch=*/2);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().invalidations, 2u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_NE(cache.Lookup("//a", 2, 8), nullptr);
+  // Through QueryPlanner::EvictStale, the sweep the retirement listener
+  // runs: results for every epoch but the current one are invalidated.
+  Result<LabeledDocument> doc =
+      LabeledDocument::FromXml("<a><b/><b/><c/></a>");
+  ASSERT_TRUE(doc.ok());
+  QueryPlanner planner;
+  auto query = [&](const char* xpath, std::uint64_t epoch,
+                   std::uint64_t journal_bytes) {
+    bool hit = false;
+    EXPECT_TRUE(planner
+                    .Query(doc->label_table(), doc->scheme(), epoch,
+                           journal_bytes, xpath, /*num_workers=*/1,
+                           /*stats=*/nullptr, &hit)
+                    .ok());
+    return hit;
+  };
+  query("//b", 1, 8);
+  query("//c", 1, 24);
+  query("//b", 2, 8);
+  planner.EvictStale(/*current_epoch=*/2);
+  const QueryPlanner::Stats stats = planner.stats();
+  EXPECT_EQ(stats.result.invalidations, 2u);
+  EXPECT_EQ(stats.result.evictions, 0u);
+  EXPECT_TRUE(query("//b", 2, 8));
+  EXPECT_FALSE(query("//b", 1, 8));
 }
 
 TEST(PlannerCache, ResultCacheLruBoundsCapacity) {
   ResultCache cache(2);
-  cache.Insert("//a", 1, 8, MakeResult({1}));
-  cache.Insert("//b", 1, 8, MakeResult({2}));
-  cache.Insert("//c", 1, 8, MakeResult({3}));
+  cache.Insert({"//a", 1, 8}, MakeResult({1}));
+  cache.Insert({"//b", 1, 8}, MakeResult({2}));
+  cache.Insert({"//c", 1, 8}, MakeResult({3}));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.Lookup("//a", 1, 8), nullptr);
+  EXPECT_EQ(cache.Lookup({"//a", 1, 8}), nullptr);
+}
+
+TEST(PlannerCache, ClearCountsNothing) {
+  ResultCache cache(4);
+  cache.Insert({"//a", 1, 8}, MakeResult({1}));
+  cache.Insert({"//b", 1, 8}, MakeResult({2}));
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  const ResultCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.invalidations, 0u);
+  EXPECT_EQ(cache.Lookup({"//a", 1, 8}), nullptr);
 }
 
 // --- Service wiring -------------------------------------------------------
@@ -386,19 +540,26 @@ TEST(PlannerService, CheckpointInvalidatesCachedResults) {
 }
 
 TEST(PlannerService, PlannerPathMatchesEvaluatorFallback) {
-  // Session::Query runs the compiled plan; Snapshot::Query runs the
-  // tree-walking evaluator over the same frozen view.
+  // Session::Query runs the cached compiled plan; the reference is the
+  // tree-walking evaluator over the same frozen view's (table, oracle),
+  // and Snapshot::Query runs the planner uncached.
   QueryService service = MakePlannerService(TempPath("planner-svc-diff"));
   Result<Session> session = service.OpenSession();
   ASSERT_TRUE(session.ok());
   Result<Snapshot> snap = session->OpenSnapshot();
   ASSERT_TRUE(snap.ok());
+  QueryContext ctx;
+  ctx.table = &snap->view()->label_table();
+  ctx.oracle = &snap->oracle();
+  XPathEvaluator evaluator(&ctx);
   for (const char* query : {"//speech", "/play//act[2]//line",
                             "/play//speech[1]//Following-sibling::speech[3]"}) {
     Result<std::vector<NodeId>> planned = session->Query(*snap, query);
-    Result<std::vector<NodeId>> walked = snap->Query(query);
-    ASSERT_TRUE(planned.ok() && walked.ok()) << query;
+    Result<std::vector<NodeId>> walked = evaluator.Evaluate(query);
+    Result<std::vector<NodeId>> uncached = snap->Query(query);
+    ASSERT_TRUE(planned.ok() && walked.ok() && uncached.ok()) << query;
     EXPECT_EQ(planned.value(), walked.value()) << query;
+    EXPECT_EQ(uncached.value(), walked.value()) << query;
   }
   // Only the session path goes through the planner's caches.
   EXPECT_EQ(service.planner().stats().result.misses, 3u);

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -627,6 +628,47 @@ TEST(ServiceChaosFuzz, MalformedWireBatteryNeverKillsTheServer) {
     }
     EXPECT_EQ(lines[4].rfind("ERR ParseError", 0), 0u) << lines[4];
     EXPECT_EQ(lines[5], "OK PONG");
+  }
+
+  // 7. Node ids outside the snapshot's id range, on a sealed view and then
+  //    on a live view with journal frames: each is a typed error naming
+  //    the id (the oracle never sees it), and the connection keeps
+  //    serving.
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      std::vector<NodeId> scenes = service.store().Query("//scene").value();
+      ASSERT_FALSE(scenes.empty());
+      ASSERT_TRUE(service.store().AppendChild(scenes[0], "speech").ok());
+    }
+    const char* bad_lines[] = {"DESC 0 1 99999999", "ISANC 1 0 99999999",
+                               "ANC 99999999 1 0", "ANC 3 1 -2000000000",
+                               "DESC -7 1 3"};
+    const char* bad_ids[] = {"99999999", "99999999", "99999999",
+                             "-2000000000", "-7"};
+    std::string requests = "SNAP\nSTATS\n";
+    for (const char* line : bad_lines) {
+      requests += line;
+      requests += "\nPING\n";
+    }
+    RawConnection conn(socket_path);
+    ASSERT_TRUE(conn.ok());
+    conn.Send(requests);
+    const std::string replies = conn.DrainReplies(500);
+    std::vector<std::string> lines;
+    std::istringstream split(replies);
+    for (std::string line; std::getline(split, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2 + 2 * std::size(bad_lines)) << replies;
+    EXPECT_EQ(lines[0].rfind("OK ", 0), 0u) << lines[0];
+    EXPECT_NE(lines[1].find(round == 0 ? "MODE arena" : "MODE heap"),
+              std::string::npos)
+        << lines[1];
+    for (std::size_t i = 0; i < std::size(bad_lines); ++i) {
+      const std::string& error = lines[2 + 2 * i];
+      EXPECT_EQ(error.rfind("ERR InvalidArgument", 0), 0u)
+          << bad_lines[i] << " -> " << error;
+      EXPECT_NE(error.find(bad_ids[i]), std::string::npos) << error;
+      EXPECT_EQ(lines[3 + 2 * i], "OK PONG") << bad_lines[i];
+    }
   }
 
   // After the whole battery the server serves a pristine session.

@@ -355,6 +355,63 @@ TEST(SnapshotServiceBatch, BatchAnswersMatchScalarOracle) {
   EXPECT_TRUE(snap->oracle().IsAncestor((*up)[0], speeches[0]));
 }
 
+TEST(SnapshotServiceBatch, OutOfRangeIdsRejectedOnSealedAndLiveViews) {
+  const std::string dir = TempDirPath("svc-id-range");
+  QueryService service = MakeService(dir);
+  Result<Session> session = service.OpenSession();
+  ASSERT_TRUE(session.ok());
+  for (bool live : {false, true}) {
+    if (live) {
+      // A journal frame on top of the snapshot: the next view is heap
+      // mode, whose id range is the tree arena rather than the row count.
+      const std::vector<NodeId> scenes =
+          service.store().Query("//scene").value();
+      ASSERT_FALSE(scenes.empty());
+      ASSERT_TRUE(service.store().AppendChild(scenes[0], "speech").ok());
+    }
+    Result<Snapshot> snap = session->OpenSnapshot();
+    ASSERT_TRUE(snap.ok());
+    ASSERT_EQ(snap->arena_backed(), !live);
+    const NodeId limit = static_cast<NodeId>(
+        live ? snap->document().tree().arena_size() : snap->node_count());
+    const std::vector<NodeId> acts = snap->Query("//act").value();
+    ASSERT_FALSE(acts.empty());
+    const NodeId good = acts[0];
+
+    for (NodeId bad : {limit, NodeId{99999999}, NodeId{-1},
+                       NodeId{-2000000000}}) {
+      const std::string name = std::to_string(bad);
+      auto expect_rejected = [&](const Status& status, const char* verb) {
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+            << verb << ' ' << bad << (live ? " live" : " sealed");
+        EXPECT_NE(status.message().find(name), std::string::npos)
+            << status.message();
+      };
+      expect_rejected(
+          session->IsAncestorBatch(*snap, {good}, {bad}).status(), "ISANC");
+      expect_rejected(
+          session->IsAncestorBatch(*snap, {bad}, {good}).status(), "ISANC");
+      expect_rejected(
+          session->SelectDescendants(*snap, good, {good, bad}).status(),
+          "DESC");
+      expect_rejected(
+          session->SelectDescendants(*snap, bad, {good}).status(), "DESC");
+      expect_rejected(
+          session->SelectAncestors(*snap, good, {bad}).status(), "ANC");
+      expect_rejected(
+          session->SelectAncestors(*snap, bad, {good}).status(), "ANC");
+    }
+    // The largest in-range id is still served, and the session stays
+    // usable after the rejections.
+    Result<std::vector<bool>> edge =
+        session->IsAncestorBatch(*snap, {0}, {limit - 1});
+    ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+    Result<std::vector<NodeId>> up =
+        session->SelectAncestors(*snap, acts[0], {0, limit - 1});
+    ASSERT_TRUE(up.ok()) << up.status().ToString();
+  }
+}
+
 // --- Wire protocol over a real socket ------------------------------------
 
 TEST(SnapshotServiceWire, RequestLineBatteryAndErrors) {
