@@ -41,12 +41,15 @@ int main() {
   OrderedPrimeScheme prime(/*sc_group_size=*/5);
   prime.LabelTree(prime_tree);
 
+  // The original acts, fixed before any insert: a new act joins
+  // FindAll("act"), so indexing the live list would land every insert
+  // before the same act. The copies share Hamlet's NodeIds.
+  const std::vector<NodeId> acts = hamlet.FindAll("act");
   long long interval_total = 0, prefix_total = 0, prime_total = 0;
   for (int act = 2; act <= 6; ++act) {
-    // Insert before the act at position `act` (appending after the last
-    // act for the final update), mirroring "between each" insertion.
+    // Insert before original act #act (after the original last act for
+    // the final update), mirroring "between each" insertion.
     auto insert_new_act = [&](XmlTree& tree) {
-      std::vector<NodeId> acts = tree.FindAll("act");
       if (act - 1 < static_cast<int>(acts.size())) {
         return tree.InsertBefore(acts[static_cast<std::size_t>(act - 1)],
                                  "act");
@@ -64,7 +67,10 @@ int main() {
     interval_total += interval_cost;
     prefix_total += prefix_cost;
     prime_total += prime_cost;
-    report.AddRow(act, interval_cost, prefix_cost, prime_cost);
+    report.AddRow(act - 1 < static_cast<int>(acts.size())
+                      ? std::to_string(act)
+                      : "after " + std::to_string(acts.size()),
+                  interval_cost, prefix_cost, prime_cost);
   }
   report.Print();
   std::cout << "\nTotals over 5 insertions: interval " << interval_total

@@ -9,7 +9,8 @@
 # real mid-stream process kills, and a fault-matrix sweep over several
 # workload seeds), and a service leg (query_server over a Unix socket
 # with a live background writer: client smoke battery, an EXPLAIN smoke
-# of the plan compiler, result-cache invalidation-on-checkpoint, SIGKILL
+# of the plan compiler and of the order windows on both the arena and the
+# heap view, result-cache invalidation-on-checkpoint, SIGKILL
 # mid-request, clean writer recovery, and the bench_service numbers), and
 # a chaos leg (the socket fault-injection sweep across several seeds, the
 # malformed-wire fuzz battery, and a SIGTERM-graceful-drain vs SIGKILL
@@ -79,6 +80,24 @@ fi
 
 if [[ "$run_service" == "1" ]]; then
   echo "== service: query_server smoke battery + mid-request kill + bench =="
+  # Order-window smoke: the anchored descendant step at the end of this
+  # query must probe fewer rows than its tag list holds — its label tests
+  # plus order lookups below its candidate count. A live writer moves the
+  # counts, so the check compares values within one EXPLAIN line (which
+  # prints tests= and ord= only when nonzero).
+  check_window_explain() {
+    local line last cand tests ord
+    line=$(build/examples/query_client "$svc_sock" --explain "/play/act[2]/scene[1]//line")
+    echo "$line"
+    last=${line##*| }
+    [[ "$last" == *DescendantJoin* ]] \
+      || { echo "EXPLAIN: last operator is not the descendant join: $last" >&2; exit 1; }
+    cand=$(sed -n 's/.* cand=\([0-9]*\).*/\1/p' <<<"$last")
+    tests=$(sed -n 's/.* tests=\([0-9]*\).*/\1/p' <<<"$last")
+    ord=$(sed -n 's/.* ord=\([0-9]*\).*/\1/p' <<<"$last")
+    (( ${tests:-0} + ${ord:-0} < ${cand:-0} )) \
+      || { echo "EXPLAIN: window made tests=${tests:-0} ord=${ord:-0}, not below cand=${cand:-0}" >&2; exit 1; }
+  }
   svc_dir=$(mktemp -d)
   svc_store="$svc_dir/store"
   svc_sock="$svc_dir/query.sock"
@@ -100,6 +119,7 @@ if [[ "$run_service" == "1" ]]; then
     grep -q "$op" <<<"$explain_out" \
       || { echo "EXPLAIN output missing $op" >&2; exit 1; }
   done
+  check_window_explain
   kill "$svc_pid" 2>/dev/null || true
   wait "$svc_pid" 2>/dev/null || true
   rm -f "$svc_sock"
@@ -111,6 +131,7 @@ if [[ "$run_service" == "1" ]]; then
   for _ in $(seq 1 100); do [[ -S "$svc_sock" ]] && break; sleep 0.1; done
   [[ -S "$svc_sock" ]] || { echo "query_server never bound $svc_sock" >&2; exit 1; }
   build/examples/query_client "$svc_sock" --smoke
+  check_window_explain
   # Planner cache-invalidation check: seed the result cache, then wait
   # for the live writer's next checkpoint publish to sweep it
   # (RESINVALIDATIONS in STATS must rise).

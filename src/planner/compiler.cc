@@ -42,42 +42,48 @@ PhysicalPlan PlanCompiler::Compile(const XPathQuery& query) {
   int context = -1;  // no context before the first step
   for (std::size_t i = 0; i < query.steps.size(); ++i) {
     const XPathStep& step = query.steps[i];
-    // Candidate chain: tag scan, then the pushed-down row-local
-    // predicates. Every join keeps a candidate iff a pointwise predicate
-    // against some context row holds, so screening candidates first
-    // returns the identical set with fewer label tests.
+    // Row-local predicates, stacked on `rows` in the walker's order.
+    auto add_filters = [&](int rows) {
+      if (step.attribute_equals.has_value()) {
+        PlanOp filter;
+        filter.kind = PlanOpKind::kAttributeFilter;
+        filter.input = rows;
+        filter.arg = step.attribute_equals->first;
+        filter.arg2 = step.attribute_equals->second;
+        rows = add(std::move(filter));
+      }
+      if (step.text_equals.has_value()) {
+        PlanOp filter;
+        filter.kind = PlanOpKind::kTextFilter;
+        filter.input = rows;
+        filter.arg = *step.text_equals;
+        rows = add(std::move(filter));
+      }
+      return rows;
+    };
     PlanOp scan;
     scan.kind = PlanOpKind::kTagScan;
     scan.arg = step.name_test;
-    int cand = add(std::move(scan));
-    if (step.attribute_equals.has_value()) {
-      PlanOp filter;
-      filter.kind = PlanOpKind::kAttributeFilter;
-      filter.input = cand;
-      filter.arg = step.attribute_equals->first;
-      filter.arg2 = step.attribute_equals->second;
-      cand = add(std::move(filter));
-    }
-    if (step.text_equals.has_value()) {
-      PlanOp filter;
-      filter.kind = PlanOpKind::kTextFilter;
-      filter.input = cand;
-      filter.arg = *step.text_equals;
-      cand = add(std::move(filter));
-    }
-    int cur;
+    int cur = add(std::move(scan));
     if (i == 0 && step.axis == XPathAxis::kDescendant) {
       // Rooted first step: every row is a descendant-or-self of the
       // document, so the (filtered) scan IS the step result.
-      cur = cand;
+      cur = add_filters(cur);
     } else {
       PlanOp join;
       join.kind = JoinKindFor(step.axis);
       join.input = context;  // -1 on a non-descendant first step: the
                              // empty context joins to an empty result,
                              // matching the evaluator.
-      join.candidates = cand;
+      // A scan join tests every candidate, so the filters screen its
+      // candidates first (same set: the join keeps a candidate iff a
+      // pointwise predicate against some context row holds). A window
+      // reads only its run, so the filters read its output instead.
+      const bool scan_join = join.kind == PlanOpKind::kAncestorJoin ||
+                             join.kind == PlanOpKind::kParentJoin;
+      join.candidates = scan_join ? add_filters(cur) : cur;
       cur = add(std::move(join));
+      if (!scan_join) cur = add_filters(cur);
     }
     if (step.position.has_value()) {
       PlanOp position;

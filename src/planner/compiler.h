@@ -17,10 +17,12 @@ namespace primelabel {
 /// node set in the identical document order — with two static
 /// optimizations the tree-walker cannot make:
 ///
-///  * Predicate pushdown: [@key='value'] and [text()='value'] are
-///    row-local, so they screen the candidate (tag-scan) side BEFORE the
-///    structural join instead of its output after. Same result set by
-///    commutativity; far fewer label tests on selective predicates.
+///  * Predicate placement: [@key='value'] and [text()='value'] are
+///    row-local. Below the ancestor and parent joins, which test every
+///    candidate, they screen the candidate (tag-scan) side first: same
+///    result set by commutativity, fewer label tests. Every other axis
+///    runs as an order window that reads only the rows it returns, so
+///    there the filters read the window's output, as in the walker.
 ///  * Sort elision: the evaluator re-sorts (and re-derives order numbers
 ///    for) its full context after every step. Tag scans emit document
 ///    order, and every join/filter operator preserves candidate order

@@ -10,12 +10,14 @@
 
 namespace primelabel {
 
-/// Runs a compiled plan against a snapshot. Joins and sorts execute
-/// through the store/plan.h kernels (and so through the oracle's batch
-/// entry points — IsAncestorBatch / SelectDescendants / SelectAncestors,
-/// with anchor runs fanned across ctx.num_workers); tag scans borrow the
-/// tag index in place (no copies); predicate filters are row-local string
-/// compares.
+/// Runs a compiled plan against a snapshot. Descendant, child, following,
+/// preceding and sibling steps run as order windows: galloping searches
+/// on OrderOf and IsAncestor over the document-ordered candidate list, so
+/// an anchored step reads its anchors' runs, not the whole tag list.
+/// Ancestor and parent joins, position selects and sorts execute through
+/// the store/plan.h kernels (the batched joins fan anchor runs across
+/// ctx.num_workers); tag scans borrow the tag index in place (no copies);
+/// predicate filters are row-local string compares.
 ///
 /// The returned node set is bit-identical to XPathEvaluator on the same
 /// context — the differential suite in tests/planner_test.cc holds this

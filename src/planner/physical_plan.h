@@ -14,34 +14,37 @@ namespace primelabel {
 /// via label predicates, order filtering, position selection) made
 /// explicit, the way pg_xnode lowers XPath into PostgreSQL scan plans.
 ///
-/// Join and filter operators execute through the store/plan.h kernels,
-/// which drive the StructureOracle batch entry points (IsAncestorBatch /
-/// SelectDescendants / SelectAncestors), so a planned query reaches the
-/// REDC batch engine and arena LabelView spans directly instead of
-/// through per-step evaluator calls.
+/// The ancestor and parent joins execute through the store/plan.h scan
+/// kernels, which drive the StructureOracle batch entry points
+/// (IsAncestorBatch / SelectAncestors). The other six axes execute as
+/// order windows (planner/executor.cc): galloping searches over the
+/// document-ordered candidate list that read only the anchors' runs.
 enum class PlanOpKind {
   /// Tag-index scan: all rows with a tag (or every row for "*"), in
   /// document order. The leaf of every step.
   kTagScan,
   /// Structural joins: rows of the candidate input related to at least
   /// one row of the context input. Candidate order (document order) is
-  /// preserved; output never holds duplicates.
+  /// preserved; output never holds duplicates. Descendant and child joins
+  /// are windows (each anchor's contiguous run, IsParent-filtered for
+  /// child); ancestor and parent joins scan every candidate.
   kDescendantJoin,
   kChildJoin,
   kAncestorJoin,
   kParentJoin,
   /// Order filters — the following/preceding axes: candidates after
   /// (before) some context row in document order, minus the context row's
-  /// descendants (ancestors).
+  /// descendants (ancestors). Windows: a suffix after a run, a prefix
+  /// before the last anchor.
   kFollowingFilter,
   kPrecedingFilter,
   /// Sibling filters: candidates sharing a parent row with a context row
-  /// and ordered after (before) it.
+  /// and ordered after (before) it. Windows inside the parent's run.
   kFollowingSiblingFilter,
   kPrecedingSiblingFilter,
   /// Row-local predicate filters ([@key='value'], [text()='value']).
-  /// The compiler pushes these below the joins: they are cheap string
-  /// compares, so screening the candidate side first saves label tests.
+  /// The compiler pushes these below the ancestor and parent joins, whose
+  /// label tests they save, and stacks them on every other join's output.
   kAttributeFilter,
   kTextFilter,
   /// The [n] predicate: group by parent row, sort each group by order
@@ -109,8 +112,8 @@ struct PlanProfile {
 
 /// Renders the plan (and, when `profile` is non-null, per-operator
 /// cardinalities) as one protocol-friendly line:
-///   #0 TagScan(play) out=15 | #1 TagScan(act) out=75 |
-///   #2 DescendantJoin(#0,#1) in=15 cand=75 out=75 tests=75 | ...
+///   #0 TagScan(play) out=10 | #1 TagScan(act) out=50 |
+///   #2 DescendantJoin(#0,#1) in=10 cand=50 out=50 tests=57 ord=20 | ...
 std::string ExplainPlan(const PhysicalPlan& plan,
                         const PlanProfile* profile = nullptr);
 

@@ -166,43 +166,6 @@ std::vector<NodeId> JoinDescendants(const QueryContext& ctx,
   });
 }
 
-std::vector<NodeId> JoinDescendantsMerge(const QueryContext& ctx,
-                                         const std::vector<NodeId>& context,
-                                         const std::vector<NodeId>& candidates) {
-  // Stack-tree merge: because descendants are contiguous in document
-  // order, the enclosing anchors of the current position form a stack —
-  // an anchor that stops enclosing one candidate can never enclose a
-  // later one, so every label test either pops or answers.
-  std::vector<NodeId> out;
-  ctx.stats.rows_scanned += candidates.size();
-  std::vector<std::uint64_t> anchor_orders = AnchorOrders(ctx, context);
-  std::vector<NodeId> stack;
-  std::size_t next_anchor = 0;
-  for (NodeId candidate : candidates) {
-    std::uint64_t candidate_order = ctx.oracle->OrderOf(candidate);
-    ++ctx.stats.order_lookups;
-    // Open every anchor that starts before this candidate.
-    while (next_anchor < context.size() &&
-           anchor_orders[next_anchor] < candidate_order) {
-      NodeId anchor = context[next_anchor++];
-      while (!stack.empty()) {
-        ++ctx.stats.label_tests;
-        if (ctx.oracle->IsAncestor(stack.back(), anchor)) break;
-        stack.pop_back();
-      }
-      stack.push_back(anchor);
-    }
-    // Close anchors whose subtree ended before this candidate.
-    while (!stack.empty()) {
-      ++ctx.stats.label_tests;
-      if (ctx.oracle->IsAncestor(stack.back(), candidate)) break;
-      stack.pop_back();
-    }
-    if (!stack.empty()) out.push_back(candidate);
-  }
-  return out;
-}
-
 std::vector<NodeId> JoinChildren(const QueryContext& ctx,
                                  const std::vector<NodeId>& context,
                                  const std::vector<NodeId>& candidates) {

@@ -53,18 +53,6 @@ std::vector<NodeId> JoinDescendants(const QueryContext& ctx,
                                     const std::vector<NodeId>& context,
                                     const std::vector<NodeId>& candidates);
 
-/// Merge-based structural join (stack-tree style, after Al-Khalifa et al.):
-/// one synchronized pass over both lists in document order, testing each
-/// candidate against only the current innermost enclosing anchors instead
-/// of the whole context. Requires both inputs sorted by document order
-/// (tag-index scans are) and an order provider; returns the same result
-/// set as JoinDescendants with O(|context| + |candidates| * stack-depth)
-/// label tests. Benched against the nested loop in
-/// bench_ablation_join.
-std::vector<NodeId> JoinDescendantsMerge(const QueryContext& ctx,
-                                         const std::vector<NodeId>& context,
-                                         const std::vector<NodeId>& candidates);
-
 /// Structural join for the child axis (parent predicate).
 std::vector<NodeId> JoinChildren(const QueryContext& ctx,
                                  const std::vector<NodeId>& context,

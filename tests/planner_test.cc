@@ -1,7 +1,9 @@
 // Planner suite: plan-compiler lowering shapes, planned-vs-walked
 // differential equivalence across scheme/catalog (heap and arena)
 // backends and through every uncached entry point (LabeledDocument,
-// Snapshot sealed and live, DocumentStore), plan/result cache units,
+// Snapshot sealed and live, DocumentStore), the order-window operators
+// (against the nested-loop join and the tree walk on random and mutated
+// trees, and their probe counts on the corpus), plan/result cache units,
 // service wiring (result-cache hits, checkpoint invalidation, the EXPLAIN
 // wire verb and STATS counters), and concurrent cached execution
 // (PlannerConcurrent runs under ThreadSanitizer via the check.sh tsan
@@ -25,13 +27,18 @@
 #include "corpus/document_store.h"
 #include "corpus/labeled_document.h"
 #include "durability/vfs.h"
+#include "labeling/interval.h"
 #include "planner/query_planner.h"
 #include "service/query_service.h"
 #include "service/wire.h"
 #include "store/catalog.h"
+#include "store/plan.h"
+#include "xml/datasets.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xml/shakespeare.h"
 #include "xpath/evaluator.h"
+#include "xpath/oracle.h"
 
 namespace primelabel {
 namespace {
@@ -98,15 +105,29 @@ TEST(PlannerCompile, SortEmittedOnlyAfterPositionSelect) {
   EXPECT_EQ(sorts, 1);
 }
 
-TEST(PlannerCompile, PredicatesPushBelowTheJoin) {
-  Result<PhysicalPlan> plan =
+TEST(PlannerCompile, PredicatesSitAboveWindowsAndBelowScanJoins) {
+  // A descendant window reads only its run, so the filter reads the
+  // window's output...
+  Result<PhysicalPlan> window =
       PlanCompiler::Compile("/play//speaker[@name='HAMLET']");
-  ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->ops.size(), 4u);
-  EXPECT_EQ(plan->ops[2].kind, PlanOpKind::kAttributeFilter);
-  EXPECT_EQ(plan->ops[2].input, 1);  // filters the speaker scan...
-  EXPECT_EQ(plan->ops[3].kind, PlanOpKind::kDescendantJoin);
-  EXPECT_EQ(plan->ops[3].candidates, 2);  // ...and the join consumes the filter
+  ASSERT_TRUE(window.ok());
+  EXPECT_EQ(Kinds(window.value()),
+            (std::vector<PlanOpKind>{
+                PlanOpKind::kTagScan, PlanOpKind::kTagScan,
+                PlanOpKind::kDescendantJoin, PlanOpKind::kAttributeFilter}));
+  EXPECT_EQ(window->ops[2].candidates, 1);  // the join reads the raw scan
+  EXPECT_EQ(window->ops[3].input, 2);       // and the filter its output
+  // ...while the ancestor join tests every candidate, so the filter
+  // screens the scan before it.
+  Result<PhysicalPlan> scan =
+      PlanCompiler::Compile("//line//Ancestor::speech[@id='x']");
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(Kinds(scan.value()),
+            (std::vector<PlanOpKind>{
+                PlanOpKind::kTagScan, PlanOpKind::kTagScan,
+                PlanOpKind::kAttributeFilter, PlanOpKind::kAncestorJoin}));
+  EXPECT_EQ(scan->ops[2].input, 1);       // filters the speech scan...
+  EXPECT_EQ(scan->ops[3].candidates, 2);  // ...and the join consumes it
 }
 
 TEST(PlannerCompile, ExplicitAxisFirstStepJoinsEmptyContext) {
@@ -194,52 +215,81 @@ std::vector<std::string> DifferentialQueries() {
   return queries;
 }
 
-/// One (table, oracle) backend the differential battery runs on: the live
-/// prime scheme or a zero-copy mmap arena catalog — the planner and
-/// evaluator must agree bit-for-bit on both.
-class PlannerDifferentialTest : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    doc_.emplace(LabeledDocument::FromTree(DiffPlay(), /*group=*/5));
-    const std::string which = GetParam();
-    if (which == "scheme") {
-      // OrderedPrimeScheme implements StructureOracle itself: divisibility
-      // ancestry plus SC-table order, the paper's native pipeline.
-      ctx_.table = &doc_->label_table();
-      ctx_.oracle = &doc_->scheme();
+/// One LabeledDocument as the planner sees it: the heap scheme itself, or
+/// the document saved and mmapped back as a catalog, whose NodeIds are
+/// preorder rows.
+class DocumentBackend {
+ public:
+  DocumentBackend(const LabeledDocument& doc, bool mapped) : tree_(doc.tree()) {
+    if (!mapped) {
+      ctx_.table = &doc.label_table();
+      ctx_.oracle = &doc.scheme();
       return;
     }
-    path_ = TempPath("planner-arena.plc");
-    ASSERT_TRUE(SaveCatalog(path_, *doc_).ok());
+    path_ = TempPath("planner-backend.plc");
+    EXPECT_TRUE(SaveCatalog(path_, doc).ok());
     Result<LoadedCatalog> loaded = OpenCatalogMapped(DefaultVfs(), path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
     catalog_ = std::make_unique<LoadedCatalog>(std::move(loaded.value()));
     table_ = std::make_unique<LabelTable>(*catalog_);
     ctx_.table = table_.get();
     ctx_.oracle = catalog_.get();
+    row_of_.assign(tree_.arena_size(), kInvalidNodeId);
+    NodeId row = 0;
+    tree_.Preorder([&](NodeId id, int) {
+      row_of_[static_cast<std::size_t>(id)] = row++;
+    });
   }
-
-  void TearDown() override {
+  ~DocumentBackend() {
     if (!path_.empty()) std::remove(path_.c_str());
   }
+
+  const QueryContext& ctx() const { return ctx_; }
+
+  /// Requires the planner to return EvaluateXPathOnTree's answer.
+  void ExpectMatchesTree(const XPathQuery& query) const {
+    std::vector<NodeId> expected = EvaluateXPathOnTree(tree_, query);
+    if (!row_of_.empty()) {
+      for (NodeId& id : expected) id = row_of_[static_cast<std::size_t>(id)];
+    }
+    EXPECT_EQ(ExecutePlan(PlanCompiler::Compile(query), ctx_), expected)
+        << query.ToString();
+  }
+
+ private:
+  const XmlTree& tree_;
+  std::string path_;
+  std::unique_ptr<LoadedCatalog> catalog_;
+  std::unique_ptr<LabelTable> table_;
+  std::vector<NodeId> row_of_;
+  QueryContext ctx_;
+};
+
+/// The differential battery's backends: the live prime scheme or a
+/// zero-copy mmap arena catalog — the planner and evaluator must agree
+/// bit-for-bit on both.
+class PlannerDifferentialTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  PlannerDifferentialTest()
+      : doc_(LabeledDocument::FromTree(DiffPlay(), /*group=*/5)),
+        backend_(doc_, std::string(GetParam()) == "catalog-arena") {}
+
+  const QueryContext& ctx() const { return backend_.ctx(); }
 
   /// Runs `query` through both engines and requires identical node sets
   /// in identical document order.
   void ExpectSame(const std::string& query) {
-    XPathEvaluator evaluator(&ctx_);
+    XPathEvaluator evaluator(&ctx());
     Result<std::vector<NodeId>> walked = evaluator.Evaluate(query);
     ASSERT_TRUE(walked.ok()) << query << ": " << walked.status().ToString();
     Result<PhysicalPlan> plan = PlanCompiler::Compile(query);
     ASSERT_TRUE(plan.ok()) << query << ": " << plan.status().ToString();
-    std::vector<NodeId> planned = ExecutePlan(plan.value(), ctx_);
+    std::vector<NodeId> planned = ExecutePlan(plan.value(), ctx());
     EXPECT_EQ(planned, walked.value()) << query;
   }
 
-  std::optional<LabeledDocument> doc_;
-  std::unique_ptr<LoadedCatalog> catalog_;
-  std::unique_ptr<LabelTable> table_;
-  std::string path_;
-  QueryContext ctx_;
+  const LabeledDocument doc_;
+  const DocumentBackend backend_;
 };
 
 TEST_P(PlannerDifferentialTest, Figure15Battery) {
@@ -256,9 +306,9 @@ TEST_P(PlannerDifferentialTest, AxisAndPredicateCoverage) {
     ExpectSame(query);
   }
   // A text() predicate against real character data (lines carry text).
-  const std::vector<NodeId>& lines = ctx_.table->Rows("line");
+  const std::vector<NodeId>& lines = ctx().table->Rows("line");
   ASSERT_FALSE(lines.empty());
-  const std::string* text = ctx_.table->TextOf(lines[0]);
+  const std::string* text = ctx().table->TextOf(lines[0]);
   if (text != nullptr && text->find('\'') == std::string::npos) {
     ExpectSame("/play//line[text()='" + *text + "']");
   }
@@ -284,14 +334,12 @@ INSTANTIATE_TEST_SUITE_P(Backends, PlannerDifferentialTest,
 /// planner entry point is held to.
 std::vector<NodeId> Walk(const LabelTable& table,
                          const StructureOracle& oracle,
-                         const std::string& query,
-                         EvalStats* stats = nullptr) {
+                         const std::string& query) {
   QueryContext ctx;
   ctx.table = &table;
   ctx.oracle = &oracle;
   Result<std::vector<NodeId>> walked = XPathEvaluator(&ctx).Evaluate(query);
   EXPECT_TRUE(walked.ok()) << query << ": " << walked.status().ToString();
-  if (stats != nullptr) *stats += ctx.stats;
   return walked.ok() ? walked.value() : std::vector<NodeId>();
 }
 
@@ -356,24 +404,266 @@ TEST(PlannerEntryPoints, DocumentStoreQueryMatchesEvaluator) {
     Result<DocumentStore::QueryResult> planned = store.Query(query);
     ASSERT_TRUE(planned.ok()) << query;
     std::vector<DocumentStore::Hit> walked;
-    EvalStats walked_stats;
     for (std::size_t d = 0; d < store.document_count(); ++d) {
       const auto doc = static_cast<DocumentStore::DocId>(d);
       const LabelTable table(store.document(doc));
-      for (NodeId node :
-           Walk(table, store.scheme(doc), query, &walked_stats)) {
+      for (NodeId node : Walk(table, store.scheme(doc), query)) {
         walked.push_back({doc, node});
       }
     }
     EXPECT_EQ(planned->hits, walked) << query;
-    // Predicate pushdown is the planner's only change to label tests.
-    if (query.find('@') == std::string::npos &&
-        query.find("text()") == std::string::npos) {
-      EXPECT_EQ(planned->stats.label_tests, walked_stats.label_tests)
-          << query;
+  }
+}
+
+// --- Order windows ---------------------------------------------------------
+
+/// Runs `//anchor_tag//candidate_tag` through the planner: a scan of the
+/// anchor tag feeding the descendant window over the candidate tag list,
+/// the same inputs JoinDescendants gets from the two tag lists.
+std::vector<NodeId> WindowJoin(const QueryContext& ctx,
+                               const std::string& anchor_tag,
+                               const std::string& candidate_tag) {
+  Result<PhysicalPlan> plan =
+      PlanCompiler::Compile("//" + anchor_tag + "//" + candidate_tag);
+  EXPECT_TRUE(plan.ok());
+  return plan.ok() ? ExecutePlan(plan.value(), ctx) : std::vector<NodeId>();
+}
+
+/// An interval-labeled tree as a (table, oracle) pair; interval starts
+/// supply OrderOf.
+struct IntervalBackend {
+  explicit IntervalBackend(XmlTree source)
+      : tree(std::move(source)),
+        table(tree),
+        oracle(&scheme, [this](NodeId id) { return scheme.low(id); }) {
+    scheme.LabelTree(tree);
+    ctx.table = &table;
+    ctx.oracle = &oracle;
+  }
+
+  XmlTree tree;
+  LabelTable table;
+  IntervalScheme scheme;
+  SchemeOracle oracle;
+  QueryContext ctx;
+};
+
+TEST(PlannerWindowJoin, MatchesNestedLoopOnSmallDocument) {
+  Result<XmlTree> tree = ParseXml("<r><a><b/><c/></a><a><b/></a><d/></r>");
+  ASSERT_TRUE(tree.ok());
+  IntervalBackend backend(std::move(tree.value()));
+  for (const char* anchor_tag : {"r", "a", "b", "d"}) {
+    for (const char* candidate_tag : {"a", "b", "c", "d"}) {
+      EXPECT_EQ(WindowJoin(backend.ctx, anchor_tag, candidate_tag),
+                JoinDescendants(backend.ctx, backend.table.Rows(anchor_tag),
+                                backend.table.Rows(candidate_tag)))
+          << anchor_tag << " -> " << candidate_tag;
     }
   }
 }
+
+TEST(PlannerWindowJoin, MatchesNestedLoopOnRandomTrees) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    RandomTreeOptions options;
+    options.node_count = 400;
+    options.max_depth = 7;
+    options.max_fanout = 6;
+    options.seed = seed;
+    IntervalBackend backend(GenerateRandomTree(options));
+    for (const std::string& anchor_tag : backend.table.Tags()) {
+      for (const std::string& candidate_tag : backend.table.Tags()) {
+        ASSERT_EQ(WindowJoin(backend.ctx, anchor_tag, candidate_tag),
+                  JoinDescendants(backend.ctx, backend.table.Rows(anchor_tag),
+                                  backend.table.Rows(candidate_tag)))
+            << seed << " " << anchor_tag << " -> " << candidate_tag;
+      }
+    }
+  }
+}
+
+TEST(PlannerWindowJoin, UsesFewerLabelTestsThanNestedLoop) {
+  RandomTreeOptions options;
+  options.node_count = 2000;
+  options.max_depth = 6;
+  options.max_fanout = 10;
+  options.seed = 9;
+  IntervalBackend backend(GenerateRandomTree(options));
+  const std::vector<NodeId>& anchors = backend.table.Rows("a");
+  ASSERT_GT(anchors.size(), 10u);
+  QueryContext nested_ctx = backend.ctx;
+  JoinDescendants(nested_ctx, anchors, backend.table.AllRows());
+  QueryContext window_ctx = backend.ctx;
+  WindowJoin(window_ctx, "a", "*");
+  EXPECT_LT(window_ctx.stats.label_tests, nested_ctx.stats.label_tests / 2);
+}
+
+/// A random 1-4 step query over all eight axes, tags a-f and *, with
+/// positions. Random trees repeat their six tags at every depth, so
+/// same-tag anchors nest (//a//a, //*/b).
+XPathQuery RandomWindowQuery(std::mt19937& rng) {
+  const char* tags[] = {"a", "b", "c", "d", "e", "f", "*"};
+  const XPathAxis axes[] = {
+      XPathAxis::kChild,     XPathAxis::kDescendant,
+      XPathAxis::kFollowing, XPathAxis::kPreceding,
+      XPathAxis::kFollowingSibling, XPathAxis::kPrecedingSibling,
+      XPathAxis::kParent,    XPathAxis::kAncestor};
+  XPathQuery query;
+  const int steps = 1 + static_cast<int>(rng() % 4);
+  for (int s = 0; s < steps; ++s) {
+    XPathStep step;
+    // Mostly a rooted first step; now and then an empty-context one.
+    step.axis = s == 0 && rng() % 8 != 0 ? XPathAxis::kDescendant
+                                         : axes[rng() % 8];
+    step.name_test = tags[rng() % 7];
+    if (rng() % 3 == 0) step.position = 1 + static_cast<int>(rng() % 3);
+    query.steps.push_back(std::move(step));
+  }
+  return query;
+}
+
+/// The nine xpath_cold shapes, Table 2's Q1-Q9 anchored in one play, as
+/// MakeXpath in wirebench/workload.cc builds them.
+std::string CorpusShape(int shape, int play, std::mt19937& rng) {
+  const char* speakers[] = {"HAMLET", "HORATIO", "GHOST", "OPHELIA",
+                            "POLONIUS"};
+  auto pick = [&rng](int lo, int hi) {
+    return std::to_string(lo + static_cast<int>(rng() % (hi - lo + 1)));
+  };
+  const std::string p = "/plays/play[" + std::to_string(play) + "]";
+  const std::string act = pick(1, 5);
+  const std::string scene_path =
+      p + "/act[" + act + "]/scene[" + pick(1, 4) + "]";
+  const std::string speech = pick(1, 40);
+  switch (shape) {
+    case 0:
+      return p + "/act[" + act + "]//speech[" + speech + "]";
+    case 1:
+      return scene_path + "//Following::act";
+    case 2:
+      return p + "/act[" + act + "]//speaker[@name='" + speakers[rng() % 5] +
+             "']";
+    case 3:
+      return scene_path + "//Following::speech";
+    case 4:
+      return scene_path + "/speech[" + speech + "]//Preceding::line";
+    case 5:
+      return p + "//act[" + act + "]//scene[" + pick(1, 4) + "]//line";
+    case 6:
+      return scene_path + "/speech[" + speech +
+             "]//Following-sibling::speech[" + pick(1, 8) + "]";
+    case 7:
+      return scene_path + "//speech";
+    default:
+      return scene_path + "//line";
+  }
+}
+
+/// The window suites, on the heap scheme and on the mapped catalog.
+class PlannerWindowTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  bool mapped() const { return std::string(GetParam()) == "catalog-arena"; }
+};
+
+TEST_P(PlannerWindowTest, RandomTreesMatchTreeWalk) {
+  std::mt19937 rng(1407);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomTreeOptions options;
+    options.node_count = 100 + 150 * seed;
+    options.max_depth = 5 + static_cast<int>(seed % 3);
+    options.max_fanout = 4 + static_cast<int>(seed % 4);
+    options.seed = seed;
+    const LabeledDocument doc =
+        LabeledDocument::FromTree(GenerateRandomTree(options));
+    const DocumentBackend backend(doc, mapped());
+    for (int q = 0; q < 40; ++q) {
+      backend.ExpectMatchesTree(RandomWindowQuery(rng));
+    }
+  }
+}
+
+TEST_P(PlannerWindowTest, MutatedDocumentsMatchTreeWalk) {
+  // Inserted nodes take fresh NodeIds, so ids stop following document
+  // order: a window must compare order numbers, never ids.
+  std::mt19937 rng(5011);
+  const char* tags[] = {"a", "b", "c", "d", "e", "f"};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomTreeOptions options;
+    options.node_count = 150 * seed;
+    options.max_depth = 6;
+    options.max_fanout = 5;
+    options.seed = 40 + seed;
+    LabeledDocument doc =
+        LabeledDocument::FromTree(GenerateRandomTree(options));
+    for (int round = 0; round < 3; ++round) {
+      for (int m = 0; m < 20; ++m) {
+        const std::vector<NodeId> nodes = doc.tree().PreorderNodes();
+        const NodeId target = nodes[1 + rng() % (nodes.size() - 1)];
+        const char* tag = tags[rng() % 6];
+        switch (rng() % 4) {
+          case 0:
+            doc.InsertBefore(target, tag);
+            break;
+          case 1:
+            doc.InsertAfter(target, tag);
+            break;
+          case 2:
+            doc.AppendChild(target, tag);
+            break;
+          default:
+            doc.Wrap(target, tag);
+            break;
+        }
+      }
+      const DocumentBackend backend(doc, mapped());
+      for (int q = 0; q < 30; ++q) {
+        backend.ExpectMatchesTree(RandomWindowQuery(rng));
+      }
+    }
+  }
+}
+
+TEST_P(PlannerWindowTest, CorpusShapesProbeNearTheirOutput) {
+  // Every join and filter makes at most a fixed number of probes beyond
+  // the rows it returns; a scan over the tag list makes thousands.
+  const LabeledDocument doc =
+      LabeledDocument::FromTree(GenerateShakespeareCorpus(2));
+  const DocumentBackend backend(doc, mapped());
+  std::mt19937 rng(7);
+  for (int shape = 0; shape < 9; ++shape) {
+    for (int instance = 0; instance < 16; ++instance) {
+      const std::string query = CorpusShape(shape, 1 + instance % 2, rng);
+      Result<PhysicalPlan> plan = PlanCompiler::Compile(query);
+      ASSERT_TRUE(plan.ok()) << query;
+      PlanProfile profile;
+      const std::vector<NodeId> planned =
+          ExecutePlan(plan.value(), backend.ctx(), &profile);
+      EXPECT_EQ(planned,
+                XPathEvaluator(&backend.ctx()).Evaluate(query).value())
+          << query;
+      for (std::size_t i = 0; i < plan->ops.size(); ++i) {
+        const PlanOpKind kind = plan->ops[i].kind;
+        if (kind == PlanOpKind::kTagScan ||
+            kind == PlanOpKind::kPositionSelect ||
+            kind == PlanOpKind::kOrderSort) {
+          continue;
+        }
+        const OpProfile& op = profile.ops[i];
+        EXPECT_LE(op.label_tests + op.order_lookups, op.rows_out + 128)
+            << query << " | " << ExplainPlan(plan.value(), &profile);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, PlannerWindowTest,
+                         ::testing::Values("scheme", "catalog-arena"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 // --- Cache units ----------------------------------------------------------
 

@@ -6,7 +6,6 @@
 #include "labeling/interval.h"
 #include "store/label_table.h"
 #include "store/plan.h"
-#include "xml/datasets.h"
 #include "xml/parser.h"
 
 namespace primelabel {
@@ -151,70 +150,6 @@ TEST_F(PlanTest, StatsAccumulateAcrossOperators) {
   EXPECT_GT(ctx_.stats.rows_scanned, before.rows_scanned);
   EXPECT_GT(ctx_.stats.label_tests, before.label_tests);
   EXPECT_GT(ctx_.stats.order_lookups, before.order_lookups);
-}
-
-TEST_F(PlanTest, MergeJoinMatchesNestedLoop) {
-  for (const char* anchor_tag : {"r", "a", "b", "d"}) {
-    for (const char* candidate_tag : {"a", "b", "c", "d"}) {
-      std::vector<NodeId> nested = JoinDescendants(
-          ctx_, table_->Rows(anchor_tag), table_->Rows(candidate_tag));
-      std::vector<NodeId> merged = JoinDescendantsMerge(
-          ctx_, table_->Rows(anchor_tag), table_->Rows(candidate_tag));
-      EXPECT_EQ(merged, nested) << anchor_tag << " -> " << candidate_tag;
-    }
-  }
-}
-
-TEST(PlanMergeJoin, MatchesNestedLoopOnRandomTrees) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    RandomTreeOptions options;
-    options.node_count = 400;
-    options.max_depth = 7;
-    options.max_fanout = 6;
-    options.seed = seed;
-    XmlTree tree = GenerateRandomTree(options);
-    LabelTable table(tree);
-    IntervalScheme scheme;
-    scheme.LabelTree(tree);
-    SchemeOracle oracle(&scheme,
-                        [&scheme](NodeId id) { return scheme.low(id); });
-    QueryContext ctx;
-    ctx.table = &table;
-    ctx.oracle = &oracle;
-    for (const std::string& anchor_tag : table.Tags()) {
-      for (const std::string& candidate_tag : table.Tags()) {
-        ASSERT_EQ(JoinDescendantsMerge(ctx, table.Rows(anchor_tag),
-                                       table.Rows(candidate_tag)),
-                  JoinDescendants(ctx, table.Rows(anchor_tag),
-                                  table.Rows(candidate_tag)))
-            << seed << " " << anchor_tag << " -> " << candidate_tag;
-      }
-    }
-  }
-}
-
-TEST(PlanMergeJoin, UsesFewerLabelTestsThanNestedLoop) {
-  RandomTreeOptions options;
-  options.node_count = 2000;
-  options.max_depth = 6;
-  options.max_fanout = 10;
-  options.seed = 9;
-  XmlTree tree = GenerateRandomTree(options);
-  LabelTable table(tree);
-  IntervalScheme scheme;
-  scheme.LabelTree(tree);
-  SchemeOracle oracle(&scheme, [&scheme](NodeId id) { return scheme.low(id); });
-  QueryContext nested_ctx, merge_ctx;
-  for (QueryContext* ctx : {&nested_ctx, &merge_ctx}) {
-    ctx->table = &table;
-    ctx->oracle = &oracle;
-  }
-  std::vector<NodeId> anchors = table.Rows("a");
-  std::vector<NodeId> candidates = table.AllRows();
-  ASSERT_GT(anchors.size(), 10u);
-  JoinDescendants(nested_ctx, anchors, candidates);
-  JoinDescendantsMerge(merge_ctx, anchors, candidates);
-  EXPECT_LT(merge_ctx.stats.label_tests, nested_ctx.stats.label_tests / 2);
 }
 
 TEST(PlanWithPrimeScheme, OrderLookupsGoThroughScTable) {
