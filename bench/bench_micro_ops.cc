@@ -396,7 +396,7 @@ BENCHMARK_CAPTURE(BM_ChunkResidues, dispatched, true)
 BENCHMARK_CAPTURE(BM_ChunkResidues, portable, false)
     ->Arg(4)->Arg(64)->Arg(1024);
 
-/// The v4 catalog file, written once from the shared deep-chain
+/// The v5 catalog file, written once from the shared deep-chain
 /// Shakespeare fixture: its chain labels reach ~130 limbs, which is where
 /// per-label heap materialization actually costs something. `row_of`
 /// maps the fixture's tree NodeIds to preorder row indices — the id
@@ -432,7 +432,7 @@ const CatalogBenchFile& CatalogFile() {
     }
     f->rows = rows.size();
     f->path =
-        (std::filesystem::temp_directory_path() / "plbench-catalog-v4.plc")
+        (std::filesystem::temp_directory_path() / "plbench-catalog-v5.plc")
             .string();
     if (!WriteCatalog(DefaultVfs(), f->path, rows, b.scheme.sc_table()).ok()) {
       std::abort();
@@ -442,14 +442,15 @@ const CatalogBenchFile& CatalogFile() {
   return *fixture;
 }
 
-/// Catalog open from v4: the heap decode LoadCatalog gives the recovery
-/// paths (digest-verify, then one BigInt per label and the SC table
-/// rebuilt through its per-record CRT solve) vs the arena open
-/// OpenCatalogMapped serves with (digest-verify the image, pun the
-/// columns in place, zero BigInts). The heap-to-arena ratio is the
-/// headline load-time win of the format; the label_store_bytes counter on
-/// the arena row is the resident-memory side of the same story (shared
-/// image columns).
+/// Catalog open from v5 (the row names keep their v4 spelling: they are
+/// the committed baseline's keys): the heap decode LoadCatalog gives the
+/// recovery paths (digest-verify, then one BigInt per label, each SC
+/// order derived as sc mod modulus and the SC table rebuilt through its
+/// per-record CRT solve) vs the arena open OpenCatalogMapped serves with
+/// (digest-verify the image, pun the columns in place, zero BigInts). The
+/// heap-to-arena ratio is the headline load-time win of the format; the
+/// label_store_bytes counter on the arena row is the resident-memory side
+/// of the same story (shared image columns).
 void BM_CatalogLoadV3VsV4(benchmark::State& state, bool arena) {
   const CatalogBenchFile& fixture = CatalogFile();
   std::size_t label_bytes = 0;
@@ -483,7 +484,7 @@ BENCHMARK_CAPTURE(BM_CatalogLoadV3VsV4, v4_arena, true);
 
 /// The batched-ancestry engine running over an arena-backed catalog: the
 /// same pair workload as BM_IsAncestorBatch (tree ids mapped to preorder
-/// rows), but every label read is a span into the mmapped v4 image —
+/// rows), but every label read is a span into the mmapped v5 image —
 /// packed contiguous limbs, no BigInt indirection. The ratio to
 /// BM_IsAncestorBatch is the locality win (or cost) of the columnar
 /// layout on the hot read path; results are bit-identical.

@@ -3,16 +3,19 @@
 // and however it is opened.
 //
 // The walk: for each committed older-format fixture
-// (tests/data/catalog_formats/v2.plc and v3.plc — formats this build
-// reads but does not write), open three ways — LabeledDocument::Load
+// (tests/data/catalog_formats/v2.plc, v3.plc and v4.plc — formats this
+// build reads but does not write), open three ways — LabeledDocument::Load
 // (the live scheme over the restored labels, the reference),
-// OpenCatalogMapped of the file (converted on open to an in-memory v4
-// image), and OpenCatalogMapped of the document re-saved as v4 (served
+// OpenCatalogMapped of the file (converted on open to an in-memory v5
+// image), and OpenCatalogMapped of the document re-saved as v5 (served
 // from the mmap) — then diff the complete observable state against the
 // DIGEST.txt recorded with the fixtures, plus a sweep of scalar and
-// batched oracle answers. Any divergence is a bug in the format readers,
-// the converter or the shared batch kernels; the process exits non-zero
-// naming the first mismatch.
+// batched oracle answers. Every row's fingerprint, in the document and in
+// the converted image, must equal FingerprintOf(label): the digest never
+// reads a fingerprint, and both oracles would share a wrongly adopted
+// one. Any divergence is a bug in the format readers, the converter or
+// the shared batch kernels; the process exits non-zero naming the first
+// mismatch.
 //
 // scripts/check.sh runs this in both the vectorized and the scalar-only
 // trees, so the diff also covers both kernel dispatch families.
@@ -82,6 +85,22 @@ int Fail(const std::string& what) {
   return 1;
 }
 
+/// True when every row's fingerprint in the document and in the catalog's
+/// image is the one FingerprintOf derives from the row's label.
+bool FingerprintsAreDerived(const LabeledDocument& doc,
+                            const LoadedCatalog& catalog) {
+  const std::vector<CatalogRow> rows = catalog.MaterializeRows();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const LabelFingerprint derived = FingerprintOf(rows[i].label);
+    if (rows[i].fingerprint != derived) return false;
+    if (doc.scheme().structure().fingerprint(static_cast<NodeId>(i)) !=
+        derived) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Scalar + batched oracle sweep over the first `n` NodeIds of `a` and
 /// `b`; returns false on the first disagreement.
 bool OraclesAgree(const StructureOracle& a, const StructureOracle& b,
@@ -129,41 +148,44 @@ int main() {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "plcatalog-compat").string();
   std::filesystem::create_directories(dir);
-  for (int version : {2, 3}) {
+  for (int version : {2, 3, 4}) {
     const std::string name = std::string("v").append(std::to_string(version));
     const std::string source = fixtures + "/" + name + ".plc";
     Result<LabeledDocument> doc = LabeledDocument::Load(source);
     if (!doc.ok()) return Fail(name + " document load failed");
     Result<LoadedCatalog> converted = OpenCatalogMapped(DefaultVfs(), source);
     if (!converted.ok()) return Fail(name + " converting open failed");
-    const std::string resaved = dir + "/" + name + "-as-v4.plc";
-    if (!doc->Save(resaved).ok()) return Fail(name + " v4 re-save failed");
+    const std::string resaved = dir + "/" + name + "-as-v5.plc";
+    if (!doc->Save(resaved).ok()) return Fail(name + " v5 re-save failed");
     Result<LoadedCatalog> mapped = OpenCatalogMapped(DefaultVfs(), resaved);
     if (!mapped.ok()) return Fail(name + " mapped open of the re-save failed");
 
     if (converted->format_version() != version) {
       return Fail(name + " version tag");
     }
-    // A v4 file with current fingerprints is the one shape served in
+    // A v5 file with current fingerprints is the one shape served in
     // place from the mapping.
-    if (mapped->format_version() != 4 || !mapped->fingerprints_persisted()) {
+    if (mapped->format_version() != 5 || !mapped->fingerprints_persisted()) {
       return Fail(name + " re-save was not served from the mapping");
     }
     if (Digest(*doc) != expected) return Fail(name + " document digest");
     if (Digest(*converted) != expected) {
       return Fail(name + " converted image digest");
     }
-    if (Digest(*mapped) != expected) return Fail(name + " mapped v4 digest");
+    if (Digest(*mapped) != expected) return Fail(name + " mapped v5 digest");
+    if (!FingerprintsAreDerived(*doc, *converted)) {
+      return Fail(name + " fingerprints differ from FingerprintOf(label)");
+    }
     const std::size_t rows = converted->row_count();
     if (!OraclesAgree(doc->scheme(), *converted, rows)) {
       return Fail(name + " converted image vs document oracle");
     }
     if (!OraclesAgree(doc->scheme(), *mapped, rows)) {
-      return Fail(name + " mapped v4 vs document oracle");
+      return Fail(name + " mapped v5 vs document oracle");
     }
     std::printf(
         "catalog_compat: %s: %zu rows agree across document, converted "
-        "image and mapped v4 re-save (label store %zu bytes)\n",
+        "image and mapped v5 re-save (label store %zu bytes)\n",
         name.c_str(), rows, mapped->label_store_bytes());
   }
   std::filesystem::remove_all(dir);

@@ -59,10 +59,11 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== catalog compat: v2/v3 fixtures -> v4 oracle diff (build/) =="
-# Open the committed v2/v3 fixtures as documents, as converted in-memory
-# images and as mmapped v4 re-saves, and diff-verify that every oracle
-# answer is bit-identical across formats and opens.
+echo "== catalog compat: v2/v3/v4 fixtures -> v5 oracle diff (build/) =="
+# Open the committed v2/v3/v4 fixtures as documents, as converted
+# in-memory v5 images and as mmapped v5 re-saves, and diff-verify that
+# every oracle answer and every adopted fingerprint is bit-identical
+# across formats and opens.
 build/examples/catalog_compat
 
 if [[ "$run_durability" == "1" ]]; then
@@ -102,8 +103,12 @@ if [[ "$run_service" == "1" ]]; then
   svc_store="$svc_dir/store"
   svc_sock="$svc_dir/query.sock"
   build/examples/query_server init "$svc_store"
+  # The only catalog format written is v5.
+  magic=$(head -c 8 "$svc_store/snapshot-0.plc")
+  [[ "$magic" == PLCATLG5 ]] \
+    || { echo "snapshot-0.plc starts with '$magic', expected PLCATLG5" >&2; exit 1; }
   # First: a quiescent server (no writer). Epoch 0 of a fresh store is
-  # sealed — full v4 snapshot, empty journal — so the smoke battery's
+  # sealed — full v5 snapshot, empty journal — so the smoke battery's
   # STATS check must see the arena-backed (zero-copy mmap) view here.
   build/examples/query_server serve "$svc_store" "$svc_sock" 0 &
   svc_pid=$!
@@ -147,6 +152,16 @@ if [[ "$run_service" == "1" ]]; then
   wait "$svc_pid" 2>/dev/null || true
   wait "$storm_pid" 2>/dev/null || true
   build/examples/durable_store_demo verify "$svc_store"
+  # Every checkpoint the live writer left is in the formats this build
+  # writes: v5 snapshots and PLDELTA2 deltas.
+  for f in "$svc_store"/snapshot-*.plc "$svc_store"/delta-*.pld; do
+    [[ -e "$f" ]] || continue
+    want=PLCATLG5
+    [[ "$f" == *.pld ]] && want=PLDELTA2
+    magic=$(head -c 8 "$f")
+    [[ "$magic" == "$want" ]] \
+      || { echo "$f starts with '$magic', expected $want" >&2; exit 1; }
+  done
   rm -rf "$svc_dir"
   echo "== service: bench_service -> BENCH_query_service.json =="
   (cd build/bench && ./bench_service)
@@ -239,7 +254,7 @@ if [[ "$run_scalar" == "1" ]]; then
   cmake -B build-scalar -S . -DPRIMELABEL_DISABLE_SIMD=ON >/dev/null
   cmake --build build-scalar -j "$jobs"
   ctest --test-dir build-scalar --output-on-failure -j "$jobs"
-  echo "== catalog compat: v2/v3 fixtures -> v4 oracle diff (build-scalar/) =="
+  echo "== catalog compat: v2/v3/v4 fixtures -> v5 oracle diff (build-scalar/) =="
   build-scalar/examples/catalog_compat
 fi
 

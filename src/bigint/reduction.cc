@@ -105,24 +105,6 @@ void SweepLanes(const simd::RedcLane* lanes, const std::size_t* origin,
   }
 }
 
-/// Per-chunk Reciprocal64 cache for the fingerprint moduli: the chunk
-/// products are compile-time constants, so the fingerprint update path
-/// reuses Layer 2 instead of a 128-by-64 library division.
-const std::array<Reciprocal64, kFingerprintChunks>& ChunkReciprocals() {
-  static const auto* table = [] {
-    auto* t = new std::array<Reciprocal64, kFingerprintChunks>{
-        Reciprocal64(kFingerprintChunkTable[0].product),
-        Reciprocal64(kFingerprintChunkTable[1].product),
-        Reciprocal64(kFingerprintChunkTable[2].product),
-        Reciprocal64(kFingerprintChunkTable[3].product),
-        Reciprocal64(kFingerprintChunkTable[4].product),
-        Reciprocal64(kFingerprintChunkTable[5].product),
-        Reciprocal64(kFingerprintChunkTable[6].product)};
-    return t;
-  }();
-  return *table;
-}
-
 /// prime_mask bit for a prime self-label, or 0 when it is beyond the
 /// tracked range (> 311).
 std::uint64_t MaskBitOf(std::uint64_t self) {
@@ -158,14 +140,15 @@ BuildPrimeDivMagic() {
 
 inline constexpr auto kPrimeDivMagic = BuildPrimeDivMagic();
 
-/// Fills mask/length fields of `fp` from precomputed chunk residues.
-/// Matches the naive per-prime `residue % p == 0` loop bit for bit.
+/// Fills the fingerprint of `value` from its chunk residues. The chunk
+/// moduli are squarefree, so the primes of a chunk that divide the label
+/// are exactly those that divide its residue. Matches the naive per-prime
+/// `residue % p == 0` loop bit for bit.
 void FinishFingerprint(const BigInt& value,
                        std::span<const std::uint64_t> residues,
                        LabelFingerprint* fp) {
   for (int j = 0; j < kFingerprintChunks; ++j) {
     const std::uint64_t r = residues[static_cast<std::size_t>(j)];
-    fp->residues[static_cast<std::size_t>(j)] = r;
     const FingerprintChunk& chunk =
         kFingerprintChunkTable[static_cast<std::size_t>(j)];
     for (int k = 0; k < chunk.count; ++k) {
@@ -240,16 +223,6 @@ LabelFingerprint ExtendFingerprintByPrime(const LabelFingerprint& parent,
                                           std::uint64_t self,
                                           const BigInt& child_label) {
   LabelFingerprint fp;
-  const auto& reciprocals = ChunkReciprocals();
-  for (int j = 0; j < kFingerprintChunks; ++j) {
-    // self is prime but may exceed the chunk product; reduce it first so
-    // the product fits 128 bits.
-    std::uint64_t self_mod = reciprocals[j].Mod128(0, self);
-    U128 prod = static_cast<U128>(parent.residues[j]) * self_mod;
-    fp.residues[j] = reciprocals[j].Mod128(
-        static_cast<std::uint64_t>(prod >> 64),
-        static_cast<std::uint64_t>(prod));
-  }
   // self is prime, so the small primes dividing parent*self are exactly
   // those dividing the parent, plus self when it is in the tracked range.
   fp.prime_mask = parent.prime_mask | MaskBitOf(self);

@@ -16,8 +16,8 @@ namespace primelabel {
 // This header provides three layers that the batch query kernels and the
 // CRT solver share, each bit-identical in outcome to naive DivMod:
 //
-//   Layer 1 — residue fingerprints (LabelFingerprint): per-label residues
-//   modulo a few squarefree word-sized moduli, plus bit length and the
+//   Layer 1 — label fingerprints (LabelFingerprint, 16 bytes): which of
+//   the first 64 primes divide the label, plus its bit length and
 //   trailing-zero count. A witness in any slot rejects a candidate pair
 //   with zero BigInt work; pairs that pass fall through to an exact test.
 //
@@ -47,7 +47,8 @@ inline constexpr std::array<std::uint32_t, 64> kFingerprintPrimes = {
     241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311};
 
 /// Consecutive kFingerprintPrimes packed greedily into squarefree products
-/// that fit a machine word — the moduli of the fingerprint residues.
+/// that fit a machine word. FingerprintOf reduces a label by each product
+/// once and reads the prime mask off the seven word-sized residues.
 struct FingerprintChunk {
   std::uint64_t product = 1;  ///< product of primes [first, first + count)
   int first = 0;
@@ -88,14 +89,13 @@ inline constexpr std::array<FingerprintChunk, kFingerprintChunks>
 /// The witness logic: if x divides y, then (a) every small prime dividing
 /// x divides y, (b) the exact power of two dividing x divides y, and (c)
 /// x <= y. Each field gives one of those necessary conditions a
-/// constant-time check; `prime_mask` is derived from `residues` — the
-/// chunk moduli are squarefree, so gcd(label, chunk product) is exactly
-/// the set of chunk primes dividing the label, recoverable from the
-/// residue alone. A failed check is a proof of non-divisibility; a pass
-/// decides nothing (the caller runs the exact division).
+/// constant-time check. A failed check is a proof of non-divisibility; a
+/// pass decides nothing (the caller runs the exact division).
+///
+/// The struct is exactly the fields the screen reads, 16 bytes with no
+/// padding: catalog v5 and delta format PLDELTA2 persist this image, and
+/// the catalog's FPS column is read in place as an array of it.
 struct LabelFingerprint {
-  /// label mod kFingerprintChunkTable[j].product.
-  std::array<std::uint64_t, kFingerprintChunks> residues{};
   /// Bit i set iff kFingerprintPrimes[i] divides the label.
   std::uint64_t prime_mask = 0;
   /// BigInt::BitLength() of the label.
@@ -104,11 +104,15 @@ struct LabelFingerprint {
   /// an even divisor with more trailing zeros than the dividend is
   /// rejected here, before any division).
   std::int32_t trailing_zeros = 0;
+
+  friend bool operator==(const LabelFingerprint&,
+                         const LabelFingerprint&) = default;
 };
 
 /// Computes the fingerprint of `value` from scratch (|value| is used).
-/// Cost: one word-sized remainder per chunk plus one small division per
-/// fingerprint prime — the catalog load path and Adopt use this.
+/// Cost: one word-sized remainder per chunk (kept as locals) plus one
+/// multiply per fingerprint prime to read the mask off those residues —
+/// the catalog load path and Adopt use this.
 LabelFingerprint FingerprintOf(const BigInt& value);
 
 /// Fingerprints a whole span of labels in one call — the batched front
@@ -120,11 +124,14 @@ void FingerprintLabels(std::span<const BigInt> labels,
 
 /// Stable 64-bit hash of the fingerprint configuration: the prime list,
 /// the chunk packing (product/first/count per chunk) and the chunk count.
-/// Persisted fingerprints (catalog format v3) are only valid against the
-/// exact configuration they were computed with — a catalog written before
-/// a change to kFingerprintPrimes or the chunking must fall back to
+/// Persisted fingerprints (catalog formats v3 to v5) are only valid
+/// against the exact configuration they were computed with — a catalog
+/// written before a change to kFingerprintPrimes must fall back to
 /// recomputing — so the catalog stores this hash and the loader compares
-/// it against the running binary's value.
+/// it against the running binary's value. The value is the same as when
+/// fingerprints still carried the chunk residues: the three persisted
+/// fields depend only on kFingerprintPrimes, so the tails of v3/v4 images
+/// stay adoptable.
 std::uint64_t FingerprintConfigHash();
 
 /// Number of labels fingerprinted from scratch (FingerprintOf +
@@ -135,10 +142,10 @@ std::uint64_t FingerprintConfigHash();
 std::uint64_t FingerprintComputeCount();
 
 /// Derives the fingerprint of `child_label == parent_label * self` from
-/// the parent's fingerprint in O(chunks) multiply-mods — the incremental
-/// path used while labeling. `self` must be prime (the top-down scheme's
-/// self-labels are); `child_label` is consulted only for the exact bit
-/// length and trailing-zero count.
+/// the parent's fingerprint — the incremental path used while labeling.
+/// `self` must be prime (the top-down scheme's self-labels are), so the
+/// mask is the parent's OR self's bit; `child_label` is consulted only for
+/// the exact bit length and trailing-zero count.
 LabelFingerprint ExtendFingerprintByPrime(const LabelFingerprint& parent,
                                           std::uint64_t self,
                                           const BigInt& child_label);
@@ -182,9 +189,9 @@ int TrailingZeroBitsOf(LimbSpan magnitude);
 
 /// Word-sized divisor with a cached Möller–Granlund reciprocal: after
 /// construction, reducing an n-limb BigInt costs n/2 multiply-high steps
-/// instead of n hardware 128/64 divisions. Used wherever one 64-bit
-/// divisor meets many dividends (batched ancestor tests against shallow
-/// ancestors, the fast CRT's per-modulus arithmetic).
+/// instead of n hardware 128/64 divisions. The standalone form of the
+/// one-limb state ReciprocalDivisor keeps; no production path calls it
+/// since fingerprints stopped carrying chunk residues.
 class Reciprocal64 {
  public:
   /// `divisor` must be nonzero.

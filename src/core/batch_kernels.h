@@ -15,7 +15,7 @@ namespace primelabel {
 
 // The batched ancestry kernels behind both prime-label oracles: the live
 // OrderedPrimeScheme (one BigInt per node) and LoadedCatalog (limb spans
-// into a v4 image). Each kernel is a template over a label column — any
+// into a v5 image). Each kernel is a template over a label column — any
 // type providing
 //
 //   LimbSpan label(NodeId) const;

@@ -12,22 +12,41 @@ ScTable::ScTable(int group_size) : group_size_(group_size) {
   PL_CHECK(group_size_ >= 1);
 }
 
-ScTable ScTable::FromRecords(int group_size, std::vector<ScRecord> records) {
+Result<ScTable> ScTable::FromRecords(int group_size,
+                                     std::vector<ScRecord> records) {
   ScTable table(group_size);
   table.records_ = std::move(records);
   for (std::size_t r = 0; r < table.records_.size(); ++r) {
     ScRecord& record = table.records_[r];
-    PL_CHECK(record.moduli.size() == record.orders.size());
+    auto corrupt = [r](const std::string& what) {
+      return Status::Corruption("SC record " + std::to_string(r) + " " +
+                                what);
+    };
+    if (record.moduli.size() != record.orders.size()) {
+      return corrupt("pairs " + std::to_string(record.moduli.size()) +
+                     " moduli with " + std::to_string(record.orders.size()) +
+                     " orders");
+    }
     for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-      table.index_[record.moduli[i]] = {r, i};
+      const std::uint64_t modulus = record.moduli[i];
+      if (modulus < 2) return corrupt("has modulus " + std::to_string(modulus));
+      if (record.orders[i] >= modulus) {
+        return corrupt("stores order " + std::to_string(record.orders[i]) +
+                       " for modulus " + std::to_string(modulus));
+      }
+      if (!table.index_.emplace(modulus, std::make_pair(r, i)).second) {
+        return corrupt("repeats modulus " + std::to_string(modulus));
+      }
       table.max_order_ = std::max(table.max_order_, record.orders[i]);
     }
-    if (!record.moduli.empty()) table.Recompute(r);
+    if (record.moduli.empty()) continue;
+    Status solved = table.Recompute(r);
+    if (!solved.ok()) return corrupt("fails its solve: " + solved.message());
   }
   return table;
 }
 
-void ScTable::Recompute(std::size_t record_index) {
+Status ScTable::Recompute(std::size_t record_index) {
   ScRecord& record = records_[record_index];
   std::vector<Congruence> system;
   system.reserve(record.moduli.size());
@@ -38,10 +57,11 @@ void ScTable::Recompute(std::size_t record_index) {
   // the equivalence), so persisted SC values and the parallel build's
   // record-for-record comparisons are unaffected.
   Result<BigInt> solution = SolveCrtFast(system);
-  PL_CHECK(solution.ok());
+  if (!solution.ok()) return solution.status();
   record.sc = std::move(solution.value());
   record.max_modulus =
       *std::max_element(record.moduli.begin(), record.moduli.end());
+  return Status::Ok();
 }
 
 std::size_t ScTable::Add(std::uint64_t self, std::uint64_t order) {
@@ -72,7 +92,9 @@ void ScTable::Build(const std::vector<std::uint64_t>& selves,
   max_order_ = 0;
   for (std::size_t k = 0; k < selves.size(); ++k) Add(selves[k], k + 1);
   if (pool == nullptr || pool->size() <= 1 || records_.size() < 2) {
-    for (std::size_t r = 0; r < records_.size(); ++r) Recompute(r);
+    for (std::size_t r = 0; r < records_.size(); ++r) {
+      PL_CHECK(Recompute(r).ok());
+    }
     return;
   }
   // Strided static partition: Recompute touches only records_[r].sc and
@@ -83,7 +105,7 @@ void ScTable::Build(const std::vector<std::uint64_t>& selves,
     pool->Submit([this, w, workers] {
       for (std::size_t r = static_cast<std::size_t>(w); r < records_.size();
            r += static_cast<std::size_t>(workers)) {
-        Recompute(r);
+        PL_CHECK(Recompute(r).ok());
       }
     });
   }
@@ -146,7 +168,7 @@ ScUpdateStats ScTable::InsertAt(
   if (!bumped.empty() && bumped.back() == landed) bumped.pop_back();
   if (resolve.empty() || resolve.back() != landed) resolve.push_back(landed);
   for (std::size_t r : bumped) ++records_[r].sc;
-  for (std::size_t r : resolve) Recompute(r);
+  for (std::size_t r : resolve) PL_CHECK(Recompute(r).ok());
   stats.records_updated = static_cast<int>(bumped.size() + resolve.size());
   return stats;
 }
@@ -154,7 +176,7 @@ ScUpdateStats ScTable::InsertAt(
 ScUpdateStats ScTable::Append(std::uint64_t self) {
   ScUpdateStats stats;
   std::size_t landed = Add(self, max_order_ + 1);
-  Recompute(landed);
+  PL_CHECK(Recompute(landed).ok());
   stats.records_updated = 1;
   return stats;
 }
@@ -211,7 +233,7 @@ bool ScTable::Remove(std::uint64_t self) {
     record.sc = BigInt(0);
     record.max_modulus = 0;
   } else {
-    Recompute(record_index);
+    PL_CHECK(Recompute(record_index).ok());
   }
   return true;
 }

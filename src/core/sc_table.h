@@ -16,8 +16,9 @@ class ThreadPool;
 /// One record of the simultaneous-congruence table: a group of nodes whose
 /// global order numbers are packed into a single SC value (Section 4.1,
 /// Figure 10). The record keeps the (modulus, order) pairs so it can be
-/// recomputed after updates; the paper's on-disk form (sc, max_modulus) is
-/// derivable — order(v) = sc mod self(v) — and tests verify that identity.
+/// recomputed after updates. Persisted records (catalog v5, delta format
+/// PLDELTA2) store the moduli and sc only: order(v) = sc mod self(v)
+/// recovers the rest, and tests verify that identity.
 struct ScRecord {
   std::vector<std::uint64_t> moduli;  ///< node self-labels in this group
   std::vector<std::uint64_t> orders;  ///< their global order numbers
@@ -52,10 +53,15 @@ class ScTable {
   /// degenerates to one global SC value (Figure 9).
   explicit ScTable(int group_size = 5);
 
-  /// Reconstructs a table from previously persisted records (the catalog's
-  /// load path). Records are adopted as-is; SC values are recomputed to
-  /// verify consistency.
-  static ScTable FromRecords(int group_size, std::vector<ScRecord> records);
+  /// Reconstructs a table from previously persisted records (the catalog
+  /// and delta load paths). The (modulus, order) pairs are adopted as-is
+  /// and every SC value is re-solved from them. Decoded bytes are not
+  /// trusted: kCorruption when a modulus is below 2, a modulus appears
+  /// twice anywhere in the table, an order is not below its modulus, a
+  /// record's moduli and orders differ in count, or a record's solve
+  /// fails (the solver's message is passed on).
+  static Result<ScTable> FromRecords(int group_size,
+                                     std::vector<ScRecord> records);
 
   /// Builds the table from the nodes' self-labels in document order:
   /// selves[k] receives order number k+1 (the root, order 0, is not
@@ -112,8 +118,10 @@ class ScTable {
   bool VerifyIntegrity() const;
 
  private:
-  /// Recomputes a record's SC value and max_modulus from its pairs.
-  void Recompute(std::size_t record_index);
+  /// Recomputes a record's SC value and max_modulus from its pairs; the
+  /// solver's error when the pairs admit no solution. The update paths
+  /// keep the pairs solvable, so only FromRecords can see an error.
+  Status Recompute(std::size_t record_index);
   /// Adds (self, order) to the last record, or a new record when full.
   /// Returns the index of the record touched.
   std::size_t Add(std::uint64_t self, std::uint64_t order);

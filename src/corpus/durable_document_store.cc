@@ -484,7 +484,7 @@ Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
   // Sealed-epoch fast path: a full snapshot with zero journal frames is
   // exactly the catalog image — serve it arena-backed, no materialization.
   // Eligibility is structural (journal empty, a full .plc file exists);
-  // OpenCatalogMapped converts pre-v4 or stale-hash files to an in-memory
+  // OpenCatalogMapped converts pre-v5 or stale-hash files to an in-memory
   // image itself. A digest failure is NOT converted: the file is the
   // current epoch's authoritative state, so corruption propagates.
   if (pin.journal_bytes() <= kWalHeaderBytes &&

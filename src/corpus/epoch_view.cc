@@ -77,11 +77,13 @@ Result<std::vector<NodeId>> EpochView::Query(std::string_view xpath,
 const LabeledDocument& EpochView::document() const {
   if (!arena_backed()) return *doc_;
   std::call_once(doc_once_, [this] {
-    Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-        catalog_->MaterializeRows(), catalog_->MaterializeScTable(),
-        /*fingerprints_valid=*/true, "arena epoch view");
     // The image passed every digest and shape check at open; a rebuild
     // failure here means the invariants above were violated.
+    Result<ScTable> sc_table = catalog_->MaterializeScTable();
+    PL_CHECK(sc_table.ok());
+    Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
+        catalog_->MaterializeRows(), std::move(sc_table.value()),
+        /*fingerprints_valid=*/true, "arena epoch view");
     PL_CHECK(doc.ok());
     doc_ = std::make_unique<const LabeledDocument>(std::move(doc.value()));
   });

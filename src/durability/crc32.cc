@@ -12,8 +12,8 @@ namespace {
 /// CRC whose low byte is `b` by k+1 further zero bytes. Processing eight
 /// input bytes per step turns the bit-serial dependency chain into eight
 /// independent loads, which matters here: every WAL frame append/replay
-/// and every catalog-v4 section digest funnels through this routine, and
-/// the v4 digests cover entire multi-megabyte images at open time.
+/// and every catalog-image section digest funnels through this routine,
+/// and those digests cover entire multi-megabyte images at open time.
 const std::array<std::array<std::uint32_t, 256>, 8>& Crc32Tables() {
   static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
     std::array<std::array<std::uint32_t, 256>, 8> t{};

@@ -8,7 +8,7 @@ namespace primelabel {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
 ///
-/// Shared by the journal frame codec (frame.h) and the catalog's v4
+/// Shared by the journal frame codec (frame.h) and the catalog image's
 /// section digests (store/catalog.h). Lives in its own TU, compiled into
 /// the Vfs target, because store must not depend on the full durability
 /// library (which links corpus, which links store).

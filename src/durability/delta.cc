@@ -10,7 +10,10 @@ namespace primelabel {
 
 namespace {
 
-constexpr char kDeltaMagic[8] = {'P', 'L', 'D', 'E', 'L', 'T', 'A', '1'};
+/// The 7-byte magic prefix; the eighth byte is the format digit. EncodeDelta
+/// writes '2'; DecodeDelta also reads '1'.
+constexpr char kDeltaMagicPrefix[7] = {'P', 'L', 'D', 'E', 'L', 'T', 'A'};
+constexpr std::size_t kDeltaMagicBytes = 8;
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -178,7 +181,8 @@ DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
 
 std::vector<std::uint8_t> EncodeDelta(const DeltaSnapshot& delta) {
   ByteWriter writer;
-  writer.Bytes(kDeltaMagic, sizeof(kDeltaMagic));
+  writer.Bytes(kDeltaMagicPrefix, sizeof(kDeltaMagicPrefix));
+  writer.U8(static_cast<std::uint8_t>('2'));
   writer.U64(delta.base_epoch);
   writer.U64(delta.final_row_count);
   writer.U64(delta.final_digest);
@@ -206,10 +210,14 @@ std::vector<std::uint8_t> EncodeDelta(const DeltaSnapshot& delta) {
 
 Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
                                   const std::string& origin) {
-  if (bytes.size() < sizeof(kDeltaMagic) + 4 ||
-      std::memcmp(bytes.data(), kDeltaMagic, sizeof(kDeltaMagic)) != 0) {
+  if (bytes.size() < kDeltaMagicBytes + 4 ||
+      std::memcmp(bytes.data(), kDeltaMagicPrefix,
+                  sizeof(kDeltaMagicPrefix)) != 0 ||
+      (bytes[7] != '1' && bytes[7] != '2')) {
     return Status::ParseError(origin + " is not a delta snapshot");
   }
+  // PLDELTA1 stored 72-byte fingerprint images and explicit SC orders.
+  const bool v1 = bytes[7] == '1';
   // Trailing CRC covers everything before it; a torn or bit-flipped delta
   // is rejected before any field is believed.
   ByteReader crc_reader(bytes.subspan(bytes.size() - 4));
@@ -218,13 +226,17 @@ Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
     return Status::ParseError(origin + " failed its checksum");
   }
 
-  ByteReader reader(bytes.subspan(sizeof(kDeltaMagic), bytes.size() - 4 -
-                                                           sizeof(kDeltaMagic)));
+  ByteReader reader(bytes.subspan(kDeltaMagicBytes,
+                                  bytes.size() - 4 - kDeltaMagicBytes));
   DeltaSnapshot delta;
   delta.base_epoch = reader.U64();
   delta.final_row_count = reader.U64();
   delta.final_digest = reader.U64();
   delta.fingerprints = reader.U8() != 0;
+  const RowFingerprint fingerprint =
+      !delta.fingerprints ? RowFingerprint::kNone
+      : v1                ? RowFingerprint::kResidueImage
+                          : RowFingerprint::kImage;
   // Counts are only believed as far as the remaining bytes can back them,
   // so a crafted count cannot size the reservations. A tombstone is one
   // u64.
@@ -243,7 +255,7 @@ Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
   }
   // A patch is its flags and two selves, then a row image.
   const std::size_t min_patch_bytes =
-      1 + 8 + 8 + MinCatalogRowBytes(delta.fingerprints);
+      1 + 8 + 8 + MinCatalogRowBytes(fingerprint);
   delta.patches.reserve(std::min<std::uint64_t>(
       patch_count, reader.remaining() / min_patch_bytes));
   for (std::uint64_t i = 0; i < patch_count && reader.ok(); ++i) {
@@ -251,7 +263,7 @@ Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
     patch.flags = reader.U8();
     patch.parent_self = reader.U64();
     patch.pred_self = reader.U64();
-    Status decoded = DecodeCatalogRow(&reader, delta.fingerprints, &patch.row);
+    Status decoded = DecodeCatalogRow(&reader, fingerprint, &patch.row);
     if (!decoded.ok()) return Status::ParseError(origin + ": " +
                                                  decoded.message());
     delta.patches.push_back(std::move(patch));
@@ -265,9 +277,10 @@ Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
   for (std::uint64_t i = 0; i < change_count && reader.ok(); ++i) {
     const std::uint64_t index = reader.U64();
     ScRecord record;
-    Status decoded = DecodeScRecord(&reader, &record);
-    if (!decoded.ok()) return Status::ParseError(origin + ": " +
-                                                 decoded.message());
+    Status decoded = DecodeScRecord(&reader, /*with_orders=*/v1, &record);
+    if (!decoded.ok()) {
+      return Status(decoded.code(), origin + ": " + decoded.message());
+    }
     delta.sc_changes.emplace_back(index, std::move(record));
   }
   if (!reader.ok() || delta.sc_group_size < 1) {
@@ -476,9 +489,13 @@ Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state) {
     }
     records[index] = record;
   }
-  state->rows = std::move(final_rows);
-  state->sc_table =
+  Result<ScTable> sc_table =
       ScTable::FromRecords(delta.sc_group_size, std::move(records));
+  if (!sc_table.ok()) {
+    return Status::Corruption("delta apply: " + sc_table.status().message());
+  }
+  state->rows = std::move(final_rows);
+  state->sc_table = std::move(sc_table.value());
   state->fingerprints_valid =
       state->fingerprints_valid && delta.fingerprints;
   return Status::Ok();

@@ -28,6 +28,12 @@ namespace primelabel {
 //   - changed SC records by index (the SC record vector is append-only:
 //     records never move, so an index is a stable name).
 //
+// Format PLDELTA2 persists a patch row's fingerprint as its 16-byte image
+// and an SC record as its moduli plus its SC value; the decoder derives
+// each order as sc mod modulus. The read-only PLDELTA1 stored 72-byte
+// fingerprint images (chunk residues in front) and an order beside every
+// modulus; DecodeDelta still reads it.
+//
 // Change detection is diff-based, not WAL-event-based: the store keeps a
 // hash index of the base epoch's rows (self -> row hash + parent self) and
 // diffs the current rows against it at checkpoint time. An SC rewrite can
@@ -105,11 +111,12 @@ DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
                          const std::vector<CatalogRow>& final_rows,
                          const ScTable& final_sc);
 
-/// Serializes a delta ("PLDELTA1" + body + trailing CRC-32 of everything
+/// Serializes a delta ("PLDELTA2" + body + trailing CRC-32 of everything
 /// before it).
 std::vector<std::uint8_t> EncodeDelta(const DeltaSnapshot& delta);
 
-/// Parses and CRC-checks a delta file image. kParseError on damage.
+/// Parses and CRC-checks a PLDELTA1 or PLDELTA2 file image. kParseError
+/// on damage; kCorruption on an SC modulus below 2.
 Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
                                   const std::string& origin);
 
@@ -117,7 +124,8 @@ Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
 /// epoch's state. Verifies the final row count and digest recorded in the
 /// delta; any mismatch — a final count the delta cannot reach, a patch
 /// that does not fit, an anchor that does not exist, a digest difference
-/// — is kInternal, never a silent divergence.
+/// — is kInternal, never a silent divergence. SC records that do not
+/// rebuild a table (ScTable::FromRecords) are kCorruption.
 Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state);
 
 }  // namespace primelabel

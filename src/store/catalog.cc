@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "bigint/simd.h"
 #include "core/batch_kernels.h"
@@ -15,69 +16,55 @@ namespace {
 /// Shared 7-byte magic prefix; the eighth byte is the ASCII format digit.
 constexpr char kMagicPrefix[7] = {'P', 'L', 'C', 'A', 'T', 'L', 'G'};
 
-/// The v4 columns are read in place (reinterpret_cast over the image), so
-/// the stored little-endian bytes must BE the in-memory representation —
-/// the same punning contract the vector kernels rely on (bigint/simd.h).
-/// A big-endian port would need a decode pass here; fail loudly at
-/// compile time instead of corrupting quietly.
+/// The image columns are read in place (reinterpret_cast over the
+/// image), so the stored little-endian bytes must BE the in-memory
+/// representation — the same punning contract the vector kernels rely on
+/// (bigint/simd.h). A big-endian port would need a decode pass here; fail
+/// loudly at compile time instead of corrupting quietly.
 static_assert(std::endian::native == std::endian::little,
-              "catalog v4 in-place columns require a little-endian host");
+              "catalog in-place columns require a little-endian host");
 
-/// Packed on-disk image of a LabelFingerprint: 7 residues, the prime
-/// mask, bit length and trailing zeros, all little-endian. Encoded and
-/// decoded through one 72-byte buffer so the v3 per-row overhead is a
-/// single stdio call, not ten — the format is byte-identical to writing
-/// the fields individually.
-constexpr std::size_t kFingerprintImageBytes =
-    sizeof(LabelFingerprint{}.residues) + 8 + 4 + 4;
-
-void PackFingerprint(const LabelFingerprint& fp,
-                     std::uint8_t out[kFingerprintImageBytes]) {
-  std::size_t at = 0;
-  auto put64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out[at++] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  auto put32 = [&](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out[at++] = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  for (std::uint64_t residue : fp.residues) put64(residue);
-  put64(fp.prime_mask);
-  put32(static_cast<std::uint32_t>(fp.bit_length));
-  put32(static_cast<std::uint32_t>(fp.trailing_zeros));
-}
-
-void UnpackFingerprint(const std::uint8_t in[kFingerprintImageBytes],
-                       LabelFingerprint* fp) {
-  std::size_t at = 0;
-  auto get64 = [&] {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[at++]) << (8 * i);
-    return v;
-  };
-  auto get32 = [&] {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[at++]) << (8 * i);
-    return v;
-  };
-  for (std::uint64_t& residue : fp->residues) residue = get64();
-  fp->prime_mask = get64();
-  fp->bit_length = static_cast<std::int32_t>(get32());
-  fp->trailing_zeros = static_cast<std::int32_t>(get32());
-}
-
-/// The v4 FPS column is the packed image reinterpreted in place, which is
-/// only sound because the packed layout (little-endian fields, in
-/// declaration order, no gaps) is exactly the struct's memory layout.
-static_assert(sizeof(LabelFingerprint) == kFingerprintImageBytes,
-              "packed fingerprint image must match the struct layout");
-static_assert(alignof(LabelFingerprint) <= 8,
-              "FPS column entries are 8-byte aligned (72 = 9 * 8)");
-static_assert(kFingerprintImageBytes % 8 == 0,
+/// The v5 FPS column and PLDELTA2 patch rows persist a LabelFingerprint as
+/// its own 16-byte memory image: prime_mask, bit_length, trailing_zeros,
+/// little-endian, in declaration order. The FPS column is read in place
+/// as an array of the struct, which is only sound while the struct has no
+/// padding and keeps 8-byte alignment down the column.
+constexpr std::size_t kFingerprintImageBytes = sizeof(LabelFingerprint);
+static_assert(kFingerprintImageBytes == 16 &&
+                  std::has_unique_object_representations_v<LabelFingerprint>,
+              "the fingerprint image must be the struct's padding-free layout");
+static_assert(alignof(LabelFingerprint) <= 8 &&
+                  kFingerprintImageBytes % 8 == 0,
               "FPS entries must preserve 8-byte alignment down the column");
 
-// --- Format v4: sectioned columnar image ----------------------------------
+/// v3 rows, v4 FPS entries and PLDELTA1 patch rows hold a 72-byte image:
+/// seven chunk residues, which no reader needs, then the 16-byte image
+/// above. Readers adopt that tail and skip the residues.
+constexpr std::size_t kResidueImageBytes = 72;
+constexpr std::size_t kResidueImageTail =
+    kResidueImageBytes - kFingerprintImageBytes;
+
+LabelFingerprint FingerprintAt(const std::uint8_t* image) {
+  LabelFingerprint fp;
+  std::memcpy(&fp, image, sizeof(fp));
+  return fp;
+}
+
+std::size_t RowFingerprintBytes(RowFingerprint shape) {
+  switch (shape) {
+    case RowFingerprint::kNone:
+      return 0;
+    case RowFingerprint::kResidueImage:
+      return kResidueImageBytes;
+    case RowFingerprint::kImage:
+      return kFingerprintImageBytes;
+  }
+  return 0;
+}
+
+// --- Formats v4 and v5: sectioned columnar image --------------------------
 //
-//   [0..8)    magic "PLCATLG4"
+//   [0..8)    magic "PLCATLG5" (the read-only v4: "PLCATLG4")
 //   [8..12)   u32 crc32 of bytes [12 .. header_end)
 //   [12..20)  u64 fingerprint config hash
 //   [20..28)  u64 row count
@@ -86,61 +73,69 @@ static_assert(kFingerprintImageBytes % 8 == 0,
 //   [36..header_end)  per section: u32 id, u32 crc32, u64 offset, u64 len
 //   sections, each starting at an 8-byte-aligned offset
 //
+// v4 differs from v5 in two sections only: its FPS entries are the 72-byte
+// residue images, and its SCMETA stores an order after every modulus. v5
+// keeps the 16-byte fingerprints and the moduli alone; readers derive each
+// order as sc mod modulus, the paper's recovery.
+//
 // The directory is bounds-checked against the actual byte count before
 // any section is touched — a truncated file (or mapping) fails the
 // size-vs-directory gate up front instead of faulting mid-read.
 
-enum V4SectionId : std::uint32_t {
+enum SectionId : std::uint32_t {
   kSecRowMeta = 1,  ///< tag / element flag / parent / attributes stream
   kSecSelf = 2,     ///< u64 self-label column
   kSecLabels = 3,   ///< LabelArena image of label magnitudes
-  kSecFps = 4,      ///< packed 72-byte fingerprint images
-  kSecScMeta = 5,   ///< SC records' (modulus, order) pairs
+  kSecFps = 4,      ///< fingerprint images (16 bytes each; v4: 72)
+  kSecScMeta = 5,   ///< SC record count, then per record its moduli
   kSecScVals = 6,   ///< LabelArena image of SC magnitudes
 };
 
-constexpr std::uint32_t kV4SectionCount = 6;
-constexpr std::size_t kV4FixedHeaderBytes = 36;
-constexpr std::size_t kV4DirectoryEntryBytes = 24;
+constexpr std::uint32_t kSectionCount = 6;
+constexpr std::size_t kFixedHeaderBytes = 36;
+constexpr std::size_t kDirectoryEntryBytes = 24;
 
 std::size_t Align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-/// Parsed v4 header: section byte ranges plus the header scalars.
-struct V4Image {
-  std::span<const std::uint8_t> sections[kV4SectionCount + 1];  // by id
+/// Parsed image header: section byte ranges plus the header scalars.
+struct ImageLayout {
+  std::span<const std::uint8_t> sections[kSectionCount + 1];  // by id
+  int version = 0;
   std::uint64_t config_hash = 0;
   std::uint64_t row_count = 0;
   int group_size = 0;
 };
 
-/// Validates the v4 header, directory and every section digest.
-/// `bytes` is the whole file (or mapping); `origin` names it in errors.
-Status ParseV4Header(std::span<const std::uint8_t> bytes,
-                     const std::string& origin, V4Image* out) {
-  if (bytes.size() < kV4FixedHeaderBytes) {
-    return Status::Corruption(origin + ": truncated v4 header");
+/// Validates the header, directory and every section digest of a v4 or
+/// v5 image (the caller has checked the magic). `bytes` is the whole file
+/// (or mapping); `origin` names it in errors.
+Status ParseImageHeader(std::span<const std::uint8_t> bytes,
+                        const std::string& origin, ImageLayout* out) {
+  if (bytes.size() < kFixedHeaderBytes) {
+    return Status::Corruption(origin + ": truncated image header");
   }
-  ByteReader header(bytes.first(kV4FixedHeaderBytes));
+  ByteReader header(bytes.first(kFixedHeaderBytes));
   char magic[8];
   header.Bytes(magic, sizeof(magic));
+  out->version = magic[7] - '0';
   const std::uint32_t header_crc = header.U32();
   out->config_hash = header.U64();
   out->row_count = header.U64();
   const std::uint32_t group_size = header.U32();
   const std::uint32_t section_count = header.U32();
-  if (section_count != kV4SectionCount) {
-    return Status::Corruption(origin + ": v4 directory lists " +
+  if (section_count != kSectionCount) {
+    return Status::Corruption(origin + ": image directory lists " +
                               std::to_string(section_count) +
                               " sections, expected " +
-                              std::to_string(kV4SectionCount));
+                              std::to_string(kSectionCount));
   }
   const std::size_t header_end =
-      kV4FixedHeaderBytes + kV4SectionCount * kV4DirectoryEntryBytes;
+      kFixedHeaderBytes + kSectionCount * kDirectoryEntryBytes;
   if (bytes.size() < header_end) {
-    return Status::Corruption(origin + ": truncated v4 section directory");
+    return Status::Corruption(origin + ": truncated section directory");
   }
   if (Crc32(bytes.subspan(12, header_end - 12)) != header_crc) {
-    return Status::Corruption(origin + ": v4 header digest mismatch");
+    return Status::Corruption(origin + ": header digest mismatch");
   }
   if (out->row_count > (std::uint64_t{1} << 32)) {
     return Status::Corruption(origin + ": implausible row count");
@@ -150,14 +145,14 @@ Status ParseV4Header(std::span<const std::uint8_t> bytes,
   }
   out->group_size = static_cast<int>(group_size);
   ByteReader directory(
-      bytes.subspan(kV4FixedHeaderBytes, header_end - kV4FixedHeaderBytes));
-  for (std::uint32_t s = 0; s < kV4SectionCount; ++s) {
+      bytes.subspan(kFixedHeaderBytes, header_end - kFixedHeaderBytes));
+  for (std::uint32_t s = 0; s < kSectionCount; ++s) {
     const std::uint32_t id = directory.U32();
     const std::uint32_t crc = directory.U32();
     const std::uint64_t offset = directory.U64();
     const std::uint64_t length = directory.U64();
     if (id != s + 1) {
-      return Status::Corruption(origin + ": v4 directory out of order (got id " +
+      return Status::Corruption(origin + ": directory out of order (got id " +
                                 std::to_string(id) + " at slot " +
                                 std::to_string(s) + ")");
     }
@@ -165,12 +160,12 @@ Status ParseV4Header(std::span<const std::uint8_t> bytes,
     // count before the section is ever dereferenced.
     if (offset % 8 != 0 || offset > bytes.size() ||
         length > bytes.size() - offset) {
-      return Status::Corruption(origin + ": v4 section " + std::to_string(id) +
+      return Status::Corruption(origin + ": section " + std::to_string(id) +
                                 " extends past the file end");
     }
     const auto section = bytes.subspan(offset, length);
     if (Crc32(section) != crc) {
-      return Status::Corruption(origin + ": v4 section " + std::to_string(id) +
+      return Status::Corruption(origin + ": section " + std::to_string(id) +
                                 " digest mismatch");
     }
     out->sections[id] = section;
@@ -182,8 +177,9 @@ Status ParseV4Header(std::span<const std::uint8_t> bytes,
                               " bytes for " + std::to_string(out->row_count) +
                               " rows");
   }
-  if (out->sections[kSecFps].size() !=
-      out->row_count * kFingerprintImageBytes) {
+  const std::size_t fps_entry_bytes =
+      out->version == 4 ? kResidueImageBytes : kFingerprintImageBytes;
+  if (out->sections[kSecFps].size() != out->row_count * fps_entry_bytes) {
     return Status::Corruption(origin + ": FPS column holds " +
                               std::to_string(out->sections[kSecFps].size()) +
                               " bytes for " + std::to_string(out->row_count) +
@@ -200,6 +196,20 @@ std::uint64_t ModU64Span(LabelView magnitude, std::uint64_t m) {
     r = ((r << 64) | magnitude[i]) % m;
   }
   return static_cast<std::uint64_t>(r);
+}
+
+/// Fills the orders of a record read without them (v4/v5 SCMETA, PLDELTA2)
+/// from its SC value: order = sc mod modulus. kCorruption on a modulus
+/// below 2, checked before any division.
+Status DeriveScOrders(LabelView sc, ScRecord* record) {
+  record->orders.clear();
+  for (std::uint64_t modulus : record->moduli) {
+    if (modulus < 2) {
+      return Status::Corruption("SC modulus " + std::to_string(modulus));
+    }
+    record->orders.push_back(ModU64Span(sc, modulus));
+  }
+  return Status::Ok();
 }
 
 bool SameMagnitude(LabelView a, LabelView b) {
@@ -277,9 +287,13 @@ std::vector<CatalogRow> LoadedCatalog::MaterializeRows() const {
   return rows;
 }
 
-ScTable LoadedCatalog::MaterializeScTable() const {
+Result<ScTable> LoadedCatalog::MaterializeScTable() const {
   std::vector<ScRecord> records = sc_meta_;
   for (std::size_t r = 0; r < records.size(); ++r) {
+    // The image stores no orders: each is sc mod modulus, the same span
+    // arithmetic OrderOf runs.
+    Status derived = DeriveScOrders(sc_values_[r], &records[r]);
+    if (!derived.ok()) return derived;
     records[r].sc = BigInt::FromLimbs(sc_values_[r]);
   }
   return ScTable::FromRecords(sc_group_size_, std::move(records));
@@ -297,13 +311,13 @@ std::size_t LoadedCatalog::label_store_bytes() const {
                              kMapNodeOverhead);
 }
 
-Status LoadedCatalog::ParseV4Image(std::span<const std::uint8_t> bytes,
-                                   const std::string& origin,
-                                   LoadedCatalog* out) {
-  V4Image image;
-  Status parsed = ParseV4Header(bytes, origin, &image);
+Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
+                                 const std::string& origin,
+                                 LoadedCatalog* out) {
+  ImageLayout image;
+  Status parsed = ParseImageHeader(bytes, origin, &image);
   if (!parsed.ok()) return parsed;
-  out->format_version_ = 4;
+  out->format_version_ = image.version;
   out->sc_group_size_ = image.group_size;
   out->fingerprints_persisted_ = image.config_hash == FingerprintConfigHash();
 
@@ -330,10 +344,20 @@ Status LoadedCatalog::ParseV4Image(std::span<const std::uint8_t> bytes,
   const std::uint8_t* fps_base = image.sections[kSecFps].data();
   if (reinterpret_cast<std::uintptr_t>(self_base) % 8 != 0 ||
       reinterpret_cast<std::uintptr_t>(fps_base) % 8 != 0) {
-    return Status::Corruption(origin + ": v4 column section misaligned");
+    return Status::Corruption(origin + ": column section misaligned");
   }
   out->selfs_ = reinterpret_cast<const std::uint64_t*>(self_base);
-  out->fps_ = reinterpret_cast<const LabelFingerprint*>(fps_base);
+  if (image.version == 4) {
+    // 72-byte entries: keep each one's 16-byte tail.
+    out->v4_fps_.resize(static_cast<std::size_t>(image.row_count));
+    for (std::size_t i = 0; i < out->v4_fps_.size(); ++i) {
+      out->v4_fps_[i] =
+          FingerprintAt(fps_base + i * kResidueImageBytes + kResidueImageTail);
+    }
+    out->fps_ = out->v4_fps_.data();
+  } else {
+    out->fps_ = reinterpret_cast<const LabelFingerprint*>(fps_base);
+  }
 
   // ROWMETA: the only per-row decode the open pays — tags and
   // attributes are variable-length strings the query layer needs as
@@ -363,29 +387,35 @@ Status LoadedCatalog::ParseV4Image(std::span<const std::uint8_t> bytes,
                               std::to_string(image.row_count) + " rows");
   }
 
-  // SCMETA: record shapes plus the modulus -> record index OrderOf needs.
+  // SCMETA: record shapes (moduli only; v4 also stored each order, which
+  // is skipped) plus the modulus -> record index OrderOf needs.
   ByteReader scmeta(image.sections[kSecScMeta]);
   const std::uint64_t record_count = scmeta.U64();
   if (record_count > image.row_count) {
     return Status::Corruption(origin + ": implausible SC record count");
   }
+  const std::size_t entry_bytes = image.version == 4 ? 2 * 8 : 8;
   out->sc_meta_.clear();
   out->sc_meta_.reserve(static_cast<std::size_t>(record_count));
   out->sc_index_.clear();
   for (std::uint64_t r = 0; r < record_count && scmeta.ok(); ++r) {
     const std::uint32_t entries = scmeta.U32();
-    if (scmeta.ok() && entries > (1u << 24)) {
+    if (scmeta.ok() && entries > scmeta.remaining() / entry_bytes) {
       return Status::Corruption(origin + ": implausible SC record size");
     }
     ScRecord record;
     record.moduli.reserve(entries);
-    record.orders.reserve(entries);
     for (std::uint32_t i = 0; i < entries && scmeta.ok(); ++i) {
       record.moduli.push_back(scmeta.U64());
-      record.orders.push_back(scmeta.U64());
+      if (image.version == 4) scmeta.U64();
     }
     if (!scmeta.ok()) break;
     for (std::uint64_t modulus : record.moduli) {
+      // Orders are recovered as sc mod modulus: no division by 0 or 1.
+      if (modulus < 2) {
+        return Status::Corruption(origin + ": SC modulus " +
+                                  std::to_string(modulus));
+      }
       if (!out->sc_index_.emplace(modulus, static_cast<std::uint32_t>(r))
                .second) {
         return Status::Corruption(origin + ": duplicate SC modulus " +
@@ -424,14 +454,10 @@ void EncodeCatalogRow(const CatalogRow& row, bool with_fingerprint,
   }
   out->Big(row.label);
   out->U64(row.self);
-  if (with_fingerprint) {
-    std::uint8_t image[kFingerprintImageBytes];
-    PackFingerprint(row.fingerprint, image);
-    out->Bytes(image, sizeof(image));
-  }
+  if (with_fingerprint) out->Bytes(&row.fingerprint, kFingerprintImageBytes);
 }
 
-Status DecodeCatalogRow(ByteReader* in, bool with_fingerprint,
+Status DecodeCatalogRow(ByteReader* in, RowFingerprint fingerprint,
                         CatalogRow* row) {
   row->tag = in->String();
   row->is_element = in->U8() != 0;
@@ -448,32 +474,31 @@ Status DecodeCatalogRow(ByteReader* in, bool with_fingerprint,
   }
   row->label = in->Big();
   row->self = in->U64();
-  if (with_fingerprint) {
-    std::uint8_t image[kFingerprintImageBytes];
-    if (in->Bytes(image, sizeof(image))) {
-      UnpackFingerprint(image, &row->fingerprint);
+  if (fingerprint != RowFingerprint::kNone) {
+    std::uint8_t image[kResidueImageBytes];
+    if (in->Bytes(image, RowFingerprintBytes(fingerprint))) {
+      row->fingerprint = FingerprintAt(
+          fingerprint == RowFingerprint::kImage ? image
+                                                : image + kResidueImageTail);
     }
   }
   if (!in->ok()) return Status::ParseError("truncated catalog row");
   return Status::Ok();
 }
 
-std::size_t MinCatalogRowBytes(bool with_fingerprint) {
+std::size_t MinCatalogRowBytes(RowFingerprint fingerprint) {
   // Tag length, element flag, parent, attribute count, label length, self.
   constexpr std::size_t kBareRowBytes = 4 + 1 + 8 + 4 + 4 + 8;
-  return kBareRowBytes + (with_fingerprint ? kFingerprintImageBytes : 0);
+  return kBareRowBytes + RowFingerprintBytes(fingerprint);
 }
 
 void EncodeScRecord(const ScRecord& record, ByteWriter* out) {
   out->U32(static_cast<std::uint32_t>(record.moduli.size()));
-  for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-    out->U64(record.moduli[i]);
-    out->U64(record.orders[i]);
-  }
+  for (std::uint64_t modulus : record.moduli) out->U64(modulus);
   out->Big(record.sc);
 }
 
-Status DecodeScRecord(ByteReader* in, ScRecord* record) {
+Status DecodeScRecord(ByteReader* in, bool with_orders, ScRecord* record) {
   std::uint32_t entries = in->U32();
   if (in->ok() && entries > (1u << 24)) {
     return Status::ParseError("implausible SC record size");
@@ -482,24 +507,24 @@ Status DecodeScRecord(ByteReader* in, ScRecord* record) {
   record->orders.clear();
   for (std::uint32_t i = 0; i < entries && in->ok(); ++i) {
     record->moduli.push_back(in->U64());
-    record->orders.push_back(in->U64());
+    if (with_orders) record->orders.push_back(in->U64());
   }
   record->sc = in->Big();
   if (!in->ok()) return Status::ParseError("truncated SC record");
-  return Status::Ok();
+  if (with_orders) return Status::Ok();
+  return DeriveScOrders(record->sc.Magnitude(), record);
 }
 
 namespace {
 
-/// Assembles a v4 sectioned image (layout documented at the top of this
+/// Assembles a v5 sectioned image (layout documented at the top of this
 /// file and in catalog.h / DESIGN.md §15).
 std::vector<std::uint8_t> EncodeCatalogImage(
     const std::vector<CatalogRow>& rows, const ScTable& sc_table) {
   ByteWriter rowmeta;
   ByteWriter self_col;
   LabelArenaBuilder labels;
-  std::vector<std::uint8_t> fps;
-  fps.reserve(rows.size() * kFingerprintImageBytes);
+  ByteWriter fps;
   for (const CatalogRow& row : rows) {
     rowmeta.String(row.tag);
     rowmeta.U8(row.is_element ? 1 : 0);
@@ -511,38 +536,33 @@ std::vector<std::uint8_t> EncodeCatalogImage(
     }
     self_col.U64(row.self);
     labels.Append(row.label.Magnitude());
-    std::uint8_t image[kFingerprintImageBytes];
-    PackFingerprint(row.fingerprint, image);
-    fps.insert(fps.end(), image, image + sizeof(image));
+    fps.Bytes(&row.fingerprint, kFingerprintImageBytes);
   }
   ByteWriter scmeta;
   LabelArenaBuilder sc_values;
   scmeta.U64(sc_table.records().size());
   for (const ScRecord& record : sc_table.records()) {
     scmeta.U32(static_cast<std::uint32_t>(record.moduli.size()));
-    for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-      scmeta.U64(record.moduli[i]);
-      scmeta.U64(record.orders[i]);
-    }
+    for (std::uint64_t modulus : record.moduli) scmeta.U64(modulus);
     sc_values.Append(record.sc.Magnitude());
   }
 
-  const std::vector<std::uint8_t> section_bytes[kV4SectionCount] = {
-      rowmeta.Take(),  self_col.Take(), labels.Encode(),
-      std::move(fps),  scmeta.Take(),   sc_values.Encode()};
+  const std::vector<std::uint8_t> section_bytes[kSectionCount] = {
+      rowmeta.Take(), self_col.Take(), labels.Encode(),
+      fps.Take(),     scmeta.Take(),   sc_values.Encode()};
 
   const std::size_t header_end =
-      kV4FixedHeaderBytes + kV4SectionCount * kV4DirectoryEntryBytes;
+      kFixedHeaderBytes + kSectionCount * kDirectoryEntryBytes;
   // Header tail: every byte after the CRC field, so one digest covers the
   // scalars and the whole directory.
   ByteWriter tail;
   tail.U64(FingerprintConfigHash());
   tail.U64(rows.size());
   tail.U32(static_cast<std::uint32_t>(sc_table.group_size()));
-  tail.U32(kV4SectionCount);
-  std::size_t offsets[kV4SectionCount];
+  tail.U32(kSectionCount);
+  std::size_t offsets[kSectionCount];
   std::size_t offset = Align8(header_end);
-  for (std::uint32_t s = 0; s < kV4SectionCount; ++s) {
+  for (std::uint32_t s = 0; s < kSectionCount; ++s) {
     offsets[s] = offset;
     tail.U32(s + 1);
     tail.U32(Crc32(section_bytes[s]));
@@ -553,10 +573,10 @@ std::vector<std::uint8_t> EncodeCatalogImage(
 
   ByteWriter out;
   out.Bytes(kMagicPrefix, sizeof(kMagicPrefix));
-  out.U8(static_cast<std::uint8_t>('4'));
+  out.U8(static_cast<std::uint8_t>('0' + kCatalogFormatVersion));
   out.U32(Crc32(tail.buffer()));
   out.Bytes(tail.buffer().data(), tail.buffer().size());
-  for (std::uint32_t s = 0; s < kV4SectionCount; ++s) {
+  for (std::uint32_t s = 0; s < kSectionCount; ++s) {
     while (out.buffer().size() < offsets[s]) out.U8(0);
     if (!section_bytes[s].empty()) {
       out.Bytes(section_bytes[s].data(), section_bytes[s].size());
@@ -604,30 +624,37 @@ Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path) {
         std::to_string(kCatalogFormatVersion));
   }
   CatalogState state;
-  if (version == 4) {
-    // One validation path for every v4 read: parse the image in place,
+  if (version >= 4) {
+    // One validation path for every sectioned image: parse it in place,
     // then materialize the rows the delta/recovery paths mutate.
     LoadedCatalog image;
-    Status parsed = LoadedCatalog::ParseV4Image(
-        *read, "catalog '" + path + "'", &image);
+    Status parsed =
+        LoadedCatalog::ParseImage(*read, "catalog '" + path + "'", &image);
     if (!parsed.ok()) return parsed;
+    Result<ScTable> sc_table = image.MaterializeScTable();
+    if (!sc_table.ok()) {
+      return Status::Corruption("catalog '" + path +
+                                "': " + sc_table.status().message());
+    }
     state.rows = image.MaterializeRows();
-    state.sc_table = image.MaterializeScTable();
+    state.sc_table = std::move(sc_table.value());
     state.fingerprints_valid = image.fingerprints_persisted_;
     return state;
   }
   const bool v3 = version >= 3;
-  // A v3 file computed its fingerprints against a specific chunk-table
-  // configuration; a mismatch means the persisted fingerprints describe a
-  // different residue system and must be recomputed (fall back, do not
-  // fail — labels are still exact).
+  // A v3 file computed its fingerprints against a specific configuration;
+  // a mismatch means the persisted fingerprints describe a different
+  // prime list and must be recomputed (fall back, do not fail — labels
+  // are still exact).
   if (v3) state.fingerprints_valid = reader.U64() == FingerprintConfigHash();
+  const RowFingerprint fingerprint =
+      v3 ? RowFingerprint::kResidueImage : RowFingerprint::kNone;
 
   // v2/v3 carry no checksum: bound the row count by the bytes left before
   // reserving for it, so a flipped high bit fails typed instead of
   // sizing an allocation.
   const std::uint64_t row_count = reader.U64();
-  if (row_count > reader.remaining() / MinCatalogRowBytes(v3)) {
+  if (row_count > reader.remaining() / MinCatalogRowBytes(fingerprint)) {
     return Status::ParseError("catalog '" + path + "' claims " +
                               std::to_string(row_count) +
                               " rows, more than its remaining " +
@@ -637,7 +664,7 @@ Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path) {
   state.rows.reserve(row_count);
   for (std::uint64_t i = 0; i < row_count && reader.ok(); ++i) {
     CatalogRow row;
-    Status decoded = DecodeCatalogRow(&reader, v3, &row);
+    Status decoded = DecodeCatalogRow(&reader, fingerprint, &row);
     if (!decoded.ok()) {
       // Truncation falls through to the generic corrupt-catalog error;
       // a tripped plausibility gate reports its specific message.
@@ -652,7 +679,7 @@ Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path) {
   std::vector<ScRecord> records;
   for (std::uint64_t r = 0; r < record_count && reader.ok(); ++r) {
     ScRecord record;
-    Status decoded = DecodeScRecord(&reader, &record);
+    Status decoded = DecodeScRecord(&reader, /*with_orders=*/true, &record);
     if (!decoded.ok()) {
       if (!reader.ok()) break;
       return decoded;
@@ -662,7 +689,13 @@ Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path) {
   if (!reader.ok() || group_size < 1) {
     return Status::ParseError("truncated or corrupt catalog '" + path + "'");
   }
-  state.sc_table = ScTable::FromRecords(group_size, std::move(records));
+  Result<ScTable> sc_table =
+      ScTable::FromRecords(group_size, std::move(records));
+  if (!sc_table.ok()) {
+    return Status::Corruption("catalog '" + path +
+                              "': " + sc_table.status().message());
+  }
+  state.sc_table = std::move(sc_table.value());
   return state;
 }
 
@@ -678,13 +711,13 @@ Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path) {
   const std::string origin = "catalog '" + path + "'";
   if (bytes.size() >= 8 &&
       std::memcmp(bytes.data(), kMagicPrefix, sizeof(kMagicPrefix)) == 0 &&
-      bytes[7] == '4') {
-    // ParseV4Image sweeps the whole image front to back (section digests,
+      bytes[7] == '0' + kCatalogFormatVersion) {
+    // ParseImage sweeps the whole image front to back (section digests,
     // ROWMETA decode): tell the kernel to read ahead and not keep pages
     // behind the cursor.
     (*mapped)->Advise(AccessHint::kSequential);
     LoadedCatalog catalog;
-    Status parsed = LoadedCatalog::ParseV4Image(bytes, origin, &catalog);
+    Status parsed = LoadedCatalog::ParseImage(bytes, origin, &catalog);
     if (!parsed.ok()) return parsed;  // corruption is never converted
     if (catalog.fingerprints_persisted_) {
       // Serving flips to point lookups: label probes land wherever the
@@ -696,10 +729,12 @@ Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path) {
     // Stale fingerprint config: the FPS column describes another residue
     // system, so serving it in place would screen with wrong fingerprints.
   }
-  // Not servable in place (a v2/v3 file, or a stale fingerprint config):
-  // decode it, derive fingerprints the file cannot supply, and serve a v4
-  // image of the same rows from memory. LoadCatalog also reports the
-  // precise magic/version error for anything that is not a catalog.
+  // Not servable in place (a v2/v3/v4 file, or a stale fingerprint
+  // config): decode it, derive fingerprints the file cannot supply, and
+  // serve a v5 image of the same rows from memory. LoadCatalog verifies a
+  // v4 file's digests first, so corruption is not converted either, and
+  // it reports the precise magic/version error for anything that is not
+  // a catalog.
   Result<CatalogState> state = LoadCatalog(vfs, path);
   if (!state.ok()) return state.status();
   if (!state->fingerprints_valid) {
@@ -710,7 +745,7 @@ Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path) {
   LoadedCatalog catalog;
   catalog.owned_bytes_ = EncodeCatalogImage(state->rows, state->sc_table);
   Status parsed =
-      LoadedCatalog::ParseV4Image(catalog.owned_bytes_, origin, &catalog);
+      LoadedCatalog::ParseImage(catalog.owned_bytes_, origin, &catalog);
   if (!parsed.ok()) return parsed;
   catalog.format_version_ = bytes[7] - '0';
   catalog.fingerprints_persisted_ = state->fingerprints_valid;

@@ -29,17 +29,19 @@ namespace primelabel {
 ///
 /// Format v2 ("PLCATLG2") adds per-row attributes so a LabeledDocument can
 /// be reconstructed losslessly. Format v3 ("PLCATLG3") additionally
-/// persists each row's divisibility fingerprint together with a hash of
-/// the fingerprint configuration (the 7-chunk residue table), so loading
-/// skips the per-row FingerprintOf pass; a v3 file whose config hash does
-/// not match the running binary falls back to recomputing. v2 and v3 are
-/// read-only: they stay loadable (v2 fingerprints recomputed), but
-/// WriteCatalog emits v4 only. Anything else is rejected with a
-/// kParseError naming the found and supported versions.
+/// persists each row's divisibility fingerprint (as a 72-byte image whose
+/// first 56 bytes are chunk residues no reader needs) together with a
+/// hash of the fingerprint configuration, so loading skips the per-row
+/// FingerprintOf pass; a file whose config hash does not match the
+/// running binary falls back to recomputing. v2, v3 and v4 are read-only:
+/// they stay loadable (v2 fingerprints recomputed, v3/v4 fingerprints
+/// taken from the last 16 bytes of each image), but WriteCatalog emits v5
+/// only. Anything else is rejected with a kParseError naming the found
+/// and supported versions.
 ///
-/// Format v4 ("PLCATLG4") is columnar and zero-copy (DESIGN.md §15). The
-/// row-interleaved stream of v2/v3 is split into CRC-digested sections,
-/// each 8-byte aligned within the file:
+/// Formats v4 ("PLCATLG4") and v5 ("PLCATLG5") are columnar and zero-copy
+/// (DESIGN.md §15). The row-interleaved stream of v2/v3 is split into
+/// CRC-digested sections, each 8-byte aligned within the file:
 ///
 ///   header     magic, header CRC, fingerprint config hash, row count,
 ///              SC group size, section directory (id, crc32, offset,
@@ -47,21 +49,22 @@ namespace primelabel {
 ///   ROWMETA    per-row tag / element flag / parent / attributes stream
 ///   SELF       row_count little-endian u64 self-labels
 ///   LABELS     a LabelArena image of the label magnitudes
-///   FPS        row_count packed 72-byte fingerprint images,
-///              byte-identical to the v3 per-row images
-///   SCMETA     the SC records' (modulus, order) pairs
+///   FPS        row_count 16-byte LabelFingerprint images (v4: 72-byte
+///              images with the residues in front)
+///   SCMETA     per SC record, its moduli (v4: (modulus, order) pairs);
+///              each order is recovered as sc mod modulus
 ///   SCVALS     a LabelArena image of the records' SC magnitudes
 ///
 /// The column split is what makes the file mmap-able: SELF, LABELS, FPS
 /// and SCVALS are exactly the in-memory representation on little-endian
-/// hosts, so OpenCatalogMapped serves queries straight out of the mapped
-/// bytes — no per-row decode, no per-label allocation, and the kernel
-/// shares one physical copy across every process and epoch view. Section
-/// digests are verified eagerly on open; any flipped byte surfaces as
-/// kCorruption before a query can read it.
+/// hosts, so OpenCatalogMapped serves a v5 file straight out of the
+/// mapped bytes — no per-row decode, no per-label allocation, and the
+/// kernel shares one physical copy across every process and epoch view.
+/// Section digests are verified eagerly on open; any flipped byte
+/// surfaces as kCorruption before a query can read it.
 
 /// Newest format WriteCatalog emits, and the ceiling LoadCatalog accepts.
-inline constexpr int kCatalogFormatVersion = 4;
+inline constexpr int kCatalogFormatVersion = 5;
 /// Oldest format LoadCatalog still reads.
 inline constexpr int kCatalogMinSupportedVersion = 2;
 
@@ -73,7 +76,7 @@ struct CatalogRow {
   std::vector<std::pair<std::string, std::string>> attributes;
   BigInt label;              ///< full prime label
   std::uint64_t self = 1;    ///< self-label (prime; 1 for the root)
-  /// Divisibility fingerprint of `label`. Persisted by formats v3 and v4;
+  /// Divisibility fingerprint of `label`. Persisted by formats v3 to v5;
   /// meaningless when CatalogState::fingerprints_valid is false.
   LabelFingerprint fingerprint;
 };
@@ -83,13 +86,13 @@ struct CatalogRow {
 struct CatalogState {
   std::vector<CatalogRow> rows;  ///< preorder, parent by row index
   ScTable sc_table;
-  /// True when every row's fingerprint is adoptable as-is (v3/v4 file
+  /// True when every row's fingerprint is adoptable as-is (v3 to v5 file
   /// with a matching config hash, or a delta chain built from one); false
   /// means the consumer must derive the fingerprints from the labels.
   bool fingerprints_valid = false;
 };
 
-/// A catalog served for reading: a v4 image, able to answer structure and
+/// A catalog served for reading: a v5 image, able to answer structure and
 /// order queries from the stored labels alone (no XmlTree needed).
 ///
 /// Implements StructureOracle over NodeId handles: rows are written in
@@ -99,8 +102,8 @@ struct CatalogState {
 ///
 /// Labels, SC values and fingerprints stay read-only views into the
 /// image, which is either an mmap shared with other views
-/// (OpenCatalogMapped over a v4 file) or an owned buffer (a v2/v3 file,
-/// or a stale fingerprint config, converted on open). BigInts are
+/// (OpenCatalogMapped over a v5 file) or an owned buffer (a v2/v3/v4
+/// file, or a stale fingerprint config, converted on open). BigInts are
 /// materialized only at the explicit Materialize* edges. The batch
 /// kernels are the ones the live scheme runs (core/batch_kernels.h), over
 /// the image's limb spans.
@@ -130,14 +133,16 @@ class LoadedCatalog : public StructureOracle {
   /// Format version of the file this catalog was opened from.
   int format_version() const { return format_version_; }
   /// True when the on-disk fingerprints were adopted verbatim; false when
-  /// they were recomputed (v2 file, or v3/v4 with a stale config hash).
+  /// they were recomputed (v2 file, or v3 to v5 with a stale config hash).
   bool fingerprints_persisted() const { return fingerprints_persisted_; }
 
   /// Non-destructive materialization of full heap rows / SC table — what
   /// a sealed view hands to LabeledDocument when a caller genuinely needs
-  /// a mutable document.
+  /// a mutable document. The SC table's orders are derived from the
+  /// stored SC values; kCorruption when its records do not solve
+  /// (ScTable::FromRecords).
   std::vector<CatalogRow> MaterializeRows() const;
-  ScTable MaterializeScTable() const;
+  Result<ScTable> MaterializeScTable() const;
 
   /// Declares the expected access pattern on the backing image
   /// (madvise): kSequential ahead of a front-to-back sweep, kRandom for
@@ -165,17 +170,18 @@ class LoadedCatalog : public StructureOracle {
 
  private:
   /// Uninitialized shell for the open paths, which fill the views in
-  /// place (ParseV4Image).
+  /// place (ParseImage).
   LoadedCatalog() = default;
 
-  /// Parses a v4 image: validates header and section digests, opens the
-  /// column views over `bytes` (which must outlive `out` — the caller
-  /// attaches the backing), and decodes the row/SC metadata.
-  /// kCorruption on any digest or shape mismatch.
-  static Status ParseV4Image(std::span<const std::uint8_t> bytes,
-                             const std::string& origin, LoadedCatalog* out);
+  /// Parses a v4 or v5 image (the caller has checked the magic): validates
+  /// header and section digests, opens the column views over `bytes`
+  /// (which must outlive `out` — the caller attaches the backing), and
+  /// decodes the row/SC metadata. kCorruption on any digest or shape
+  /// mismatch, and on an SC modulus below 2.
+  static Status ParseImage(std::span<const std::uint8_t> bytes,
+                           const std::string& origin, LoadedCatalog* out);
 
-  /// Compact per-row metadata decoded from the v4 ROWMETA section —
+  /// Compact per-row metadata decoded from the ROWMETA section —
   /// everything CatalogRow holds except the big columns.
   struct RowMeta {
     std::string tag;
@@ -193,7 +199,7 @@ class LoadedCatalog : public StructureOracle {
   };
   Column column() const { return Column{labels_, fps_}; }
 
-  // Views into the v4 image plus the backing that keeps the image alive
+  // Views into the image plus the backing that keeps the image alive
   // (exactly one of owned_bytes_/mapped_ is engaged). The pointers
   // survive moves — they target the image, which transfers with the
   // object.
@@ -203,9 +209,13 @@ class LoadedCatalog : public StructureOracle {
   LabelArena sc_values_;
   const LabelFingerprint* fps_ = nullptr;    ///< FPS column
   const std::uint64_t* selfs_ = nullptr;     ///< SELF column
+  /// A v4 image's fingerprints, cut from its 72-byte FPS entries (fps_
+  /// points here). Only LoadCatalog parses v4; empty for v5.
+  std::vector<LabelFingerprint> v4_fps_;
   std::vector<RowMeta> meta_;
-  /// SC record shapes (moduli/orders; sc left empty — the magnitudes stay
-  /// in sc_values_) and the modulus -> record index needed by OrderOf.
+  /// SC record shapes (moduli only; orders and sc left empty — the
+  /// magnitudes stay in sc_values_) and the modulus -> record index
+  /// needed by OrderOf.
   std::vector<ScRecord> sc_meta_;
   std::unordered_map<std::uint64_t, std::uint32_t> sc_index_;
   int sc_group_size_ = 5;
@@ -218,21 +228,32 @@ class LoadedCatalog : public StructureOracle {
                                                  const std::string& path);
 };
 
-/// Row/record codecs, shared by the full catalog format and the delta
-/// snapshot format (durability/delta.h) so a row image is byte-identical
-/// wherever it is persisted. `with_fingerprint` selects the v3 row shape.
+/// How a persisted row image carries its fingerprint: not at all (v2
+/// rows), as the 72-byte image of v3 rows and PLDELTA1 patches (seven
+/// chunk residues, then the fingerprint), or as the 16-byte fingerprint
+/// image alone (PLDELTA2 patches).
+enum class RowFingerprint { kNone, kResidueImage, kImage };
+
+/// Row/record codecs of the row-interleaved formats: the v2/v3 catalog
+/// readers and the delta snapshot format (durability/delta.h).
+/// `with_fingerprint` appends the 16-byte fingerprint image; the decoder
+/// reads any RowFingerprint shape and keeps only the fingerprint.
 void EncodeCatalogRow(const CatalogRow& row, bool with_fingerprint,
                       ByteWriter* out);
-Status DecodeCatalogRow(ByteReader* in, bool with_fingerprint,
+Status DecodeCatalogRow(ByteReader* in, RowFingerprint fingerprint,
                         CatalogRow* row);
-/// Fewest bytes one EncodeCatalogRow image takes (an empty tag, no
-/// attributes, a zero label), so a reader can bound an untrusted row
-/// count by the bytes left before reserving for it.
-std::size_t MinCatalogRowBytes(bool with_fingerprint);
+/// Fewest bytes one row image takes (an empty tag, no attributes, a zero
+/// label), so a reader can bound an untrusted row count by the bytes left
+/// before reserving for it.
+std::size_t MinCatalogRowBytes(RowFingerprint fingerprint);
+/// Writes a record's moduli and SC value. The decoder reads that shape,
+/// deriving each order as sc mod modulus (kCorruption on a modulus below
+/// 2, before any division), or, `with_orders`, the v2/v3 and PLDELTA1
+/// shape that stores an order after every modulus.
 void EncodeScRecord(const ScRecord& record, ByteWriter* out);
-Status DecodeScRecord(ByteReader* in, ScRecord* record);
+Status DecodeScRecord(ByteReader* in, bool with_orders, ScRecord* record);
 
-/// Writes a v4 catalog: rows must be in document order with parents
+/// Writes a v5 catalog: rows must be in document order with parents
 /// referenced by row index, each carrying its fingerprint. Document-level
 /// callers go through SaveCatalog(path, LabeledDocument) in corpus/, which
 /// assembles the rows. The image is assembled in memory and handed to the
@@ -245,18 +266,19 @@ Status WriteCatalog(Vfs& vfs, const std::string& path,
 /// — the loader of recovery, delta replay and LabeledDocument::Load.
 /// Fails with kParseError on a bad magic, an unsupported version (the
 /// message names found vs. supported versions), or a truncated or
-/// implausible v2/v3 file; a v4 file whose section digests do not match
-/// fails with kCorruption.
+/// implausible v2/v3 file; a v4/v5 file whose section digests do not
+/// match, or any file whose SC records do not solve, fails with
+/// kCorruption.
 Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path);
 
-/// Opens a catalog for serving. A v4 file whose fingerprint config
+/// Opens a catalog for serving. A v5 file whose fingerprint config
 /// matches this binary is served zero-copy over Vfs::MapReadOnly —
 /// section digests verified eagerly, then queries run straight out of the
-/// mapped image. A v2/v3 file, or a v4 file with a stale fingerprint
+/// mapped image. A v2/v3/v4 file, or a v5 file with a stale fingerprint
 /// config, is decoded with LoadCatalog, fingerprinted if needed, and
-/// re-encoded as a v4 image held in memory, so every caller gets the same
-/// image-backed catalog. Corruption is never converted: a v4 file with a
-/// bad digest fails with kCorruption.
+/// re-encoded as a v5 image held in memory, so every caller gets the same
+/// image-backed catalog. Corruption is never converted: a v4/v5 file with
+/// a bad digest fails with kCorruption.
 Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path);
 
 }  // namespace primelabel

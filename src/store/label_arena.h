@@ -42,7 +42,7 @@ namespace primelabel {
 //
 // The encoded image is position-independent and 8-byte-internally-aligned,
 // so a LabelArena can be opened directly over a mapped catalog section
-// (store/catalog.h format v4). LabelArena is a non-owning view: the
+// (store/catalog.h formats v4 and v5). LabelArena is a non-owning view: the
 // backing bytes must outlive it and must start 8-byte aligned.
 
 /// A non-owning label value: minimal little-endian 64-bit limb magnitude,

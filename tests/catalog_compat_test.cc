@@ -12,8 +12,8 @@
 // writer recorded in DIGEST.txt at write time.
 //
 // Regenerating the fixture (only meaningful from a 32-bit-limb checkout):
-//   PRIMELABEL_WRITE_COMPAT_FIXTURE=1 ./catalog_compat_test \
-//     --gtest_also_run_disabled_tests --gtest_filter='*WriteFixture*'
+// run catalog_compat_test with PRIMELABEL_WRITE_COMPAT_FIXTURE=1 and
+// --gtest_also_run_disabled_tests --gtest_filter='*WriteFixture*'.
 
 #include <unistd.h>
 
@@ -231,14 +231,14 @@ TEST(CatalogCompat, RecoveredLabelBytesRoundTrip) {
 
 // ---------------------------------------------------------------------------
 // Cross-format catalog compatibility: the fixture under
-// tests/data/catalog_formats holds one document saved as formats v2, v3
-// and v4, with its observable state recorded in DIGEST.txt when v2 and v3
-// were written. The current build must serve all three with the exact
-// recorded state, and re-saving any of them must reproduce v4.plc byte
-// for byte. v2.plc, v3.plc and DIGEST.txt are kept as written (this build
-// writes v4 only); regenerating v4.plc from any checkout:
-//   PRIMELABEL_WRITE_COMPAT_FIXTURE=1 ./catalog_compat_test \
-//     --gtest_also_run_disabled_tests --gtest_filter='*FormatsFixture*'
+// tests/data/catalog_formats holds one document saved as formats v2, v3,
+// v4 and v5, with its observable state recorded in DIGEST.txt when v2 and
+// v3 were written. The current build must serve all four with the exact
+// recorded state, and re-saving any of them must reproduce v5.plc byte
+// for byte. v2.plc, v3.plc, v4.plc and DIGEST.txt are kept as written
+// (this build writes v5 only). To regenerate v5.plc from any checkout,
+// run catalog_compat_test with PRIMELABEL_WRITE_COMPAT_FIXTURE=1 and
+// --gtest_also_run_disabled_tests --gtest_filter='*FormatsFixture*'.
 
 std::string FormatsDir() {
   return std::string(PRIMELABEL_TEST_DATA_DIR) + "/catalog_formats";
@@ -274,7 +274,7 @@ std::string CatalogDigest(const LoadedCatalog& catalog) {
 }
 
 // Disabled by default: fixture generator, overwrites
-// tests/data/catalog_formats/v4.plc in the SOURCE tree.
+// tests/data/catalog_formats/v5.plc in the SOURCE tree.
 TEST(CatalogCompat, DISABLED_WriteFormatsFixture) {
   if (std::getenv("PRIMELABEL_WRITE_COMPAT_FIXTURE") == nullptr) {
     GTEST_SKIP() << "set PRIMELABEL_WRITE_COMPAT_FIXTURE=1 to regenerate";
@@ -282,7 +282,7 @@ TEST(CatalogCompat, DISABLED_WriteFormatsFixture) {
   Result<LabeledDocument> doc =
       LabeledDocument::FromXml(FormatsXml(), /*group=*/5);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const std::string path = FormatsDir() + "/v4.plc";
+  const std::string path = FormatsDir() + "/v5.plc";
   ASSERT_TRUE(doc->Save(path).ok());
   // The new file must hold the state the older formats recorded.
   Result<LoadedCatalog> written = OpenCatalogMapped(DefaultVfs(), path);
@@ -293,10 +293,10 @@ TEST(CatalogCompat, DISABLED_WriteFormatsFixture) {
 
 class CatalogFormatUpgrade : public ::testing::TestWithParam<int> {};
 
-/// vN file -> decode -> served image -> v4 re-save, each checked against
+/// vN file -> decode -> served image -> v5 re-save, each checked against
 /// the recorded state. One parameterized walk pins the whole upgrade path
 /// bit-identically.
-TEST_P(CatalogFormatUpgrade, RoundTripsToV4BitIdentically) {
+TEST_P(CatalogFormatUpgrade, RoundTripsToV5BitIdentically) {
   const int version = GetParam();
   const std::string source =
       FormatsDir() + "/v" + std::to_string(version) + ".plc";
@@ -308,33 +308,34 @@ TEST_P(CatalogFormatUpgrade, RoundTripsToV4BitIdentically) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->fingerprints_valid, version >= 3);
 
-  // Serving: a v4 file maps in place, v2/v3 convert to an in-memory v4
+  // Serving: a v5 file maps in place, v2/v3/v4 convert to an in-memory v5
   // image; either way the answers are the recorded ones.
   Result<LoadedCatalog> served = OpenCatalogMapped(DefaultVfs(), source);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ(served->format_version(), version);
   EXPECT_EQ(CatalogDigest(*served), expected);
 
-  // Upgrade: the restored document re-saves as exactly the committed v4
+  // Upgrade: the restored document re-saves as exactly the committed v5
   // image, whatever format it came from, and that re-save maps in place.
   Result<LabeledDocument> doc = LabeledDocument::Load(source);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const std::string upgraded =
-      TempDirPath(("formats_v" + std::to_string(version) + "_to_v4.plc")
+      TempDirPath(("formats_v" + std::to_string(version) + "_to_v5.plc")
                       .c_str());
   ASSERT_TRUE(doc->Save(upgraded).ok());
-  EXPECT_EQ(ReadWholeFile(upgraded), ReadWholeFile(FormatsDir() + "/v4.plc"));
-  Result<LoadedCatalog> v4 = OpenCatalogMapped(DefaultVfs(), upgraded);
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  EXPECT_EQ(v4->format_version(), 4);
-  EXPECT_TRUE(v4->fingerprints_persisted());
-  EXPECT_EQ(CatalogDigest(*v4), expected);
+  EXPECT_EQ(ReadWholeFile(upgraded), ReadWholeFile(FormatsDir() + "/v5.plc"));
+  Result<LoadedCatalog> v5 = OpenCatalogMapped(DefaultVfs(), upgraded);
+  ASSERT_TRUE(v5.ok()) << v5.status().ToString();
+  EXPECT_EQ(v5->format_version(), 5);
+  EXPECT_TRUE(v5->fingerprints_persisted());
+  EXPECT_EQ(CatalogDigest(*v5), expected);
   std::remove(upgraded.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(V2AndV3, CatalogFormatUpgrade,
                          ::testing::Values(2, 3));
 INSTANTIATE_TEST_SUITE_P(V4, CatalogFormatUpgrade, ::testing::Values(4));
+INSTANTIATE_TEST_SUITE_P(V5, CatalogFormatUpgrade, ::testing::Values(5));
 
 }  // namespace
 }  // namespace primelabel

@@ -30,7 +30,7 @@ std::string TempPath(const char* name) {
          std::to_string(::getpid()) + "-" + name;
 }
 
-/// A committed format fixture: one document saved as v2, v3 and v4 (see
+/// A committed format fixture: one document saved as v2, v3, v4 and v5 (see
 /// catalog_compat_test.cc, which pins their recorded state).
 std::string FormatsFixture(const char* name) {
   return std::string(PRIMELABEL_TEST_DATA_DIR) + "/catalog_formats/" + name;
@@ -271,6 +271,34 @@ TEST_F(CatalogTest, V3PersistsFingerprintsAndSkipsRecompute) {
   }
 }
 
+TEST_F(CatalogTest, V4PersistsFingerprintsAndSkipsRecompute) {
+  // The v4 twin of the test above: each 72-byte FPS entry's 16-byte tail
+  // is adopted as the row's fingerprint, with zero FingerprintOf calls.
+  const std::string path = FormatsFixture("v4.plc");
+  std::uint64_t before = FingerprintComputeCount();
+  Result<CatalogState> loaded = LoadCatalog(DefaultVfs(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->fingerprints_valid);
+  EXPECT_EQ(FingerprintComputeCount(), before);
+
+  // Serving it converts the rows to a v5 image without recomputing.
+  Result<LoadedCatalog> served = OpenCatalogMapped(DefaultVfs(), path);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->format_version(), 4);
+  EXPECT_TRUE(served->fingerprints_persisted());
+  EXPECT_EQ(FingerprintComputeCount(), before);
+
+  Result<LabeledDocument> restored = LabeledDocument::Load(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(FingerprintComputeCount(), before);
+
+  // The adopted tails are the labels' fingerprints: a wrong tail offset
+  // would hand the screen garbage masks.
+  for (const CatalogRow& row : loaded->rows) {
+    EXPECT_EQ(row.fingerprint, FingerprintOf(row.label)) << row.tag;
+  }
+}
+
 TEST_F(CatalogTest, V2FilesStayLoadableWithRecompute) {
   const std::string path = FormatsFixture("v2.plc");
   std::uint64_t before = FingerprintComputeCount();
@@ -342,7 +370,7 @@ TEST(CatalogErrors, UnsupportedVersionNamesFoundAndSupported) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::string message = loaded.status().ToString();
   EXPECT_NE(message.find("format version 7"), std::string::npos) << message;
-  EXPECT_NE(message.find("2 .. 4"), std::string::npos) << message;
+  EXPECT_NE(message.find("2 .. 5"), std::string::npos) << message;
   std::remove(path.c_str());
 }
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -1307,6 +1308,52 @@ TEST(DurabilityDelta, CraftedFinalCountsFailRecoveryCleanly) {
     WriteFileBytes(dir + "/" + delta_name, EncodeDelta(crafted));
     Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
     EXPECT_FALSE(store.ok()) << "field " << field;
+    RemoveTree(dir);
+  }
+}
+
+TEST(DurabilityDelta, CraftedScRecordsFailRecoveryCleanly) {
+  // A delta whose checksum verifies but whose first SC change record no
+  // longer solves, or repeats a modulus of another record: recovery must
+  // fail with a typed error, not abort in the CRT solve or re-index the
+  // repeat silently. Same fixture copy as above, one craft per store.
+  const std::string fixture =
+      std::string(PRIMELABEL_TEST_DATA_DIR) + "/limb32_store";
+  const std::string delta_name = "delta-1.pld";
+  Result<DeltaSnapshot> decoded = DecodeDelta(
+      ReadFileBytes(fixture + "/" + delta_name), delta_name);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_GE(decoded->sc_changes.size(), 2u);
+  ASSERT_GE(decoded->sc_changes[0].second.moduli.size(), 2u);
+  const std::uint64_t other_modulus =
+      decoded->sc_changes[1].second.moduli[0];
+  const std::vector<std::pair<std::string,
+                              std::function<void(ScRecord*)>>> crafts = {
+      {"modulus repeated within the record",
+       [](ScRecord* r) { r->moduli[1] = r->moduli[0]; }},
+      {"zero modulus", [](ScRecord* r) { r->moduli[0] = 0; }},
+      {"moduli 4 and 6",
+       [](ScRecord* r) {
+         r->moduli[0] = 4;
+         r->moduli[1] = 6;
+       }},
+      {"modulus of another record",
+       [other_modulus](ScRecord* r) { r->moduli[0] = other_modulus; }},
+  };
+  for (const auto& [what, craft] : crafts) {
+    DeltaSnapshot crafted = decoded.value();
+    craft(&crafted.sc_changes[0].second);
+    const std::string dir = TempDirPath("crafted-sc-delta");
+    RemoveTree(dir);
+    fs::create_directories(dir);
+    for (const auto& entry : fs::directory_iterator(fixture)) {
+      fs::copy_file(entry.path(), fs::path(dir) / entry.path().filename());
+    }
+    WriteFileBytes(dir + "/" + delta_name, EncodeDelta(crafted));
+    Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
+    ASSERT_FALSE(store.ok()) << what;
+    EXPECT_EQ(store.status().code(), StatusCode::kCorruption)
+        << what << ": " << store.status().ToString();
     RemoveTree(dir);
   }
 }

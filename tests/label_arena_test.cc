@@ -1,14 +1,15 @@
-// Succinct label arena and catalog-v4 image integrity (DESIGN.md §15).
+// Succinct label arena and catalog image integrity (DESIGN.md §15).
 //
 // Three contracts pinned here:
 //   1. LabelArena round-trips arbitrary magnitude sequences and rejects
 //      damaged images with kCorruption instead of reading out of bounds.
-//   2. Every byte of a v4 catalog is covered by a digest: flipping one
-//      byte inside the header, the directory, or any of the six sections
-//      must surface kCorruption from both LoadCatalog and
-//      OpenCatalogMapped (corruption is never converted to a fresh
-//      image). Truncating the image mid-mmap-length also fails typed; a
-//      missing file is kNotFound.
+//   2. Every byte of a sectioned catalog — a fresh v5 save, and the
+//      committed v4 fixture that OpenCatalogMapped converts on open — is
+//      covered by a digest: flipping one byte inside the header, the
+//      directory, or any of the six sections must surface kCorruption
+//      from both LoadCatalog and OpenCatalogMapped (corruption is never
+//      converted to a fresh image). Truncating the image mid-mmap-length
+//      also fails typed; a missing file is kNotFound.
 //   3. A mapped catalog answers every oracle query bit-identically to the
 //      document LabeledDocument::Load restores from the same file — row
 //      contents, scalar tests, batch kernels, order lookups, and full
@@ -34,6 +35,10 @@
 #include "store/label_table.h"
 #include "xml/shakespeare.h"
 #include "xpath/evaluator.h"
+
+#ifndef PRIMELABEL_TEST_DATA_DIR
+#define PRIMELABEL_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace primelabel {
 namespace {
@@ -154,9 +159,11 @@ TEST(LabelArena, RejectsDamagedImages) {
 }
 
 // ---------------------------------------------------------------------------
-// Catalog v4 image integrity.
+// Catalog image integrity.
 
-class CatalogV4Test : public ::testing::Test {
+/// A freshly saved (v5) catalog of a small play, kept at path_ with its
+/// bytes in image_.
+class SavedCatalogTest : public ::testing::Test {
  protected:
   void SetUp() override {
     PlayOptions options;
@@ -190,7 +197,8 @@ class CatalogV4Test : public ::testing::Test {
   }
 
   /// Both entry points must report kCorruption for the image at `path`;
-  /// OpenCatalogMapped must not quietly re-encode a damaged file.
+  /// OpenCatalogMapped must not quietly re-encode a damaged file (for v4,
+  /// which it converts, the damage must stop the conversion).
   void ExpectCorrupt(const std::string& context) {
     Result<CatalogState> decoded = LoadCatalog(DefaultVfs(), path_);
     EXPECT_FALSE(decoded.ok()) << context;
@@ -211,7 +219,25 @@ class CatalogV4Test : public ::testing::Test {
   std::vector<std::uint8_t> image_;
 };
 
-TEST_F(CatalogV4Test, EverySectionDigestCatchesAByteFlip) {
+/// The integrity checks run over two images, by format version: 5, the
+/// fresh save, served in place; 4, the committed v4 fixture copied to
+/// path_, converted on open. Both share the header and section layout.
+class CatalogV4Test : public SavedCatalogTest,
+                      public ::testing::WithParamInterface<int> {
+ protected:
+  void SetUp() override {
+    SavedCatalogTest::SetUp();
+    if (GetParam() == 4) {
+      image_ = ReadFileBytes(std::string(PRIMELABEL_TEST_DATA_DIR) +
+                             "/catalog_formats/v4.plc");
+      ASSERT_GT(image_.size(), 36u + 6u * 24u);
+      WriteFileBytes(path_, image_);
+    }
+    ASSERT_EQ(image_[7], '0' + GetParam());
+  }
+};
+
+TEST_P(CatalogV4Test, EverySectionDigestCatchesAByteFlip) {
   // One flip inside each of the six sections, plus the header scalars and
   // the directory itself (covered by the header CRC).
   std::vector<std::pair<std::string, std::size_t>> targets = {
@@ -240,7 +266,7 @@ TEST_F(CatalogV4Test, EverySectionDigestCatchesAByteFlip) {
   EXPECT_TRUE(OpenCatalogMapped(DefaultVfs(), path_).ok());
 }
 
-TEST_F(CatalogV4Test, TruncationFailsTyped) {
+TEST_P(CatalogV4Test, TruncationFailsTyped) {
   for (std::size_t keep : std::vector<std::size_t>{
            0, 7, 35, 36 + 3 * 24, image_.size() / 3, image_.size() / 2,
            image_.size() - 8, image_.size() - 1}) {
@@ -257,7 +283,13 @@ TEST_F(CatalogV4Test, TruncationFailsTyped) {
   }
 }
 
-TEST_F(CatalogV4Test, MissingFileIsNotFound) {
+INSTANTIATE_TEST_SUITE_P(SavedV5AndFixtureV4, CatalogV4Test,
+                         ::testing::Values(5, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param);
+                         });
+
+TEST(CatalogV4Test, MissingFileIsNotFound) {
   Result<LoadedCatalog> mapped =
       OpenCatalogMapped(DefaultVfs(), TempPath("no_such_catalog.plc"));
   ASSERT_FALSE(mapped.ok());
@@ -270,10 +302,10 @@ TEST_F(CatalogV4Test, MissingFileIsNotFound) {
 // LabeledDocument::Load restores from the same file (NodeId == row index
 // on both sides).
 
-class ArenaHeapEquivalenceTest : public CatalogV4Test {
+class ArenaHeapEquivalenceTest : public SavedCatalogTest {
  protected:
   void SetUp() override {
-    CatalogV4Test::SetUp();
+    SavedCatalogTest::SetUp();
     Result<LabeledDocument> heap = LabeledDocument::Load(path_);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     heap_.emplace(std::move(heap.value()));

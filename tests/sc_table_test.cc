@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -183,13 +184,80 @@ TEST(ScTable, VerifyIntegrityHoldsThroughAllOperations) {
 TEST(ScTable, FromRecordsRebuildsIndexAndVerifies) {
   ScTable original(/*group_size=*/5);
   original.Build(kFigure9Selves);
-  ScTable rebuilt =
+  Result<ScTable> restored =
       ScTable::FromRecords(original.group_size(), original.records());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const ScTable& rebuilt = restored.value();
   EXPECT_TRUE(rebuilt.VerifyIntegrity());
   for (std::uint64_t self : kFigure9Selves) {
     EXPECT_EQ(rebuilt.OrderOf(self), original.OrderOf(self));
   }
   EXPECT_EQ(rebuilt.max_order(), original.max_order());
+}
+
+// FromRecords rebuilds a table from decoded bytes, so every record shape
+// the solver cannot take, and every duplicate the index would silently
+// absorb, must come back as kCorruption instead of aborting.
+
+/// Figure 10's records (group of five over the Figure 9 selves): moduli
+/// {2, 3, 5, 7, 11} and {13}.
+std::vector<ScRecord> Figure10Records() {
+  ScTable table(/*group_size=*/5);
+  table.Build(kFigure9Selves);
+  return table.records();
+}
+
+void ExpectCorruptRecords(std::vector<ScRecord> records,
+                          const std::string& context) {
+  Result<ScTable> table = ScTable::FromRecords(5, std::move(records));
+  ASSERT_FALSE(table.ok()) << context;
+  EXPECT_EQ(table.status().code(), StatusCode::kCorruption)
+      << context << ": " << table.status().ToString();
+}
+
+TEST(ScTable, FromRecordsRejectsAModulusBelowTwo) {
+  for (std::uint64_t modulus : {0u, 1u}) {
+    std::vector<ScRecord> records = Figure10Records();
+    records[0].moduli[1] = modulus;
+    records[0].orders[1] = 0;
+    ExpectCorruptRecords(records, "modulus " + std::to_string(modulus));
+  }
+}
+
+TEST(ScTable, FromRecordsRejectsAModulusRepeatedWithinARecord) {
+  std::vector<ScRecord> records = Figure10Records();
+  records[0].moduli[1] = records[0].moduli[0];
+  records[0].orders[1] = records[0].orders[0];
+  ExpectCorruptRecords(records, "repeat within record 0");
+}
+
+TEST(ScTable, FromRecordsRejectsAModulusRepeatedAcrossRecords) {
+  // Coprime within each record, so every solve succeeds: only the
+  // table-wide index sees the repeat.
+  std::vector<ScRecord> records = Figure10Records();
+  records[1].moduli[0] = records[0].moduli[2];
+  records[1].orders[0] = records[0].orders[2];
+  ExpectCorruptRecords(records, "repeat across records");
+}
+
+TEST(ScTable, FromRecordsRejectsAnOrderNotBelowItsModulus) {
+  std::vector<ScRecord> records = Figure10Records();
+  records[0].orders[3] = records[0].moduli[3];
+  ExpectCorruptRecords(records, "order == modulus");
+}
+
+TEST(ScTable, FromRecordsRejectsRecordsThatDoNotSolve) {
+  // 4 and 6 share a factor: no CRT solution to check against.
+  std::vector<ScRecord> records = Figure10Records();
+  records[0].moduli = {4, 6};
+  records[0].orders = {1, 2};
+  ExpectCorruptRecords(records, "moduli 4 and 6");
+}
+
+TEST(ScTable, FromRecordsRejectsUnpairedModuliAndOrders) {
+  std::vector<ScRecord> records = Figure10Records();
+  records[0].orders.pop_back();
+  ExpectCorruptRecords(records, "four orders for five moduli");
 }
 
 TEST(ScTable, RandomInsertSequenceKeepsOrdersConsistent) {
