@@ -307,25 +307,6 @@ void BM_IsAncestorBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IsAncestorBatch);
 
-/// The same fast path pinned to the portable scalar kernels via the
-/// runtime dispatch override. The ratio to BM_IsAncestorBatch isolates
-/// what the vector kernels alone buy (results are bit-identical either
-/// way).
-void BM_IsAncestorBatchScalar(benchmark::State& state) {
-  const BatchFixture& f = ShakespeareBatch();
-  simd::SetActiveIsa(simd::Isa::kScalar);
-  std::vector<std::uint8_t> results;
-  for (auto _ : state) {
-    results.clear();
-    f.scheme.IsAncestorBatch(f.pairs, &results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  simd::ResetActiveIsa();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.pairs.size()));
-}
-BENCHMARK(BM_IsAncestorBatchScalar);
-
 /// The descendant structural join over the shared fixture at several
 /// worker counts (1 = the sequential executor). Output is identical at
 /// any setting; this measures the fan-out overhead/payoff alone. Rates are
@@ -345,13 +326,12 @@ void BM_JoinDescendantsWorkers(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinDescendantsWorkers)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-/// Raw limb-product kernel on the BigInt representation (64-bit limbs):
-/// dispatched (digit-view vector kernel when the CPU allows) vs the
-/// portable 128-bit-intermediate scalar reference, on n x n limb
-/// operands. This is the inner loop of MulSchoolbook and the Karatsuba
-/// base case. Args are 64-bit limb counts — halve to compare against
-/// pre-v2 digit-count results.
-void BM_MulLimbSpans(benchmark::State& state, bool dispatched) {
+/// Raw limb-product kernel on the BigInt representation (64-bit limbs)
+/// on n x n limb operands: the inner loop of MulSchoolbook and the
+/// Karatsuba base case. Args are 64-bit limb counts — halve to compare
+/// against pre-v2 digit-count results. The row keeps its `portable` name
+/// from when a vector twin was timed beside it.
+void BM_MulLimbSpans(benchmark::State& state) {
   const std::size_t limbs = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
   std::vector<std::uint64_t> a(limbs), b(limbs);
@@ -359,23 +339,17 @@ void BM_MulLimbSpans(benchmark::State& state, bool dispatched) {
   for (auto& v : b) v = rng.Next();
   std::vector<std::uint64_t> out;
   for (auto _ : state) {
-    if (dispatched) {
-      simd::MulLimbSpans(a, b, &out);
-    } else {
-      simd::MulLimbSpansPortable(a, b, &out);
-    }
+    simd::MulLimbSpans(a, b, &out);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK_CAPTURE(BM_MulLimbSpans, dispatched, true)
-    ->Arg(4)->Arg(16)->Arg(64);
-BENCHMARK_CAPTURE(BM_MulLimbSpans, portable, false)
-    ->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MulLimbSpans)
+    ->Name("BM_MulLimbSpans/portable")->Arg(4)->Arg(16)->Arg(64);
 
 /// Batched fingerprint chunk residues (all 7 moduli in one sweep) over a
-/// 64-bit limb magnitude, dispatched vs portable. 1024 limbs crosses the
-/// digit kernel's 1024-digit power-table block boundary.
-void BM_ChunkResidues(benchmark::State& state, bool dispatched) {
+/// 64-bit limb magnitude. 1024 limbs crosses the kernel's 512-limb
+/// power-table block boundary. Named `portable` like BM_MulLimbSpans.
+void BM_ChunkResidues(benchmark::State& state) {
   const std::size_t limbs = static_cast<std::size_t>(state.range(0));
   Rng rng(13);
   std::vector<std::uint64_t> magnitude(limbs);
@@ -383,18 +357,12 @@ void BM_ChunkResidues(benchmark::State& state, bool dispatched) {
   magnitude.back() |= std::uint64_t{1} << 63;
   std::uint64_t residues[simd::kChunkCount];
   for (auto _ : state) {
-    if (dispatched) {
-      simd::ChunkResidues(magnitude, residues);
-    } else {
-      simd::ChunkResiduesPortable(magnitude, residues);
-    }
+    simd::ChunkResidues(magnitude, residues);
     benchmark::DoNotOptimize(residues[0]);
   }
 }
-BENCHMARK_CAPTURE(BM_ChunkResidues, dispatched, true)
-    ->Arg(4)->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_ChunkResidues, portable, false)
-    ->Arg(4)->Arg(64)->Arg(1024);
+BENCHMARK(BM_ChunkResidues)
+    ->Name("BM_ChunkResidues/portable")->Arg(4)->Arg(64)->Arg(1024);
 
 /// The v5 catalog file, written once from the shared deep-chain
 /// Shakespeare fixture: its chain labels reach ~130 limbs, which is where
@@ -769,22 +737,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
     return 1;
   }
-  // Dispatch metadata lands in the JSON "context" block so two result
-  // files can be checked for comparability (same ISA, same crossover,
-  // same thread budget) before their ratios are trusted.
-  namespace simd = primelabel::simd;
-  benchmark::AddCustomContext("detected_isa",
-                              simd::IsaName(simd::DetectedIsa()));
-  benchmark::AddCustomContext("active_isa", simd::IsaName(simd::ActiveIsa()));
-  benchmark::AddCustomContext(
-      "vector_kernels_compiled_in",
-      simd::VectorKernelsCompiledIn() ? "true" : "false");
-  benchmark::AddCustomContext(
-      "vector_min_limbs_full", std::to_string(simd::VectorMinLimbsFull()));
-  benchmark::AddCustomContext("vector_min_limbs_64",
-                              std::to_string(simd::VectorMinLimbs64()));
-  benchmark::AddCustomContext("redc_batch_min_limbs",
-                              std::to_string(simd::RedcBatchMinLimbs()));
+  // Run metadata lands in the JSON "context" block so two result files
+  // can be checked for comparability (same thread budget, same build)
+  // before their ratios are trusted.
   benchmark::AddCustomContext(
       "hardware_threads", std::to_string(std::thread::hardware_concurrency()));
   benchmark::AddCustomContext(

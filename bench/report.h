@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "bigint/simd.h"
 #include "store/catalog.h"
 
 // Baked in by the root CMakeLists (git rev-parse --short HEAD); builds
@@ -43,22 +42,14 @@ inline long PeakRssKb() {
   return 0;
 }
 
-/// Dispatch metadata as a JSON object: which limb-kernel ISA the binary
-/// detected and is using, whether the vector kernels were compiled in, the
-/// vector-dispatch gates, its thread budget, plus build
-/// provenance (git SHA and the catalog format the binary writes). Two
-/// BENCH_*.json files are only apples-to-apples when these match, so every
-/// emitter embeds them.
-inline std::string DispatchMetadataJson() {
+/// Run metadata as a JSON object: the thread budget and peak RSS of the
+/// run, plus build provenance (git SHA and the catalog format the binary
+/// writes). Two BENCH_*.json files are only apples-to-apples when these
+/// match, so every emitter embeds them (under the "dispatch" key, the
+/// name the committed files and scripts/check_bench_json.py use).
+inline std::string RunMetadataJson() {
   std::ostringstream os;
-  os << "{\"detected_isa\": \"" << simd::IsaName(simd::DetectedIsa())
-     << "\", \"active_isa\": \"" << simd::IsaName(simd::ActiveIsa())
-     << "\", \"vector_kernels_compiled_in\": "
-     << (simd::VectorKernelsCompiledIn() ? "true" : "false")
-     << ", \"vector_min_limbs_full\": " << simd::VectorMinLimbsFull()
-     << ", \"vector_min_limbs_64\": " << simd::VectorMinLimbs64()
-     << ", \"redc_batch_min_limbs\": " << simd::RedcBatchMinLimbs()
-     << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
+  os << "{\"hardware_threads\": " << std::thread::hardware_concurrency()
      << ", \"peak_rss_kb\": " << PeakRssKb()
      << ", \"catalog_format_version\": " << kCatalogFormatVersion
      << ", \"git_sha\": \"" << BuildGitSha() << "\"}";
@@ -184,7 +175,7 @@ inline std::string WriteBenchJson(const std::string& name,
   std::ofstream out(path);
   if (!out) return "";
   out << "{\"benchmark\": \"" << name
-      << "\", \"dispatch\": " << DispatchMetadataJson() << ", \"reports\": [\n";
+      << "\", \"dispatch\": " << RunMetadataJson() << ", \"reports\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     if (i > 0) out << ",\n";
     reports[i]->WriteJson(out);

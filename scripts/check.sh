@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the repo: plain build + full test suite, a
-# scalar-only build (vector kernels compiled out) rerunning the full
-# suite, a ThreadSanitizer build running the parallel/concurrency
+# ThreadSanitizer build running the parallel/concurrency
 # suites (the parallel labeler, SC-table build, the batch-query kernels
 # issued from concurrent threads, the worker-thread join executor, and
 # the epoch reader/writer protocol, and the snapshot/service layer), a
@@ -19,12 +18,10 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer tree rerunning the full
 # suite.
 #
-# Usage: scripts/check.sh [--no-tsan] [--no-asan] [--no-scalar]
-#                          [--no-durability] [--no-service] [--no-bench]
-#                          [--no-chaos]
+# Usage: scripts/check.sh [--no-tsan] [--no-asan] [--no-durability]
+#                          [--no-service] [--no-bench] [--no-chaos]
 #   --no-tsan        skip the ThreadSanitizer tree (e.g. toolchains without TSan)
 #   --no-asan        skip the ASan+UBSan tree
-#   --no-scalar      skip the -DPRIMELABEL_DISABLE_SIMD=ON tree
 #   --no-durability  skip the durability suite + crash loop
 #   --no-service     skip the query-server smoke + kill + bench leg
 #   --no-bench       skip the bench-smoke leg (quick run + JSON checks)
@@ -34,7 +31,6 @@ cd "$(dirname "$0")/.."
 
 run_tsan=1
 run_asan=1
-run_scalar=1
 run_durability=1
 run_service=1
 run_bench=1
@@ -43,7 +39,6 @@ for arg in "$@"; do
   case "$arg" in
     --no-tsan) run_tsan=0 ;;
     --no-asan) run_asan=0 ;;
-    --no-scalar) run_scalar=0 ;;
     --no-durability) run_durability=0 ;;
     --no-service) run_service=0 ;;
     --no-bench) run_bench=0 ;;
@@ -247,15 +242,6 @@ if [[ "$run_bench" == "1" ]]; then
   python3 scripts/check_bench_json.py --regress \
     build/bench/BENCH_micro_ops.json BENCH_micro_ops.json \
     --benchmark BM_XPathPlannedVsWalked/planned --tolerance 15
-fi
-
-if [[ "$run_scalar" == "1" ]]; then
-  echo "== scalar: full suite with vector kernels compiled out (build-scalar/) =="
-  cmake -B build-scalar -S . -DPRIMELABEL_DISABLE_SIMD=ON >/dev/null
-  cmake --build build-scalar -j "$jobs"
-  ctest --test-dir build-scalar --output-on-failure -j "$jobs"
-  echo "== catalog compat: v2/v3/v4 fixtures -> v5 oracle diff (build-scalar/) =="
-  build-scalar/examples/catalog_compat
 fi
 
 if [[ "$run_tsan" == "1" ]]; then

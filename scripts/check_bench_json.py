@@ -5,8 +5,8 @@ Two file shapes exist in this repo:
 
   * google-benchmark output (bench_micro_ops): {"context": {...},
     "benchmarks": [{"name": ..., "real_time": ..., ...}, ...]} — the
-    context block must carry the dispatch metadata keys that make two
-    files comparable (ISA, dispatch gates, thread budget).
+    context block must carry the run metadata keys that make two files
+    comparable (thread budget, peak RSS).
   * report.h output (bench_service and the figure benches):
     {"benchmark": ..., "dispatch": {...}, "reports": [{"title": ...,
     "headers": [...], "rows": [...]}, ...]}.
@@ -14,7 +14,7 @@ Two file shapes exist in this repo:
 Usage:
   check_bench_json.py --schema FILE...
       Validate every FILE against whichever shape it declares. Fails on
-      missing dispatch/context keys or empty result sections.
+      missing metadata keys or empty result sections.
   check_bench_json.py --regress CURRENT BASELINE [--benchmark NAME]
                       [--tolerance PCT] [--metric NAME]
       Compare CURRENT against BASELINE. For google-benchmark files, one
@@ -32,17 +32,11 @@ import argparse
 import json
 import sys
 
-# The metadata every emitter embeds (report.h DispatchMetadataJson and the
-# AddCustomContext calls in bench_micro_ops main); a file missing any of
-# these can't be compared against another run, which is the whole point of
-# keeping the JSONs.
+# The metadata every emitter embeds (report.h RunMetadataJson, under the
+# "dispatch" key, and the AddCustomContext calls in bench_micro_ops main);
+# a file missing any of these can't be compared against another run, which
+# is the whole point of keeping the JSONs.
 DISPATCH_KEYS = [
-    "detected_isa",
-    "active_isa",
-    "vector_kernels_compiled_in",
-    "vector_min_limbs_full",
-    "vector_min_limbs_64",
-    "redc_batch_min_limbs",
     "hardware_threads",
     # Peak resident set size (VmHWM, kB) of the emitting run: report.h
     # reads it at JSON-write time, bench_micro_ops patches it in after the

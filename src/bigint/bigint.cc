@@ -219,9 +219,8 @@ std::vector<BigInt::Limb> BigInt::SubMagnitude(const std::vector<Limb>& a,
 
 std::vector<BigInt::Limb> BigInt::MulSchoolbook(const std::vector<Limb>& a,
                                                 const std::vector<Limb>& b) {
-  // Dispatched limb kernel (bigint/simd.h): vectorized when the CPU
-  // allows, bit-identical schoolbook semantics either way. Karatsuba
-  // bottoms out here, so its base case is covered too.
+  // The row-wise limb kernel (bigint/simd.h). Karatsuba bottoms out
+  // here, so its base case runs it too.
   std::vector<Limb> out;
   simd::MulLimbSpans(a, b, &out);
   return out;

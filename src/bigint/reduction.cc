@@ -233,32 +233,6 @@ LabelFingerprint ExtendFingerprintByPrime(const LabelFingerprint& parent,
 
 // --- Layer 2 ---------------------------------------------------------------
 
-Reciprocal64::Reciprocal64(std::uint64_t divisor)
-    : divisor_(divisor),
-      normalized_(divisor << std::countl_zero(divisor)),
-      reciprocal_(recip::Reciprocal2by1(normalized_)),
-      shift_(std::countl_zero(divisor)) {
-  assert(divisor != 0);
-}
-
-std::uint64_t Reciprocal64::Mod(std::span<const std::uint64_t> magnitude)
-    const {
-  return ModSpans2by1(magnitude, normalized_, reciprocal_, shift_);
-}
-
-std::uint64_t Reciprocal64::Mod128(std::uint64_t hi, std::uint64_t lo) const {
-  std::uint64_t r;
-  if (shift_ == 0) {
-    r = recip::Div2by1(0, hi, normalized_, reciprocal_).r;
-    return recip::Div2by1(r, lo, normalized_, reciprocal_).r;
-  }
-  r = hi >> (64 - shift_);  // < 2^shift_ <= normalized_
-  std::uint64_t mid = (hi << shift_) | (lo >> (64 - shift_));
-  r = recip::Div2by1(r, mid, normalized_, reciprocal_).r;
-  r = recip::Div2by1(r, lo << shift_, normalized_, reciprocal_).r;
-  return r >> shift_;
-}
-
 int TrailingZeroBitsOf(LimbSpan magnitude) {
   for (std::size_t i = 0; i < magnitude.size(); ++i) {
     if (magnitude[i] != 0) {

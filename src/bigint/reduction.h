@@ -21,8 +21,7 @@ namespace primelabel {
 //   trailing-zero count. A witness in any slot rejects a candidate pair
 //   with zero BigInt work; pairs that pass fall through to an exact test.
 //
-//   Layer 2 — reciprocal-cached divisibility (Reciprocal64 /
-//   ReciprocalDivisor): when one divisor is tested against many dividends,
+//   Layer 2 — reciprocal-cached divisibility (ReciprocalDivisor): when one divisor is tested against many dividends,
 //   its constants are computed once, so each remaining test is a
 //   Möller–Granlund 2-by-1 remainder for word-sized divisors or one
 //   Montgomery (REDC) sweep for multi-limb ones, instead of a full Knuth
@@ -116,7 +115,7 @@ struct LabelFingerprint {
 LabelFingerprint FingerprintOf(const BigInt& value);
 
 /// Fingerprints a whole span of labels in one call — the batched front
-/// door to the dispatched chunk-residue kernel (bigint/simd.h), used by
+/// door to the chunk-residue kernel (bigint/simd.h), used by
 /// the catalog load pass and bulk adoption. `out` must have
 /// `labels.size()` slots. Element-for-element identical to FingerprintOf.
 void FingerprintLabels(std::span<const BigInt> labels,
@@ -187,34 +186,6 @@ using LimbSpan = std::span<const std::uint64_t>;
 /// the span twin of BigInt::TrailingZeroBits.
 int TrailingZeroBitsOf(LimbSpan magnitude);
 
-/// Word-sized divisor with a cached Möller–Granlund reciprocal: after
-/// construction, reducing an n-limb BigInt costs n/2 multiply-high steps
-/// instead of n hardware 128/64 divisions. The standalone form of the
-/// one-limb state ReciprocalDivisor keeps; no production path calls it
-/// since fingerprints stopped carrying chunk residues.
-class Reciprocal64 {
- public:
-  /// `divisor` must be nonzero.
-  explicit Reciprocal64(std::uint64_t divisor);
-
-  std::uint64_t divisor() const { return divisor_; }
-
-  /// |value| mod divisor. Equals BigInt::ModU64(divisor) exactly.
-  std::uint64_t Mod(const BigInt& value) const {
-    return Mod(value.Magnitude());
-  }
-  std::uint64_t Mod(std::span<const std::uint64_t> magnitude) const;
-
-  /// (hi:lo) mod divisor — one reduction step, for u128-sized values.
-  std::uint64_t Mod128(std::uint64_t hi, std::uint64_t lo) const;
-
- private:
-  std::uint64_t divisor_;
-  std::uint64_t normalized_;  ///< divisor << shift_ (top bit set)
-  std::uint64_t reciprocal_;  ///< floor((2^128 - 1) / normalized_) - 2^64
-  int shift_;
-};
-
 /// A divisor cached for repeated exact-divisibility tests. Assign picks
 /// one of two strategies by divisor size (64-bit limbs) and precomputes
 /// its constants once, so each Divides call avoids the per-call setup of
@@ -261,9 +232,9 @@ class ReciprocalDivisor {
   /// run of fingerprint-filter survivors shares its anchor. Dividends that
   /// fail a cheap screen (smaller than the divisor, missing the divisor's
   /// power-of-two factor) are answered inline; the survivors run one
-  /// multi-dividend REDC sweep (simd::RedcDividesBatch), which on AVX2
-  /// interleaves 4 dividends across vector lanes. Bit-identical to
-  /// looping Divides.
+  /// multi-dividend REDC sweep (simd::RedcDividesBatch), which interleaves
+  /// the dividends' sweeps step by step. Bit-identical to looping
+  /// Divides.
   void DividesBatch(std::span<const LimbSpan> dividends, bool* out);
 
  private:

@@ -36,13 +36,17 @@ void OrderedPrimeScheme::LabelTree(const XmlTree& tree) {
   }
 }
 
-void OrderedPrimeScheme::Adopt(const XmlTree& tree, std::vector<BigInt> labels,
-                               std::vector<std::uint64_t> selves,
-                               ScTable sc_table,
-                               std::vector<LabelFingerprint> fps) {
+Status OrderedPrimeScheme::Adopt(const XmlTree& tree,
+                                 std::vector<BigInt> labels,
+                                 std::vector<std::uint64_t> selves,
+                                 ScTable sc_table,
+                                 std::vector<LabelFingerprint> fps) {
   set_tree(tree);
-  structure_.Adopt(tree, std::move(labels), std::move(selves), std::move(fps));
+  Status adopted = structure_.Adopt(tree, std::move(labels), std::move(selves),
+                                    std::move(fps));
+  if (!adopted.ok()) return adopted;
   sc_table_ = std::move(sc_table);
+  return Status::Ok();
 }
 
 bool OrderedPrimeScheme::IsAncestor(NodeId ancestor, NodeId descendant) const {

@@ -76,10 +76,11 @@ class OrderedPrimeScheme : public LabelingScheme, public StructureOracle {
   /// them without relabeling anything, after which queries and updates
   /// behave exactly as if the scheme had labeled the tree itself. `fps`
   /// optionally carries persisted fingerprints (catalog format v3); when
-  /// present and full-size the per-label recompute pass is skipped.
-  void Adopt(const XmlTree& tree, std::vector<BigInt> labels,
-             std::vector<std::uint64_t> selves, ScTable sc_table,
-             std::vector<LabelFingerprint> fps = {});
+  /// present and full-size the per-label recompute pass is skipped. Fails
+  /// with kCorruption as PrimeTopDownScheme::Adopt does.
+  Status Adopt(const XmlTree& tree, std::vector<BigInt> labels,
+               std::vector<std::uint64_t> selves, ScTable sc_table,
+               std::vector<LabelFingerprint> fps = {});
 
   /// Access to the underlying structural scheme and the SC table.
   const PrimeTopDownScheme& structure() const { return structure_; }

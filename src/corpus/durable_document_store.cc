@@ -115,10 +115,39 @@ Result<DurableDocumentStore::EpochChain> DurableDocumentStore::LoadEpochChain(
                             "' exceeds depth 64 (cyclic base links?)");
 }
 
-void DurableDocumentStore::SweepStrays(Vfs& vfs, const std::string& dir,
-                                       const EpochChain& chain) {
+Result<LabeledDocument> DurableDocumentStore::ReplayEpoch(
+    Vfs& vfs, const std::string& dir, std::uint64_t epoch,
+    std::uint64_t journal_limit, const std::string& origin,
+    RecoveryStats* stats,
+    const std::function<void(const EpochChain&)>& on_chain) {
+  Result<EpochChain> chain = LoadEpochChain(vfs, dir, epoch);
+  if (!chain.ok()) return chain.status();
+  if (on_chain) on_chain(chain.value());
+  Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
+      std::move(chain->state.rows), std::move(chain->state.sc_table),
+      chain->state.fingerprints_valid, origin);
+  if (!doc.ok()) return doc.status();
+  Result<WalReadResult> journal =
+      ReadWal(vfs, EpochJournalPath(dir, epoch), journal_limit);
+  if (!journal.ok()) {
+    if (journal.status().code() == StatusCode::kNotFound) return doc;
+    return journal.status();
+  }
+  if (stats != nullptr) {
+    stats->journal_valid_bytes = journal->valid_bytes;
+    stats->tail_truncated = journal->tail_truncated;
+    stats->bytes_dropped = journal->bytes_dropped;
+  }
+  Status replayed = ReplayRecords(journal->records, &doc.value(), stats);
+  if (!replayed.ok()) return replayed;
+  return doc;
+}
+
+void DurableDocumentStore::SweepStrays(
+    Vfs& vfs, const std::string& dir,
+    const std::vector<EpochChain::Link>& links) {
   std::set<std::string> keep;
-  for (const EpochChain::Link& link : chain.links) {
+  for (const EpochChain::Link& link : links) {
     keep.insert(link.is_delta ? EpochDeltaPath(dir, link.epoch)
                               : EpochSnapshotPath(dir, link.epoch));
     keep.insert(EpochJournalPath(dir, link.epoch));
@@ -179,33 +208,22 @@ Result<DurableDocumentStore> DurableDocumentStore::Open(
   Result<std::uint64_t> epoch = ReadManifest(vfs, ManifestPath(dir));
   if (!epoch.ok()) return epoch.status();
 
-  Result<EpochChain> chain = LoadEpochChain(vfs, dir, *epoch);
-  if (!chain.ok()) return chain.status();
-
   // The diff base for delta checkpoints is the epoch's on-disk state,
   // BEFORE journal replay: the next delta must carry everything the
   // journal held.
-  BaseRowIndex base_index = BuildBaseRowIndex(chain->state.rows);
-  std::vector<std::uint64_t> base_sc_hashes =
-      ScRecordHashes(chain->state.sc_table);
-
-  Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-      std::move(chain->state.rows), std::move(chain->state.sc_table),
-      chain->state.fingerprints_valid,
-      "store '" + dir + "' epoch " + std::to_string(*epoch));
-  if (!doc.ok()) return doc.status();
-
+  BaseRowIndex base_index;
+  std::vector<std::uint64_t> base_sc_hashes;
+  std::vector<EpochChain::Link> links;
   RecoveryStats stats;
-  Result<WalReadResult> journal = ReadWal(vfs, JournalPath(dir, *epoch));
-  if (journal.ok()) {
-    stats.journal_valid_bytes = journal->valid_bytes;
-    stats.tail_truncated = journal->tail_truncated;
-    stats.bytes_dropped = journal->bytes_dropped;
-    Status replayed = ReplayRecords(journal->records, &doc.value(), &stats);
-    if (!replayed.ok()) return replayed;
-  } else if (journal.status().code() != StatusCode::kNotFound) {
-    return journal.status();
-  }
+  Result<LabeledDocument> doc = ReplayEpoch(
+      vfs, dir, *epoch, ~std::uint64_t{0},
+      "store '" + dir + "' epoch " + std::to_string(*epoch), &stats,
+      [&](const EpochChain& chain) {
+        base_index = BuildBaseRowIndex(chain.state.rows);
+        base_sc_hashes = ScRecordHashes(chain.state.sc_table);
+        links = chain.links;
+      });
+  if (!doc.ok()) return doc.status();
 
   // Resume the journal after its intact prefix; Open truncates the torn
   // tail so new frames extend a clean file.
@@ -218,15 +236,15 @@ Result<DurableDocumentStore> DurableDocumentStore::Open(
   store.recovery_stats_ = stats;
   store.base_index_ = std::move(base_index);
   store.base_sc_hashes_ = std::move(base_sc_hashes);
-  store.chain_len_ = static_cast<int>(chain->links.size()) - 1;
+  store.chain_len_ = static_cast<int>(links.size()) - 1;
   // Register the chain bottom-up so every base is known before the epoch
   // that chains to it, then publish.
-  for (auto it = chain->links.rbegin(); it != chain->links.rend(); ++it) {
+  for (auto it = links.rbegin(); it != links.rend(); ++it) {
     store.registry_->Register(it->epoch, it->is_delta, it->base_epoch);
   }
   store.registry_->SetCurrent(*epoch);
   store.registry_->SetDurableBytes(store.wal_.committed_bytes());
-  SweepStrays(vfs, dir, chain.value());
+  SweepStrays(vfs, dir, links);
   return store;
 }
 
@@ -270,30 +288,12 @@ void DurableDocumentStore::EnterQuarantine(const Status& cause) {
 
   // Roll the in-memory document back to the last durable state: the
   // epoch's snapshot/delta chain plus the committed journal prefix.
-  bool rolled_back = false;
-  Result<EpochChain> chain = LoadEpochChain(*vfs_, dir_, epoch_);
-  if (chain.ok()) {
-    Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-        std::move(chain->state.rows), std::move(chain->state.sc_table),
-        chain->state.fingerprints_valid, "quarantine rollback of '" + dir_ +
-                                             "' epoch " +
-                                             std::to_string(epoch_));
-    if (doc.ok()) {
-      Result<WalReadResult> journal =
-          ReadWal(*vfs_, EpochJournalPath(dir_, epoch_), durable);
-      Status replayed = Status::Ok();
-      if (journal.ok()) {
-        replayed = ReplayRecords(journal->records, &doc.value());
-      } else if (journal.status().code() != StatusCode::kNotFound) {
-        replayed = journal.status();
-      }
-      if (replayed.ok()) {
-        doc_ = std::move(doc.value());
-        rolled_back = true;
-      }
-    }
-  }
-  if (!rolled_back) {
+  Result<LabeledDocument> doc = ReplayEpoch(
+      *vfs_, dir_, epoch_, durable,
+      "quarantine rollback of '" + dir_ + "' epoch " + std::to_string(epoch_));
+  if (doc.ok()) {
+    doc_ = std::move(doc.value());
+  } else {
     // Reads failed too (e.g. a simulated crash): queries keep serving the
     // pre-failure document, which may be ahead of what a restart will
     // recover.
@@ -453,32 +453,6 @@ Status DurableDocumentStore::Checkpoint() {
   return Status::Ok();
 }
 
-Result<LabeledDocument> DurableDocumentStore::MaterializePinned(
-    const EpochPin& pin) const {
-  if (!pin.valid()) {
-    return Status::InvalidArgument("cannot read a released epoch pin");
-  }
-  Result<EpochChain> chain = LoadEpochChain(*vfs_, dir_, pin.epoch());
-  if (!chain.ok()) return chain.status();
-  Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-      std::move(chain->state.rows), std::move(chain->state.sc_table),
-      chain->state.fingerprints_valid,
-      "pinned epoch " + std::to_string(pin.epoch()) + " of store '" + dir_ +
-          "'");
-  if (!doc.ok()) return doc.status();
-  // Replay only the committed prefix the pin captured: frames the writer
-  // appended after the pin are invisible to this view.
-  Result<WalReadResult> journal = ReadWal(
-      *vfs_, EpochJournalPath(dir_, pin.epoch()), pin.journal_bytes());
-  if (journal.ok()) {
-    Status replayed = ReplayRecords(journal->records, &doc.value());
-    if (!replayed.ok()) return replayed;
-  } else if (journal.status().code() != StatusCode::kNotFound) {
-    return journal.status();
-  }
-  return doc;
-}
-
 Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
     const EpochPin& pin) const {
   // Sealed-epoch fast path: a full snapshot with zero journal frames is
@@ -495,7 +469,15 @@ Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
     return std::shared_ptr<const EpochView>(
         std::make_shared<EpochView>(std::move(catalog.value())));
   }
-  Result<LabeledDocument> doc = MaterializePinned(pin);
+  if (!pin.valid()) {
+    return Status::InvalidArgument("cannot read a released epoch pin");
+  }
+  // Replay only the committed prefix the pin captured: frames the writer
+  // appended after the pin are invisible to this view.
+  Result<LabeledDocument> doc = ReplayEpoch(
+      *vfs_, dir_, pin.epoch(), pin.journal_bytes(),
+      "pinned epoch " + std::to_string(pin.epoch()) + " of store '" + dir_ +
+          "'");
   if (!doc.ok()) return doc.status();
   return std::shared_ptr<const EpochView>(
       std::make_shared<EpochView>(std::move(doc.value())));

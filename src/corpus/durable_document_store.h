@@ -316,20 +316,29 @@ class DurableDocumentStore {
   static Result<EpochChain> LoadEpochChain(Vfs& vfs, const std::string& dir,
                                            std::uint64_t epoch);
 
+  /// The one replay path, shared by Open, quarantine rollback and pinned
+  /// views: the document `epoch` holds after the first `journal_limit`
+  /// bytes of its journal. Loads the snapshot/delta chain, adopts it, then
+  /// replays that journal prefix (a missing journal counts as empty).
+  /// `origin` names the point in errors. `on_chain`, when set, sees the
+  /// chain as loaded, before its rows move into the document; `stats`
+  /// receives the journal's intact length and the replay's counts.
+  static Result<LabeledDocument> ReplayEpoch(
+      Vfs& vfs, const std::string& dir, std::uint64_t epoch,
+      std::uint64_t journal_limit, const std::string& origin,
+      RecoveryStats* stats = nullptr,
+      const std::function<void(const EpochChain&)>& on_chain = nullptr);
+
   /// Journals one insert (kInsert + kScRewrite verification frame).
   Status JournalInsert(WalRecord::Op op, std::uint64_t anchor_self,
                        std::uint64_t cursor_before, NodeId fresh,
                        std::string_view tag);
 
-  /// Rebuilds the exact document state a pin captured: the epoch's
-  /// snapshot/delta chain plus the committed journal prefix — the
-  /// heap-mode materialization body of OpenSnapshot.
-  Result<LabeledDocument> MaterializePinned(const EpochPin& pin) const;
-
   /// Builds the shared view for a pinned point: an arena-backed view over
   /// the epoch's catalog image when the epoch is sealed (a full snapshot
-  /// on disk, zero journal frames), else a materialized document. Corrupt
-  /// images fail the open either way.
+  /// on disk, zero journal frames), else the document ReplayEpoch rebuilds
+  /// up to the pin's committed journal prefix. Corrupt images fail the
+  /// open either way.
   Result<std::shared_ptr<const EpochView>> MaterializeView(
       const EpochPin& pin) const;
 
@@ -347,7 +356,7 @@ class DurableDocumentStore {
   /// Unlinks epoch files in `dir` that no epoch of the live chain owns
   /// (debris of checkpoints that failed before their MANIFEST swing).
   static void SweepStrays(Vfs& vfs, const std::string& dir,
-                          const EpochChain& chain);
+                          const std::vector<EpochChain::Link>& links);
 
   std::string dir_;
   LabeledDocument doc_;

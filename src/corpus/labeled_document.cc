@@ -140,8 +140,13 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
   }
   doc.scheme_ =
       std::make_unique<OrderedPrimeScheme>(sc_table.group_size());
-  doc.scheme_->Adopt(*doc.tree_, std::move(labels), std::move(selves),
-                     std::move(sc_table), std::move(fps));
+  // NodeId == row index, so the node an Adopt error names is the row.
+  Status adopted = doc.scheme_->Adopt(*doc.tree_, std::move(labels),
+                                      std::move(selves), std::move(sc_table),
+                                      std::move(fps));
+  if (!adopted.ok()) {
+    return Status::Corruption(origin + ": " + adopted.message());
+  }
   return doc;
 }
 

@@ -42,7 +42,8 @@ class LabeledDocument {
   /// delta-snapshot recovery, which assembles the row set itself.
   /// `fingerprints_valid` says whether the rows' fingerprint fields can be
   /// adopted verbatim (else they are recomputed); `origin` names the
-  /// source in error messages.
+  /// source in error messages. A non-root self-label that is not a prime,
+  /// or that two rows share, fails with kCorruption naming the row.
   static Result<LabeledDocument> FromCatalogRows(std::vector<CatalogRow> rows,
                                                  ScTable sc_table,
                                                  bool fingerprints_valid,

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "durability/wal.h"
 
 namespace primelabel {
 
@@ -146,34 +145,6 @@ Status ReplayRecords(std::span<const WalRecord> records, LabeledDocument* doc,
     }
   }
   return Status::Ok();
-}
-
-Result<LabeledDocument> RecoverDocument(Vfs& vfs,
-                                        const std::string& snapshot_path,
-                                        const std::string& wal_path,
-                                        RecoveryStats* stats,
-                                        std::uint64_t journal_limit) {
-  Result<LabeledDocument> doc = LabeledDocument::Load(vfs, snapshot_path);
-  if (!doc.ok()) return doc.status();
-
-  Result<WalReadResult> wal = ReadWal(vfs, wal_path, journal_limit);
-  if (!wal.ok()) {
-    // No journal at all: the snapshot is the whole state (a checkpoint
-    // that crashed after writing the snapshot but before creating the
-    // next journal file lands here).
-    if (wal.status().code() == StatusCode::kNotFound) {
-      return doc;
-    }
-    return wal.status();
-  }
-  if (stats != nullptr) {
-    stats->journal_valid_bytes = wal->valid_bytes;
-    stats->tail_truncated = wal->tail_truncated;
-    stats->bytes_dropped = wal->bytes_dropped;
-  }
-  Status replayed = ReplayRecords(wal->records, &doc.value(), stats);
-  if (!replayed.ok()) return replayed;
-  return doc;
 }
 
 }  // namespace primelabel

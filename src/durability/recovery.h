@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "corpus/labeled_document.h"
 #include "durability/frame.h"
-#include "durability/vfs.h"
 #include "util/status.h"
 
 namespace primelabel {
@@ -41,19 +39,6 @@ struct RecoveryStats {
 /// regression — not something to paper over).
 Status ReplayRecords(std::span<const WalRecord> records, LabeledDocument* doc,
                      RecoveryStats* stats = nullptr);
-
-/// Full crash recovery: loads the snapshot catalog at `snapshot_path`,
-/// then replays the intact prefix of the journal at `wal_path` on top of
-/// it (a missing journal file counts as empty). Torn tails and corrupt
-/// frames are tolerated per truncate-at-first-bad-checksum; the caller
-/// finds the resulting safe append position in
-/// `stats->journal_valid_bytes`. `journal_limit` bounds the replay to the
-/// journal's first N bytes — epoch-pinned readers pass the committed
-/// length they captured so later appends are invisible.
-Result<LabeledDocument> RecoverDocument(
-    Vfs& vfs, const std::string& snapshot_path, const std::string& wal_path,
-    RecoveryStats* stats = nullptr,
-    std::uint64_t journal_limit = ~std::uint64_t{0});
 
 }  // namespace primelabel
 

@@ -1,6 +1,8 @@
 #include "labeling/prime_top_down.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "labeling/subtree_partition.h"
 #include "util/status.h"
@@ -99,9 +101,10 @@ bool PrimeTopDownScheme::LabelTreeParallel(const XmlTree& tree) {
   return true;
 }
 
-void PrimeTopDownScheme::Adopt(const XmlTree& tree, std::vector<BigInt> labels,
-                               std::vector<std::uint64_t> selves,
-                               std::vector<LabelFingerprint> fps) {
+Status PrimeTopDownScheme::Adopt(const XmlTree& tree,
+                                 std::vector<BigInt> labels,
+                                 std::vector<std::uint64_t> selves,
+                                 std::vector<LabelFingerprint> fps) {
   PL_CHECK(labels.size() >= tree.arena_size());
   PL_CHECK(selves.size() == labels.size());
   PL_CHECK(fps.empty() || fps.size() == labels.size());
@@ -123,17 +126,37 @@ void PrimeTopDownScheme::Adopt(const XmlTree& tree, std::vector<BigInt> labels,
   primes_.Reset();
   std::size_t used = 0;
   std::vector<std::uint8_t> attached(labels_.size(), 0);
+  // One bit per stream index a node has claimed, to catch repeats.
+  std::vector<bool> claimed;
+  Status status;
   tree.Preorder([&](NodeId id, int depth) {
     attached[static_cast<std::size_t>(id)] = 1;
-    if (depth == 0) return;
-    std::uint64_t self = selves_[static_cast<std::size_t>(id)];
-    used = std::max(used, primes_.IndexOf(self) + 1);
+    if (depth == 0 || !status.ok()) return;
+    const std::uint64_t self = selves_[static_cast<std::size_t>(id)];
+    const std::optional<std::size_t> index = primes_.IndexOf(self);
+    if (!index.has_value()) {
+      status = Status::Corruption("self-label " + std::to_string(self) +
+                                  " of node " + std::to_string(id) +
+                                  " is not a prime");
+      return;
+    }
+    if (*index >= claimed.size()) claimed.resize(*index + 1);
+    if (claimed[*index]) {
+      status = Status::Corruption("self-label " + std::to_string(self) +
+                                  " of node " + std::to_string(id) +
+                                  " repeats an earlier node's");
+      return;
+    }
+    claimed[*index] = true;
+    used = std::max(used, *index + 1);
   });
+  if (!status.ok()) return status;
   if (!adopt_fps) FingerprintLabels(labels_, fps_);
   for (std::size_t i = 0; i < fps_.size(); ++i) {
     if (!attached[i]) fps_[i] = LabelFingerprint();
   }
   primes_.SkipFirst(used);
+  return Status::Ok();
 }
 
 bool PrimeTopDownScheme::IsAncestor(NodeId ancestor, NodeId descendant) const {

@@ -9,6 +9,7 @@
 #include "bigint/reduction.h"
 #include "labeling/scheme.h"
 #include "primes/prime_source.h"
+#include "util/status.h"
 
 namespace primelabel {
 
@@ -48,9 +49,14 @@ class PrimeTopDownScheme : public LabelingScheme {
   /// When it has one entry per label slot they are installed as-is and the
   /// recompute pass is skipped entirely; an empty vector (v2 catalogs, or
   /// a fingerprint-config hash mismatch) derives them from the labels.
-  void Adopt(const XmlTree& tree, std::vector<BigInt> labels,
-             std::vector<std::uint64_t> selves,
-             std::vector<LabelFingerprint> fps = {});
+  ///
+  /// Returns kCorruption, naming the node, when a non-root self-label is
+  /// not a prime of the stream or repeats another node's: either would
+  /// break the unique-prime invariant divisibility rests on. The scheme is
+  /// unusable after a failed Adopt.
+  Status Adopt(const XmlTree& tree, std::vector<BigInt> labels,
+               std::vector<std::uint64_t> selves,
+               std::vector<LabelFingerprint> fps = {});
 
   /// Replaces the self-label of an already-labeled node with a fresh prime
   /// and rederives the labels of its subtree. Used by OrderedPrimeScheme

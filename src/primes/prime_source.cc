@@ -4,7 +4,6 @@
 
 #include "primes/miller_rabin.h"
 #include "primes/sieve.h"
-#include "util/status.h"
 
 namespace primelabel {
 
@@ -47,12 +46,13 @@ PrimeBlock PrimeSource::BlockAt(std::size_t first, std::size_t count) {
       primes_.begin() + static_cast<std::ptrdiff_t>(first + count)));
 }
 
-std::size_t PrimeSource::IndexOf(std::uint64_t prime) {
+std::optional<std::size_t> PrimeSource::IndexOf(std::uint64_t prime) {
   while (primes_.back() < prime) {
     primes_.push_back(NextPrimeAfter(primes_.back()));
   }
+  // The stream now reaches `prime`, so lower_bound stays in range.
   auto it = std::lower_bound(primes_.begin(), primes_.end(), prime);
-  PL_CHECK(it != primes_.end() && *it == prime);
+  if (*it != prime) return std::nullopt;
   return static_cast<std::size_t>(it - primes_.begin());
 }
 

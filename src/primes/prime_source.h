@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace primelabel {
@@ -70,11 +71,11 @@ class PrimeSource {
   /// planner accounts for consumed indexes itself via SkipFirst.
   PrimeBlock BlockAt(std::size_t first, std::size_t count);
 
-  /// Index of `prime` in the stream (IndexOf(2) == 0). Used to restore the
-  /// cursor when adopting persisted labels: the next fresh prime must come
-  /// after every prime already embedded in a label. `prime` must actually
-  /// be prime.
-  std::size_t IndexOf(std::uint64_t prime);
+  /// Index of `prime` in the stream (IndexOf(2) == 0), or nullopt when
+  /// `prime` is not in the stream (0, 1 or a composite). Used to restore
+  /// the cursor when adopting persisted labels: the next fresh prime must
+  /// come after every prime already embedded in a label.
+  std::optional<std::size_t> IndexOf(std::uint64_t prime);
 
   /// Number of primes handed out or skipped so far.
   std::size_t cursor() const { return cursor_; }

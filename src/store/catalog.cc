@@ -18,8 +18,7 @@ constexpr char kMagicPrefix[7] = {'P', 'L', 'C', 'A', 'T', 'L', 'G'};
 
 /// The image columns are read in place (reinterpret_cast over the
 /// image), so the stored little-endian bytes must BE the in-memory
-/// representation — the same punning contract the vector kernels rely on
-/// (bigint/simd.h). A big-endian port would need a decode pass here; fail
+/// representation. A big-endian port would need a decode pass here; fail
 /// loudly at compile time instead of corrupting quietly.
 static_assert(std::endian::native == std::endian::little,
               "catalog in-place columns require a little-endian host");

@@ -77,8 +77,7 @@ Result<LabelArena> LabelArena::FromBytes(std::span<const std::uint8_t> bytes,
   arena.byte_size_ = bytes.size();
   // Little-endian in-place view: the file stores little-endian u64s, so
   // on the little-endian targets this builds for, the stored bytes ARE
-  // the in-memory representation (same punning contract as the vector
-  // kernels in bigint/simd.h).
+  // the in-memory representation.
   const auto* words =
       reinterpret_cast<const std::uint64_t*>(bytes.data() + kHeaderBytes);
   arena.limbs_ = words;

@@ -576,18 +576,17 @@ TEST(DurabilityRecovery, ChecksummedButWrongJournalFailsLoudly) {
 
 // --- SC-table ordered-insert equivalence under replay -------------------
 
-/// Replays the journal on the snapshot and requires the recovered document
-/// to be bit-identical to the live one — labels, self-labels, and the full
-/// order relation (the SC table's answers).
+/// Requires the store's own rebuild of its committed state — a pinned
+/// snapshot, materialized by replaying the journal on the epoch's
+/// snapshot/delta chain — to be bit-identical to the live document:
+/// labels, self-labels, and the full order relation (the SC table's
+/// answers).
 void ExpectReplayEquivalence(DurableDocumentStore& store) {
   ASSERT_TRUE(store.Flush().ok());
-  RecoveryStats stats;
-  Result<LabeledDocument> recovered = RecoverDocument(
-      DefaultVfs(),
-      DurableDocumentStore::SnapshotPath(store.dir(), store.epoch()),
-      DurableDocumentStore::JournalPath(store.dir(), store.epoch()), &stats);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_FALSE(stats.tail_truncated);
+  Result<Snapshot> snapshot = store.OpenSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_FALSE(snapshot->arena_backed()) << "no journal frames to replay";
+  const LabeledDocument* recovered = &snapshot->document();
   EXPECT_EQ(StateDigest(*recovered), StateDigest(store.document()));
 
   // Order numbers recovered via the SC table sort the tree into document
@@ -932,6 +931,50 @@ TEST(DurabilityRecoveryEdges, ManifestPointingAtMissingSnapshotIsTyped) {
   EXPECT_NE(store.status().message().find("neither a snapshot nor a delta"),
             std::string::npos);
   RemoveTree(dir);
+}
+
+TEST(DurabilityRecoveryEdges, CraftedSelfLabelsFailLoadAndOpenCleanly) {
+  // v5 snapshots written by WriteCatalog, so every section digest
+  // verifies, whose first non-root row's self-label is 4 (not a prime) or
+  // a copy of the next row's. Load and Open must fail with a typed error,
+  // not abort in the prime-stream lookup or adopt two nodes sharing one
+  // prime, which would break divisibility-decides-ancestry.
+  Result<LabeledDocument> doc = LabeledDocument::FromXml(SmallPlayXml());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const std::vector<CatalogRow> rows = doc->ToCatalogRows();
+  ASSERT_GE(rows.size(), 3u);
+  const std::vector<std::pair<std::string, std::uint64_t>> crafts = {
+      {"self-label 4", 4}, {"self-label of row 2", rows[2].self}};
+  for (const auto& [what, self] : crafts) {
+    std::vector<CatalogRow> crafted = rows;
+    crafted[1].self = self;
+    const std::string dir = TempDirPath("crafted-self");
+    RemoveTree(dir);
+    {
+      Result<DurableDocumentStore> created =
+          DurableDocumentStore::Create(dir, SmallPlayXml());
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+    }
+    const std::string snapshot = DurableDocumentStore::SnapshotPath(dir, 0);
+    ASSERT_TRUE(WriteCatalog(DefaultVfs(), snapshot, crafted,
+                             doc->scheme().sc_table())
+                    .ok());
+
+    Result<LabeledDocument> loaded = LabeledDocument::Load(snapshot);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << what << ": " << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(
+                  "self-label " + std::to_string(self)),
+              std::string::npos)
+        << loaded.status().ToString();
+
+    Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
+    ASSERT_FALSE(store.ok()) << what;
+    EXPECT_EQ(store.status().code(), StatusCode::kCorruption)
+        << what << ": " << store.status().ToString();
+    RemoveTree(dir);
+  }
 }
 
 // --- Quarantine on journaling failures -----------------------------------

@@ -21,7 +21,6 @@
 #include "util/status.h"
 #include "xml/stats.h"
 #include "xpath/ast.h"
-#include "xpath/sql_translate.h"
 
 namespace primelabel {
 namespace {
@@ -104,13 +103,6 @@ TEST(XPathAxisNames, AllDistinct) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
-}
-
-TEST(SqlTranslateText, TextPredicateBecomesColumnEquality) {
-  Result<std::string> sql =
-      TranslateToSql("//author[text()='John']", SqlScheme::kInterval);
-  ASSERT_TRUE(sql.ok());
-  EXPECT_NE(sql->find("n0.text = 'John'"), std::string::npos);
 }
 
 TEST(LabelStrings, EverySchemeRendersNonEmptyLabels) {

@@ -176,39 +176,6 @@ TEST(Fingerprint, IncrementalExtensionMatchesFromScratch) {
   }
 }
 
-TEST(Reciprocal64, ModMatchesModU64OnRandomValues) {
-  Rng rng(4242);
-  std::vector<std::uint64_t> divisors = {1, 2, 3, 5, 0xFFFFFFFFull,
-                                         1ull << 32, 1ull << 63, ~0ull};
-  for (int i = 0; i < 200; ++i) divisors.push_back(rng.Next() | 1);
-  for (std::uint64_t d : divisors) {
-    Reciprocal64 reciprocal(d);
-    EXPECT_EQ(reciprocal.Mod(BigInt()), 0u);
-    for (int words = 1; words <= 6; ++words) {
-      for (int rep = 0; rep < 20; ++rep) {
-        BigInt value = RandomBigInt(&rng, words);
-        ASSERT_EQ(reciprocal.Mod(value), value.ModU64(d))
-            << "d=" << d << " value=" << value.ToDecimalString();
-      }
-    }
-  }
-}
-
-TEST(Reciprocal64, Mod128MatchesWideDivision) {
-  Rng rng(11);
-  for (int iter = 0; iter < 20000; ++iter) {
-    std::uint64_t d = rng.Next();
-    if (d == 0) d = 1;
-    std::uint64_t hi = rng.Below(3) == 0 ? 0 : rng.Next();
-    std::uint64_t lo = rng.Next();
-    U128 value = (static_cast<U128>(hi) << 64) | lo;
-    Reciprocal64 reciprocal(d);
-    ASSERT_EQ(reciprocal.Mod128(hi, lo),
-              static_cast<std::uint64_t>(value % d))
-        << "d=" << d << " hi=" << hi << " lo=" << lo;
-  }
-}
-
 TEST(ReciprocalDivisor, DividesMatchesIsDivisibleByOnRandomPairs) {
   Rng rng(555);
   ReciprocalDivisor cached;

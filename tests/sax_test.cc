@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/streaming_labeler.h"
-#include "labeling/prime_top_down.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xml/shakespeare.h"
@@ -74,86 +72,6 @@ TEST(Sax, DomAdapterProducesSameDocuments) {
   Result<XmlTree> reparsed = ParseXml(xml);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(SerializeXml(*reparsed), xml);
-}
-
-TEST(StreamingLabeler, MatchesTreeBasedLabelsOnElementOnlyDocuments) {
-  XmlTree play = GenerateHamlet();  // generator emits no text nodes
-  std::string xml = SerializeXml(play);
-
-  PrimeTopDownScheme tree_scheme;
-  tree_scheme.LabelTree(play);
-
-  std::vector<std::string> streamed_labels;
-  Status status = LabelXmlStreaming(
-      xml, [&](const StreamingPrimeLabeler::LabeledElement& element) {
-        streamed_labels.push_back(element.label->ToDecimalString());
-      });
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  std::vector<std::string> tree_labels;
-  play.Preorder([&](NodeId id, int) {
-    tree_labels.push_back(tree_scheme.label(id).ToDecimalString());
-  });
-  EXPECT_EQ(streamed_labels, tree_labels);
-}
-
-TEST(StreamingLabeler, ConstantMemoryAcrossAWideDocument) {
-  // 1 root + 10k leaf children: the stack never exceeds depth 2.
-  std::string xml = "<wide>";
-  for (int i = 0; i < 10000; ++i) xml += "<leaf/>";
-  xml += "</wide>";
-  std::size_t max_stack = 0;
-  StreamingPrimeLabeler labeler(nullptr);
-  class Probe : public SaxHandler {
-   public:
-    Probe(StreamingPrimeLabeler* inner, std::size_t* max_stack)
-        : inner_(inner), max_stack_(max_stack) {}
-    void StartElement(
-        std::string_view tag,
-        const std::vector<std::pair<std::string_view, std::string_view>>&
-            attributes) override {
-      inner_->StartElement(tag, attributes);
-      *max_stack_ = std::max(*max_stack_, inner_->stack_depth());
-    }
-    void EndElement(std::string_view tag) override {
-      inner_->EndElement(tag);
-    }
-    void Text(std::string_view text) override { inner_->Text(text); }
-
-   private:
-    StreamingPrimeLabeler* inner_;
-    std::size_t* max_stack_;
-  };
-  Probe probe(&labeler, &max_stack);
-  ASSERT_TRUE(ParseXmlSax(xml, &probe).ok());
-  EXPECT_EQ(labeler.elements_labeled(), 10001u);
-  EXPECT_EQ(max_stack, 2u);
-  EXPECT_EQ(labeler.stack_depth(), 0u);
-}
-
-TEST(StreamingLabeler, EmitsDepthAndSelf) {
-  std::vector<int> depths;
-  std::vector<std::uint64_t> selves;
-  ASSERT_TRUE(LabelXmlStreaming(
-                  "<a><b><c/></b><d/></a>",
-                  [&](const StreamingPrimeLabeler::LabeledElement& e) {
-                    depths.push_back(e.depth);
-                    selves.push_back(e.self);
-                  })
-                  .ok());
-  EXPECT_EQ(depths, (std::vector<int>{0, 1, 2, 1}));
-  EXPECT_EQ(selves, (std::vector<std::uint64_t>{1, 2, 3, 5}));
-}
-
-TEST(StreamingLabeler, ReportsMaxLabelBits) {
-  XmlTree play = GenerateHamlet();
-  std::string xml = SerializeXml(play);
-  StreamingPrimeLabeler labeler(nullptr);
-  ASSERT_TRUE(ParseXmlSax(xml, &labeler).ok());
-  PrimeTopDownScheme tree_scheme;
-  tree_scheme.LabelTree(play);
-  EXPECT_EQ(labeler.max_label_bits(), tree_scheme.MaxLabelBits());
-  EXPECT_EQ(labeler.elements_labeled(), play.node_count());
 }
 
 }  // namespace
