@@ -8,8 +8,8 @@
 # real mid-stream process kills, and a fault-matrix sweep over several
 # workload seeds), and a service leg (query_server over a Unix socket
 # with a live background writer: client smoke battery, an EXPLAIN smoke
-# of the plan compiler and of the order windows on both the arena and the
-# heap view, result-cache invalidation-on-checkpoint, SIGKILL
+# of the plan compiler and of the order windows on both a sealed and a
+# journaled view, result-cache invalidation-on-checkpoint, SIGKILL
 # mid-request, clean writer recovery, and the bench_service numbers), and
 # a chaos leg (the socket fault-injection sweep across several seeds, the
 # malformed-wire fuzz battery, and a SIGTERM-graceful-drain vs SIGKILL
@@ -103,8 +103,9 @@ if [[ "$run_service" == "1" ]]; then
   [[ "$magic" == PLCATLG5 ]] \
     || { echo "snapshot-0.plc starts with '$magic', expected PLCATLG5" >&2; exit 1; }
   # First: a quiescent server (no writer). Epoch 0 of a fresh store is
-  # sealed — full v5 snapshot, empty journal — so the smoke battery's
-  # STATS check must see the arena-backed (zero-copy mmap) view here.
+  # sealed — full v5 snapshot, empty journal — so the view is the mapped
+  # snapshot and the smoke battery's repeated query must hit the result
+  # cache.
   build/examples/query_server serve "$svc_store" "$svc_sock" 0 &
   svc_pid=$!
   for _ in $(seq 1 100); do [[ -S "$svc_sock" ]] && break; sleep 0.1; done
@@ -124,8 +125,8 @@ if [[ "$run_service" == "1" ]]; then
   wait "$svc_pid" 2>/dev/null || true
   rm -f "$svc_sock"
   # Then: a background writer committing and checkpointing while clients
-  # read pinned snapshots (the smoke's STATS check now expects the heap
-  # view, since snapshots pin a journal tail).
+  # read pinned snapshots (views of a journal tail are images built from
+  # the replayed document).
   build/examples/query_server serve "$svc_store" "$svc_sock" 200 2 &
   svc_pid=$!
   for _ in $(seq 1 100); do [[ -S "$svc_sock" ]] && break; sleep 0.1; done

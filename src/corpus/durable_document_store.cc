@@ -13,6 +13,10 @@ namespace {
 
 constexpr char kManifestMagic[8] = {'P', 'L', 'M', 'A', 'N', 'I', 'F', '1'};
 
+/// A delta is only worth it while (patches + tombstones) / final rows
+/// stays at or below this fraction; above it, write a full snapshot.
+constexpr double kDeltaMaxChangedFraction = 0.5;
+
 Result<std::uint64_t> ReadManifest(Vfs& vfs, const std::string& path) {
   Result<std::vector<std::uint8_t>> bytes = vfs.ReadAll(path, 16);
   if (!bytes.ok()) {
@@ -178,8 +182,7 @@ Result<DurableDocumentStore> DurableDocumentStore::Create(
     return Status::InvalidArgument("cannot create store directory '" + dir +
                                    "': " + made.message());
   }
-  Result<LabeledDocument> doc =
-      LabeledDocument::FromXml(xml, options.sc_group_size);
+  Result<LabeledDocument> doc = LabeledDocument::FromXml(xml);
   if (!doc.ok()) return doc.status();
 
   const std::uint64_t epoch = 0;
@@ -426,7 +429,7 @@ Status DurableDocumentStore::Checkpoint() {
                      : static_cast<double>(delta.patches.size() +
                                            delta.tombstones.size()) /
                            static_cast<double>(rows.size());
-    if (changed > options_.delta_max_changed_fraction) as_delta = false;
+    if (changed > kDeltaMaxChangedFraction) as_delta = false;
   }
 
   Status saved =
@@ -455,12 +458,12 @@ Status DurableDocumentStore::Checkpoint() {
 
 Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
     const EpochPin& pin) const {
-  // Sealed-epoch fast path: a full snapshot with zero journal frames is
-  // exactly the catalog image — serve it arena-backed, no materialization.
-  // Eligibility is structural (journal empty, a full .plc file exists);
-  // OpenCatalogMapped converts pre-v5 or stale-hash files to an in-memory
-  // image itself. A digest failure is NOT converted: the file is the
-  // current epoch's authoritative state, so corruption propagates.
+  // Sealed epoch: a full snapshot with zero journal frames is exactly the
+  // catalog image — serve it mapped, no replay. Eligibility is structural
+  // (journal empty, a full .plc file exists); OpenCatalogMapped converts
+  // pre-v5 or stale-hash files to an in-memory image itself. A digest
+  // failure is NOT converted: the file is the current epoch's
+  // authoritative state, so corruption propagates.
   if (pin.journal_bytes() <= kWalHeaderBytes &&
       vfs_->Exists(EpochSnapshotPath(dir_, pin.epoch()))) {
     Result<LoadedCatalog> catalog =
@@ -473,21 +476,23 @@ Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
     return Status::InvalidArgument("cannot read a released epoch pin");
   }
   // Replay only the committed prefix the pin captured: frames the writer
-  // appended after the pin are invisible to this view.
-  Result<LabeledDocument> doc = ReplayEpoch(
-      *vfs_, dir_, pin.epoch(), pin.journal_bytes(),
-      "pinned epoch " + std::to_string(pin.epoch()) + " of store '" + dir_ +
-          "'");
+  // appended after the pin are invisible to this view. The replayed
+  // document then becomes an image of its rows, the shape a sealed epoch
+  // is served in.
+  const std::string origin = "pinned epoch " + std::to_string(pin.epoch()) +
+                             " of store '" + dir_ + "'";
+  Result<LabeledDocument> doc = ReplayEpoch(*vfs_, dir_, pin.epoch(),
+                                            pin.journal_bytes(), origin);
   if (!doc.ok()) return doc.status();
+  Result<LoadedCatalog> image = LoadedCatalog::FromRows(
+      doc->ToCatalogRows(), doc->scheme().sc_table(), origin);
+  if (!image.ok()) return image.status();
   return std::shared_ptr<const EpochView>(
-      std::make_shared<EpochView>(std::move(doc.value())));
+      std::make_shared<EpochView>(std::move(image.value())));
 }
 
 Result<Snapshot> DurableDocumentStore::OpenSnapshot() const {
   EpochPin pin = PinEpoch();
-  // The materializer freezes all lazy state (label table) before the view
-  // is shared: after this, everything reachable from the Snapshot is
-  // immutable, which is what makes concurrent Query race-free.
   auto materialize = [this, &pin]() { return MaterializeView(pin); };
   Result<std::shared_ptr<const EpochView>> view =
       view_cache_ != nullptr

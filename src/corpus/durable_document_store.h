@@ -24,20 +24,22 @@ namespace primelabel {
 /// pinned (epoch, committed journal bytes) point, and the label-only
 /// StructureOracle over it — the read surface the service layer exposes.
 ///
-/// Sealed epochs — full snapshot, no journal frames — are served
-/// arena-backed (corpus/epoch_view.h): the labels stay in the catalog
-/// image the store just wrote, mmapped and shared, with no per-view
-/// BigInt materialization (an older-format snapshot is converted to an
-/// in-memory image first). Epochs with journal frames on top, and delta
-/// epochs, materialize a LabeledDocument the classic way. Both shapes
-/// answer every query identically.
+/// Every view is a v5 catalog image (corpus/epoch_view.h). A sealed
+/// epoch — full snapshot, no journal frames — is served from the snapshot
+/// the store wrote, mmapped and shared (an older-format snapshot is
+/// converted to an in-memory image first). A point with journal frames on
+/// top, or a delta epoch, is replayed into a document whose rows are then
+/// encoded as an owned image. Either way NodeIds are the preorder ranks
+/// of the pinned point, so ids are valid only within the snapshot that
+/// produced them: they renumber whenever the point moves.
 ///
 /// The view is held by shared_ptr<const ...>: when several sessions pin
 /// the same point through a view cache they share ONE materialization
-/// instead of re-running recovery per reader. The materializer pre-builds
-/// the view's label table, so everything reachable from a Snapshot is
-/// immutable and every member here — document(), oracle(), Query() — is
-/// safe to call concurrently from any number of threads.
+/// instead of re-running recovery per reader. The view builds its label
+/// table up front and its document under a once flag, so everything
+/// reachable from a Snapshot is immutable and every member here —
+/// document(), oracle(), Query() — is safe to call concurrently from any
+/// number of threads.
 ///
 /// Move-only; destroying (or moving from) the snapshot drops its pin,
 /// which lets the registry retire whatever files the pin alone kept.
@@ -56,8 +58,8 @@ class Snapshot {
   /// prove cached views are bit-identical to a fresh rebuild).
   const EpochPin& pin() const { return pin_; }
 
-  /// The frozen document. Arena-backed views materialize it lazily on
-  /// first call (thread-safe, at most once); query paths never need it.
+  /// The frozen document, materialized lazily on first call
+  /// (thread-safe, at most once); query paths never need it.
   /// Valid exactly as long as some snapshot (or the view cache) shares
   /// the view — callers may keep the shared_ptr from view() beyond the
   /// snapshot's lifetime, though the pin's file-retention guarantee ends
@@ -65,11 +67,10 @@ class Snapshot {
   const LabeledDocument& document() const { return view_->document(); }
   std::shared_ptr<const EpochView> view() const { return view_; }
 
-  /// Rows in the frozen view (== the document's attached node count),
-  /// available without materializing anything.
+  /// Rows in the frozen view (== the document's attached node count, and
+  /// one past the largest NodeId), available without materializing
+  /// anything.
   std::size_t node_count() const { return view_->node_count(); }
-  /// True when this snapshot serves straight out of the catalog image.
-  bool arena_backed() const { return view_->arena_backed(); }
   /// Resident label-store bytes behind this view (see EpochView).
   std::size_t label_store_bytes() const {
     return view_->label_store_bytes();
@@ -81,9 +82,9 @@ class Snapshot {
 
   /// Evaluates an XPath against the frozen view through the planner,
   /// uncached (ExecuteXPath). Concurrency-safe across sessions sharing the
-  /// view (per-call QueryContext; the label table was force-built at
-  /// materialization). `num_workers` fans the batched join executor
-  /// without mutating shared state.
+  /// view (per-call QueryContext over the view's immutable label table).
+  /// `num_workers` fans the batched join executor without mutating shared
+  /// state.
   Result<std::vector<NodeId>> Query(std::string_view xpath,
                                     int num_workers = 1) const;
 
@@ -161,7 +162,6 @@ class DurableDocumentStore {
     // Non-aggregate on purpose: a user-provided default constructor lets
     // `= {}` default arguments compile on GCC (bug 88165).
     Options() {}
-    int sc_group_size = 5;
     WalOptions wal;
     /// File system seam; nullptr means the process-wide PosixVfs. Tests
     /// pass a FaultInjectingVfs here. Must outlive the store and any pins.
@@ -173,9 +173,6 @@ class DurableDocumentStore {
     /// Compaction threshold: after this many consecutive delta epochs the
     /// next checkpoint writes a full snapshot, bounding recovery chains.
     int max_delta_chain = 4;
-    /// A delta is only worth it while (patches + tombstones) / final rows
-    /// stays at or below this fraction; above it, write a full snapshot.
-    double delta_max_changed_fraction = 0.5;
   };
 
   /// Initializes a new store at `dir` (created if missing) from parsed
@@ -259,8 +256,7 @@ class DurableDocumentStore {
   /// attached (set_view_cache), concurrent opens of the same (epoch,
   /// journal bytes) point share one materialization; otherwise each open
   /// rebuilds from disk (snapshot/delta chain + committed journal
-  /// prefix). The returned view's label table is pre-built, so every read
-  /// on the Snapshot is concurrency-safe.
+  /// prefix). Every read on the returned Snapshot is concurrency-safe.
   Result<Snapshot> OpenSnapshot() const;
 
   /// Attaches (or clears, with nullptr) the materialized-view cache that
@@ -334,11 +330,11 @@ class DurableDocumentStore {
                        std::uint64_t cursor_before, NodeId fresh,
                        std::string_view tag);
 
-  /// Builds the shared view for a pinned point: an arena-backed view over
-  /// the epoch's catalog image when the epoch is sealed (a full snapshot
-  /// on disk, zero journal frames), else the document ReplayEpoch rebuilds
-  /// up to the pin's committed journal prefix. Corrupt images fail the
-  /// open either way.
+  /// Builds the shared view for a pinned point: the epoch's mapped
+  /// snapshot when the epoch is sealed (a full snapshot on disk, zero
+  /// journal frames), else an owned image of the document ReplayEpoch
+  /// rebuilds up to the pin's committed journal prefix. Corrupt images
+  /// fail the open either way.
   Result<std::shared_ptr<const EpochView>> MaterializeView(
       const EpochPin& pin) const;
 

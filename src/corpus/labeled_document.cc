@@ -126,6 +126,14 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
   std::vector<BigInt> labels(rows.size());
   std::vector<std::uint64_t> selves(rows.size(), 0);
   for (std::size_t i = 0; i < rows.size(); ++i) {
+    // Every non-root node's order is sc mod self of the record holding
+    // its self-label: a node no record holds has no order.
+    if (i > 0 && !sc_table.Contains(rows[i].self)) {
+      return Status::Corruption(origin + ": self-label " +
+                                std::to_string(rows[i].self) + " of node " +
+                                std::to_string(i) +
+                                " is held by no SC record");
+    }
     labels[i] = rows[i].label;
     selves[i] = rows[i].self;
   }

@@ -43,7 +43,8 @@ class LabeledDocument {
   /// `fingerprints_valid` says whether the rows' fingerprint fields can be
   /// adopted verbatim (else they are recomputed); `origin` names the
   /// source in error messages. A non-root self-label that is not a prime,
-  /// or that two rows share, fails with kCorruption naming the row.
+  /// that two rows share, or that no SC record holds fails with
+  /// kCorruption naming the row.
   static Result<LabeledDocument> FromCatalogRows(std::vector<CatalogRow> rows,
                                                  ScTable sc_table,
                                                  bool fingerprints_valid,
@@ -57,10 +58,9 @@ class LabeledDocument {
 
   /// The query-ready tag-index table over the current tree. Built lazily:
   /// the first call after a mutation (or construction) rebuilds it and is
-  /// NOT thread-safe; afterwards concurrent reads are safe. Snapshot
-  /// materialization (durable store / query service) forces this build
-  /// before a frozen view is shared across sessions, which is what makes
-  /// concurrent Snapshot::Query race-free.
+  /// NOT thread-safe; afterwards concurrent reads are safe. An epoch
+  /// view's document() forces this build under its once flag, before the
+  /// document is shared across sessions.
   const LabelTable& label_table() const { return table(); }
 
   /// Evaluates an XPath (Table 2 subset + attribute predicates + reverse

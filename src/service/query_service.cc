@@ -29,10 +29,10 @@ Status BatchDeadlineExceeded(const char* verb, std::size_t done,
 
 /// The oracle's batch kernels index the view's label columns without a
 /// bound, so the batch verbs check every caller id against the view's
-/// [0, id_limit()) first and name the first id outside it.
+/// [0, node_count()) first and name the first id outside it.
 Status CheckIds(const Snapshot& snapshot,
                 std::initializer_list<std::span<const NodeId>> lists) {
-  const std::size_t limit = snapshot.view()->id_limit();
+  const std::size_t limit = snapshot.node_count();
   for (std::span<const NodeId> ids : lists) {
     for (NodeId id : ids) {
       if (id < 0 || static_cast<std::size_t>(id) >= limit) {

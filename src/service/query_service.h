@@ -131,7 +131,7 @@ class QueryService {
 /// kDeadlineExceeded in bounded time instead of running to completion —
 /// partial results are discarded, and the session stays usable. The batch
 /// verbs answer kInvalidArgument, before any oracle call, for an id
-/// outside the snapshot's range (EpochView::id_limit).
+/// outside the snapshot's range [0, Snapshot::node_count()).
 class Session {
  public:
   Session() = default;

@@ -137,15 +137,10 @@ std::string ExecuteRequestLine(QueryService& service, Session& session,
                     gauges->draining.load(std::memory_order_relaxed)
                 ? 1
                 : 0);
-    // Label-store residency of this session's open view: how many bytes
-    // back its labels, and whether they live in the shared catalog image
-    // (arena) or in per-view heap BigInts.
-    if (snapshot->has_value()) {
-      out << " LABELBYTES " << (*snapshot)->label_store_bytes() << " MODE "
-          << ((*snapshot)->arena_backed() ? "arena" : "heap");
-    } else {
-      out << " LABELBYTES 0 MODE none";
-    }
+    // Label-store residency of this session's open view: the bytes of
+    // its image's label columns and order column (0 before SNAP).
+    out << " LABELBYTES "
+        << (snapshot->has_value() ? (*snapshot)->label_store_bytes() : 0);
     return out.str();
   }
 

@@ -47,6 +47,11 @@ struct WireContext {
 /// holds at most one open Snapshot at a time (re-SNAP to advance to the
 /// writer's latest committed state).
 ///
+/// Node ids are the preorder ranks of the open snapshot's pinned point:
+/// an id is valid only within the SNAP that produced it, and the batch
+/// verbs reject any id outside [0, node_count) with ERR InvalidArgument.
+/// Ids renumber whenever a SNAP lands on a new point.
+///
 /// Requests (tokens are space-separated; node ids are decimal):
 ///   PING                         -> OK PONG
 ///   SNAP                         -> OK <epoch> <journal_bytes> <node_count>
@@ -60,7 +65,7 @@ struct WireContext {
 ///   STATS                        -> OK SERVED <n> REJECTED <n> HITS <n>
 ///                                   MISSES <n> EVICTIONS <n> ... SHED <n>
 ///                                   DEADLINEEXCEEDED <n> IDLEREAPED <n>
-///                                   DRAINING <0|1> LABELBYTES <n> MODE <m>
+///                                   DRAINING <0|1> LABELBYTES <n>
 ///   QUIT                         -> OK BYE (and the connection closes)
 ///
 /// Any request may carry a deadline prefix:

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -102,13 +101,21 @@ struct CatalogState {
 ///
 /// Labels, SC values and fingerprints stay read-only views into the
 /// image, which is either an mmap shared with other views
-/// (OpenCatalogMapped over a v5 file) or an owned buffer (a v2/v3/v4
-/// file, or a stale fingerprint config, converted on open). BigInts are
-/// materialized only at the explicit Materialize* edges. The batch
-/// kernels are the ones the live scheme runs (core/batch_kernels.h), over
-/// the image's limb spans.
+/// (OpenCatalogMapped over a v5 file) or an owned buffer (FromRows, which
+/// also serves a v2/v3/v4 file, or a stale fingerprint config, converted
+/// on open). BigInts are materialized only at the explicit Materialize*
+/// edges. The batch kernels are the ones the live scheme runs
+/// (core/batch_kernels.h), over the image's limb spans.
 class LoadedCatalog : public StructureOracle {
  public:
+  /// Encodes `rows` (preorder, parents by row index, each carrying its
+  /// fingerprint) and `sc_table` as a v5 image held in memory, and parses
+  /// it with every check a mapped file gets. `origin` names the image in
+  /// errors.
+  static Result<LoadedCatalog> FromRows(const std::vector<CatalogRow>& rows,
+                                        const ScTable& sc_table,
+                                        const std::string& origin);
+
   std::size_t row_count() const { return meta_.size(); }
 
   /// Per-row accessors (NodeId == row index).
@@ -126,8 +133,8 @@ class LoadedCatalog : public StructureOracle {
 
   /// Resident bytes devoted to the label store: the image's label, SC
   /// value and fingerprint columns (shared, under mmap, with every other
-  /// view of the same file) plus the modulus -> record index OrderOf
-  /// builds. The STATS wire field and the memory benches report this.
+  /// view of the same file) plus the order column the open derives. The
+  /// STATS wire field and the memory benches report this.
   std::size_t label_store_bytes() const;
 
   /// Format version of the file this catalog was opened from.
@@ -152,12 +159,13 @@ class LoadedCatalog : public StructureOracle {
     if (mapped_ != nullptr) mapped_->Advise(hint);
   }
 
-  /// Divisibility ancestor test over stored labels.
+  /// Divisibility ancestor test over stored labels, behind the same
+  /// fingerprint screen the batch kernels run.
   bool IsAncestor(NodeId x, NodeId y) const override;
-  /// Parent test: label(y) == label(x) * self(y).
+  /// Parent test: label(y) == label(x) * self(y), compared limb by limb.
   bool IsParent(NodeId x, NodeId y) const override;
-  /// Global order number recovered from the SC values (root = 0).
-  std::uint64_t OrderOf(NodeId row) const override;
+  /// Global order number (root = 0): a read of the order column.
+  std::uint64_t OrderOf(NodeId row) const override { return orders_[row]; }
 
   /// Batched queries on the shared kernels: fingerprint rejection plus
   /// per-anchor reciprocal caching, bit-identical to the scalar tests.
@@ -175,9 +183,10 @@ class LoadedCatalog : public StructureOracle {
 
   /// Parses a v4 or v5 image (the caller has checked the magic): validates
   /// header and section digests, opens the column views over `bytes`
-  /// (which must outlive `out` — the caller attaches the backing), and
-  /// decodes the row/SC metadata. kCorruption on any digest or shape
-  /// mismatch, and on an SC modulus below 2.
+  /// (which must outlive `out` — the caller attaches the backing), decodes
+  /// the row/SC metadata and derives the order column. kCorruption on any
+  /// digest or shape mismatch, on an SC modulus below 2 or held twice, and
+  /// on a non-root row whose self-label no SC record holds.
   static Status ParseImage(std::span<const std::uint8_t> bytes,
                            const std::string& origin, LoadedCatalog* out);
 
@@ -214,10 +223,11 @@ class LoadedCatalog : public StructureOracle {
   std::vector<LabelFingerprint> v4_fps_;
   std::vector<RowMeta> meta_;
   /// SC record shapes (moduli only; orders and sc left empty — the
-  /// magnitudes stay in sc_values_) and the modulus -> record index
-  /// needed by OrderOf.
+  /// magnitudes stay in sc_values_).
   std::vector<ScRecord> sc_meta_;
-  std::unordered_map<std::uint64_t, std::uint32_t> sc_index_;
+  /// Per row, its global order: sc mod self of the record holding its
+  /// self-label (Section 4.1), derived once at open; 0 for the root.
+  std::vector<std::uint64_t> orders_;
   int sc_group_size_ = 5;
 
   int format_version_ = kCatalogFormatVersion;
@@ -276,9 +286,9 @@ Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path);
 /// section digests verified eagerly, then queries run straight out of the
 /// mapped image. A v2/v3/v4 file, or a v5 file with a stale fingerprint
 /// config, is decoded with LoadCatalog, fingerprinted if needed, and
-/// re-encoded as a v5 image held in memory, so every caller gets the same
-/// image-backed catalog. Corruption is never converted: a v4/v5 file with
-/// a bad digest fails with kCorruption.
+/// re-encoded by LoadedCatalog::FromRows as a v5 image held in memory, so
+/// every caller gets the same image-backed catalog. Corruption is never
+/// converted: a v4/v5 file with a bad digest fails with kCorruption.
 Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs, const std::string& path);
 
 }  // namespace primelabel

@@ -32,7 +32,7 @@ class LabelTable {
   /// index, so NodeIds here coincide with the ids a tree rebuilt from the
   /// same catalog would hand out; text rows fold into their parent's text
   /// column exactly as the tree walk concatenates direct text children.
-  /// This is what lets an arena-backed epoch view answer XPath without
+  /// This is what lets an epoch view answer XPath without
   /// materializing the document.
   explicit LabelTable(const LoadedCatalog& catalog);
 
