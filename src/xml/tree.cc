@@ -195,6 +195,15 @@ std::vector<NodeId> XmlTree::PreorderNodes() const {
   return out;
 }
 
+std::vector<NodeId> XmlTree::PreorderRanks() const {
+  std::vector<NodeId> rank(nodes_.size(), kInvalidNodeId);
+  NodeId next = 0;
+  Preorder([&](NodeId id, int) {
+    rank[static_cast<std::size_t>(id)] = next++;
+  });
+  return rank;
+}
+
 NodeId XmlTree::PreorderPredecessor(NodeId id) const {
   NodeId before = node(id).prev_sibling;
   if (before == kInvalidNodeId) return node(id).parent;

@@ -128,6 +128,10 @@ class XmlTree {
 
   /// All attached nodes in document (preorder) order.
   std::vector<NodeId> PreorderNodes() const;
+  /// Each arena slot's preorder rank (kInvalidNodeId for detached slots):
+  /// the inverse of PreorderNodes, and the ids a snapshot of this tree's
+  /// state hands out.
+  std::vector<NodeId> PreorderRanks() const;
 
   /// The attached node right before `id` in document order, read off the
   /// links in O(depth): the previous sibling's deepest last descendant, or

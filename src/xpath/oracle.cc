@@ -13,16 +13,6 @@ bool NameMatches(const XmlTree& tree, NodeId id, const std::string& test) {
   return tree.IsElement(id) && (test == "*" || tree.name(id) == test);
 }
 
-/// Preorder ranks for document-order comparisons.
-std::vector<std::uint64_t> PreorderRanks(const XmlTree& tree) {
-  std::vector<std::uint64_t> rank(tree.arena_size(), 0);
-  std::uint64_t counter = 0;
-  tree.Preorder([&](NodeId id, int) {
-    rank[static_cast<std::size_t>(id)] = counter++;
-  });
-  return rank;
-}
-
 std::vector<NodeId> ApplyPosition(const XmlTree& tree,
                                   const std::vector<NodeId>& nodes, int n) {
   std::unordered_map<NodeId, std::vector<NodeId>> groups;
@@ -47,7 +37,7 @@ std::vector<NodeId> ApplyPosition(const XmlTree& tree,
 std::vector<NodeId> EvaluateXPathOnTree(const XmlTree& tree,
                                         const XPathQuery& query) {
   PL_CHECK(!query.steps.empty());
-  std::vector<std::uint64_t> rank = PreorderRanks(tree);
+  std::vector<NodeId> rank = tree.PreorderRanks();
   auto doc_less = [&rank](NodeId a, NodeId b) {
     return rank[static_cast<std::size_t>(a)] <
            rank[static_cast<std::size_t>(b)];
