@@ -41,7 +41,7 @@ int main() {
   using namespace primelabel;
   std::cout << "Building 37 plays x 5 replicas = 185 documents..."
             << std::flush;
-  DocumentStore store(/*sc_group_size=*/5);
+  DocumentStore store;
   bench::Stopwatch build_timer;
   for (int replica = 0; replica < 5; ++replica) {
     for (int play = 0; play < 37; ++play) {

@@ -509,8 +509,7 @@ const char* const kFig15Queries[] = {
 const LabeledDocument& XPathBenchDoc() {
   static const LabeledDocument* doc = [] {
     return new LabeledDocument(
-        LabeledDocument::FromTree(GenerateShakespeareCorpus(3),
-                                  /*sc_group_size=*/5));
+        LabeledDocument::FromTree(GenerateShakespeareCorpus(3)));
   }();
   return *doc;
 }

@@ -4,10 +4,8 @@
 // prime labels grow with N (the Section 3.2 concern that the smaller
 // primes "are used up").
 
-#include <cstdio>
 #include <iostream>
 #include <memory>
-#include <thread>
 
 #include "bench/report.h"
 #include "core/ordered_prime_scheme.h"
@@ -15,65 +13,7 @@
 #include "labeling/interval.h"
 #include "labeling/prefix.h"
 #include "labeling/prime_optimized.h"
-#include "labeling/prime_top_down.h"
 #include "xml/datasets.h"
-
-namespace {
-
-/// Times LabelTree on `tree` across worker counts and checks every parallel
-/// run against the sequential labels — the bench doubles as an end-to-end
-/// determinism check on a corpus larger than the unit tests use.
-void ParallelLabelingSection(const primelabel::XmlTree& tree,
-                             const std::string& which) {
-  using namespace primelabel;
-  bench::Report report(
-      "Parallel LabelTree (" + which + ", " +
-          std::to_string(tree.node_count()) + " nodes, " +
-          std::to_string(std::thread::hardware_concurrency()) +
-          " hardware threads)",
-      {"Workers", "Prime ms", "Speedup", "Prime+SC ms", "Speedup",
-       "Identical"});
-
-  auto speedup = [](double base, double ms) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.2fx", base / ms);
-    return std::string(buffer);
-  };
-
-  PrimeTopDownScheme reference;
-  reference.LabelTree(tree);
-  double base_prime = 0, base_ordered = 0;
-  for (int workers : {1, 2, 4, 8}) {
-    PrimeTopDownScheme prime;
-    prime.set_num_workers(workers);
-    bench::Stopwatch prime_timer;
-    prime.LabelTree(tree);
-    double prime_ms = prime_timer.ElapsedMs();
-
-    OrderedPrimeScheme ordered(/*sc_group_size=*/5);
-    ordered.set_num_workers(workers);
-    bench::Stopwatch ordered_timer;
-    ordered.LabelTree(tree);
-    double ordered_ms = ordered_timer.ElapsedMs();
-
-    bool identical = true;
-    tree.Preorder([&](NodeId id, int) {
-      if (prime.label(id) != reference.label(id) ||
-          ordered.structure().label(id) != reference.label(id)) {
-        identical = false;
-      }
-    });
-    if (workers == 1) {
-      base_prime = prime_ms;
-      base_ordered = ordered_ms;
-    }
-    report.AddRow(workers, prime_ms, speedup(base_prime, prime_ms), ordered_ms,
-                  speedup(base_ordered, ordered_ms), identical ? "yes" : "NO");
-  }
-  report.Print();
-}
-
-}  // namespace
 
 int main() {
   using namespace primelabel;
@@ -119,22 +59,5 @@ int main() {
   std::cout << "\nLabeling is linear for every scheme; the prime scheme's\n"
                "constant is the bigint product per node, and the SC build\n"
                "adds one CRT solve per group of 5 nodes.\n\n";
-
-  // Parallel labeling on the largest Table 1 dataset (D9 "Company") and on
-  // a larger synthetic tree where the per-subtree work is big enough to
-  // amortize the fan-out. Labels are asserted bit-identical to the
-  // sequential run at every worker count; speedups depend on the machine's
-  // core count (a single-core host shows ~1x throughout).
-  for (const DatasetSpec& spec : NiagaraCorpusSpecs()) {
-    if (spec.id == "D9") {
-      ParallelLabelingSection(GenerateDataset(spec), spec.id);
-    }
-  }
-  RandomTreeOptions big;
-  big.node_count = 200000;
-  big.max_depth = 9;
-  big.max_fanout = 24;
-  big.seed = 99;
-  ParallelLabelingSection(GenerateRandomTree(big), "random-200k");
   return 0;
 }

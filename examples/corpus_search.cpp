@@ -15,7 +15,7 @@
 int main() {
   using namespace primelabel;
 
-  DocumentStore store(/*sc_group_size=*/5);
+  DocumentStore store;
   const char* titles[] = {"hamlet", "macbeth", "othello", "lear", "tempest"};
   for (int i = 0; i < 5; ++i) {
     PlayOptions options;

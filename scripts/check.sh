@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the repo: plain build + full test suite, a
-# ThreadSanitizer build running the parallel/concurrency
-# suites (the parallel labeler, SC-table build, the batch-query kernels
-# issued from concurrent threads, the worker-thread join executor, and
-# the epoch reader/writer protocol, and the snapshot/service layer), a
+# ThreadSanitizer build running the concurrency suites (the batch-query
+# kernels issued from concurrent threads, the worker-thread join
+# executor, the epoch reader/writer protocol, and the snapshot/service
+# layer), a
 # durability leg (the fault-injection suite, a crash-recovery soak with
 # real mid-stream process kills, and a fault-matrix sweep over several
 # workload seeds), and a service leg (query_server over a Unix socket
@@ -16,7 +16,8 @@
 # comparison under a client storm — both must leave a recoverable store,
 # only SIGTERM gets to answer everything in flight first), and an
 # AddressSanitizer + UndefinedBehaviorSanitizer tree rerunning the full
-# suite.
+# suite, and last a bench-smoke leg (bench_micro_ops --quick against the
+# committed baseline).
 #
 # Usage: scripts/check.sh [--no-tsan] [--no-asan] [--no-durability]
 #                          [--no-service] [--no-bench] [--no-chaos]
@@ -221,8 +222,28 @@ if [[ "$run_chaos" == "1" ]]; then
   rm -rf "$chaos_dir"
 fi
 
+if [[ "$run_tsan" == "1" ]]; then
+  echo "== tsan: parallel suites under ThreadSanitizer (build-tsan/) =="
+  cmake -B build-tsan -S . -DPRIMELABEL_SANITIZE=thread >/dev/null
+  cmake --build build-tsan -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+    -R 'Parallel|Epoch|Concurrent|Service|Snapshot|Planner|Chaos|Drain|Deadline'
+fi
+
+if [[ "$run_asan" == "1" ]]; then
+  echo "== asan: full suite under AddressSanitizer + UBSan (build-asan/) =="
+  cmake -B build-asan -S . -DPRIMELABEL_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan -j "$jobs"
+  # UBSan reports are recoverable by default; halt so any report fails
+  # the test that triggered it.
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j "$jobs"
+fi
+
 if [[ "$run_bench" == "1" ]]; then
   echo "== bench smoke: bench_micro_ops --quick + JSON schema/regression check =="
+  # Last of all legs: a timing gate tripped by host noise must not stop
+  # the sanitizer legs from running.
   # The quick run covers the BM_IsAncestorBatch family and the
   # planned/walked XPath pair — enough to validate the emitted JSON end
   # to end and to catch a gross headline regression without paying for
@@ -243,24 +264,6 @@ if [[ "$run_bench" == "1" ]]; then
   python3 scripts/check_bench_json.py --regress \
     build/bench/BENCH_micro_ops.json BENCH_micro_ops.json \
     --benchmark BM_XPathPlannedVsWalked/planned --tolerance 15
-fi
-
-if [[ "$run_tsan" == "1" ]]; then
-  echo "== tsan: parallel suites under ThreadSanitizer (build-tsan/) =="
-  cmake -B build-tsan -S . -DPRIMELABEL_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'Parallel|Epoch|Concurrent|Service|Snapshot|Planner|Chaos|Drain|Deadline'
-fi
-
-if [[ "$run_asan" == "1" ]]; then
-  echo "== asan: full suite under AddressSanitizer + UBSan (build-asan/) =="
-  cmake -B build-asan -S . -DPRIMELABEL_SANITIZE=address,undefined >/dev/null
-  cmake --build build-asan -j "$jobs"
-  # UBSan reports are recoverable by default; halt so any report fails
-  # the test that triggered it.
-  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest --test-dir build-asan --output-on-failure -j "$jobs"
 fi
 
 echo "All checks passed."

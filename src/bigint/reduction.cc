@@ -242,6 +242,23 @@ int TrailingZeroBitsOf(LimbSpan magnitude) {
   return 0;
 }
 
+bool IsProductOf(LimbSpan product, LimbSpan factor, std::uint64_t multiplier) {
+  // Minimal magnitudes: the product has the factor's limb count, plus one
+  // exactly when it carries out of the factor's top limb.
+  if (product.size() != factor.size() && product.size() != factor.size() + 1) {
+    return false;
+  }
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < factor.size(); ++i) {
+    const unsigned __int128 limb =
+        static_cast<unsigned __int128>(factor[i]) * multiplier + carry;
+    if (static_cast<std::uint64_t>(limb) != product[i]) return false;
+    carry = static_cast<std::uint64_t>(limb >> 64);
+  }
+  return product.size() == factor.size() ? carry == 0
+                                         : carry == product[factor.size()];
+}
+
 void ReciprocalDivisor::Assign(LimbSpan divisor) {
   while (!divisor.empty() && divisor.back() == 0) {
     divisor = divisor.first(divisor.size() - 1);

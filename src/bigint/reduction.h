@@ -186,6 +186,12 @@ using LimbSpan = std::span<const std::uint64_t>;
 /// the span twin of BigInt::TrailingZeroBits.
 int TrailingZeroBitsOf(LimbSpan magnitude);
 
+/// True iff product == factor * multiplier, compared limb by limb as the
+/// product forms, with no BigInt allocated. Both magnitudes must be
+/// minimal. The parent test of the prime labels: label(child) ==
+/// label(parent) * self(child).
+bool IsProductOf(LimbSpan product, LimbSpan factor, std::uint64_t multiplier);
+
 /// A divisor cached for repeated exact-divisibility tests. Assign picks
 /// one of two strategies by divisor size (64-bit limbs) and precomputes
 /// its constants once, so each Divides call avoids the per-call setup of

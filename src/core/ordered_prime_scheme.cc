@@ -4,7 +4,6 @@
 
 #include "core/batch_kernels.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace primelabel {
 
@@ -12,12 +11,6 @@ OrderedPrimeScheme::OrderedPrimeScheme(int sc_group_size)
     : sc_table_(sc_group_size) {}
 
 std::string_view OrderedPrimeScheme::name() const { return "prime-ordered"; }
-
-void OrderedPrimeScheme::set_num_workers(int n) {
-  PL_CHECK(n >= 1);
-  num_workers_ = n;
-  structure_.set_num_workers(n);
-}
 
 void OrderedPrimeScheme::LabelTree(const XmlTree& tree) {
   set_tree(tree);
@@ -28,12 +21,7 @@ void OrderedPrimeScheme::LabelTree(const XmlTree& tree) {
   tree.Preorder([&](NodeId id, int depth) {
     if (depth > 0) selves.push_back(structure_.self_label(id));
   });
-  if (num_workers_ > 1) {
-    ThreadPool pool(num_workers_);
-    sc_table_.Build(selves, &pool);
-  } else {
-    sc_table_.Build(selves);
-  }
+  sc_table_.Build(selves);
 }
 
 Status OrderedPrimeScheme::Adopt(const XmlTree& tree,

@@ -101,13 +101,6 @@ class OrderedPrimeScheme : public LabelingScheme, public StructureOracle {
     structure_.set_prime_cursor(cursor);
   }
 
-  /// Number of worker threads LabelTree may use (>= 1; default 1 =
-  /// sequential): applies to both the structural prime labeling (subtree
-  /// fan-out) and the SC table's CRT solves. Labels and SC records are
-  /// bit-identical for every worker count.
-  void set_num_workers(int n);
-  int num_workers() const { return num_workers_; }
-
  private:
   /// Registers the new node's order number: document-order position of the
   /// node at insertion time, shifting followers. Returns SC accounting.
@@ -116,7 +109,6 @@ class OrderedPrimeScheme : public LabelingScheme, public StructureOracle {
   PrimeTopDownScheme structure_;
   ScTable sc_table_;
   ScUpdateStats last_sc_stats_;
-  int num_workers_ = 1;
 };
 
 }  // namespace primelabel

@@ -4,7 +4,6 @@
 
 #include "bigint/reduction.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace primelabel {
 
@@ -54,8 +53,7 @@ Status ScTable::Recompute(std::size_t record_index) {
     system.push_back({record.moduli[i], record.orders[i]});
   }
   // The near-linear solver; bit-identical to SolveCrt (crt_test asserts
-  // the equivalence), so persisted SC values and the parallel build's
-  // record-for-record comparisons are unaffected.
+  // the equivalence), so persisted SC values are unaffected.
   Result<BigInt> solution = SolveCrtFast(system);
   if (!solution.ok()) return solution.status();
   record.sc = std::move(solution.value());
@@ -82,34 +80,13 @@ std::size_t ScTable::Add(std::uint64_t self, std::uint64_t order) {
 }
 
 void ScTable::Build(const std::vector<std::uint64_t>& selves) {
-  Build(selves, nullptr);
-}
-
-void ScTable::Build(const std::vector<std::uint64_t>& selves,
-                    ThreadPool* pool) {
   records_.clear();
   index_.clear();
   max_order_ = 0;
   for (std::size_t k = 0; k < selves.size(); ++k) Add(selves[k], k + 1);
-  if (pool == nullptr || pool->size() <= 1 || records_.size() < 2) {
-    for (std::size_t r = 0; r < records_.size(); ++r) {
-      PL_CHECK(Recompute(r).ok());
-    }
-    return;
+  for (std::size_t r = 0; r < records_.size(); ++r) {
+    PL_CHECK(Recompute(r).ok());
   }
-  // Strided static partition: Recompute touches only records_[r].sc and
-  // .max_modulus, so workers write disjoint records and read nothing that
-  // another worker writes.
-  const int workers = pool->size();
-  for (int w = 0; w < workers; ++w) {
-    pool->Submit([this, w, workers] {
-      for (std::size_t r = static_cast<std::size_t>(w); r < records_.size();
-           r += static_cast<std::size_t>(workers)) {
-        PL_CHECK(Recompute(r).ok());
-      }
-    });
-  }
-  pool->Wait();
 }
 
 std::uint64_t ScTable::OrderOf(std::uint64_t self) const {

@@ -11,8 +11,6 @@
 
 namespace primelabel {
 
-class ThreadPool;
-
 /// One record of the simultaneous-congruence table: a group of nodes whose
 /// global order numbers are packed into a single SC value (Section 4.1,
 /// Figure 10). The record keeps the (modulus, order) pairs so it can be
@@ -67,13 +65,6 @@ class ScTable {
   /// selves[k] receives order number k+1 (the root, order 0, is not
   /// tracked).
   void Build(const std::vector<std::uint64_t>& selves);
-
-  /// Build with the CRT solves fanned out over `pool` (nullptr: run
-  /// sequentially). Record assembly stays sequential — group membership is
-  /// order-dependent — but each record's SC value depends only on its own
-  /// (modulus, order) pairs, so the expensive solves are independent. The
-  /// resulting table is identical to the sequential build.
-  void Build(const std::vector<std::uint64_t>& selves, ThreadPool* pool);
 
   /// Global order number of the node with the given self-label, recovered
   /// as sc mod self (Section 4.1).

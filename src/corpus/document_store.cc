@@ -7,15 +7,12 @@
 
 namespace primelabel {
 
-DocumentStore::DocumentStore(int sc_group_size)
-    : sc_group_size_(sc_group_size) {}
-
 DocumentStore::DocId DocumentStore::AddDocument(std::string name,
                                                 XmlTree tree) {
   Document doc;
   doc.name = std::move(name);
   doc.tree = std::make_unique<XmlTree>(std::move(tree));
-  doc.scheme = std::make_unique<OrderedPrimeScheme>(sc_group_size_);
+  doc.scheme = std::make_unique<OrderedPrimeScheme>();
   doc.scheme->LabelTree(*doc.tree);
   doc.table = std::make_unique<LabelTable>(*doc.tree);
   documents_.push_back(std::move(doc));

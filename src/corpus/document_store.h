@@ -43,8 +43,8 @@ class DocumentStore {
     EvalStats stats;
   };
 
-  /// `sc_group_size` is forwarded to every document's SC table.
-  explicit DocumentStore(int sc_group_size = 5);
+  /// Every document takes OrderedPrimeScheme's default SC group size.
+  DocumentStore() = default;
 
   DocumentStore(const DocumentStore&) = delete;
   DocumentStore& operator=(const DocumentStore&) = delete;
@@ -75,7 +75,6 @@ class DocumentStore {
     std::unique_ptr<LabelTable> table;
   };
 
-  int sc_group_size_;
   std::vector<Document> documents_;
 };
 

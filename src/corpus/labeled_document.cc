@@ -8,21 +8,20 @@
 
 namespace primelabel {
 
-LabeledDocument::LabeledDocument(XmlTree tree, int sc_group_size)
+LabeledDocument::LabeledDocument(XmlTree tree)
     : tree_(std::make_unique<XmlTree>(std::move(tree))),
-      scheme_(std::make_unique<OrderedPrimeScheme>(sc_group_size)) {
+      scheme_(std::make_unique<OrderedPrimeScheme>()) {
   scheme_->LabelTree(*tree_);
 }
 
-Result<LabeledDocument> LabeledDocument::FromXml(std::string_view xml,
-                                                 int sc_group_size) {
+Result<LabeledDocument> LabeledDocument::FromXml(std::string_view xml) {
   Result<XmlTree> parsed = ParseXml(xml);
   if (!parsed.ok()) return parsed.status();
-  return LabeledDocument(std::move(parsed.value()), sc_group_size);
+  return LabeledDocument(std::move(parsed.value()));
 }
 
-LabeledDocument LabeledDocument::FromTree(XmlTree tree, int sc_group_size) {
-  return LabeledDocument(std::move(tree), sc_group_size);
+LabeledDocument LabeledDocument::FromTree(XmlTree tree) {
+  return LabeledDocument(std::move(tree));
 }
 
 const LabelTable& LabeledDocument::table() const {
@@ -95,9 +94,27 @@ Status LabeledDocument::Save(Vfs& vfs, const std::string& path) const {
 Result<LabeledDocument> LabeledDocument::FromCatalogRows(
     std::vector<CatalogRow> rows, ScTable sc_table, bool fingerprints_valid,
     const std::string& origin) {
-  if (rows.empty() || rows[0].parent != -1 || !rows[0].is_element) {
-    return Status::ParseError(origin + " has no root row");
+  // Every non-root node's order is sc mod self of the record holding its
+  // self-label: a node no record holds has no order.
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (!sc_table.Contains(rows[i].self)) {
+      return Status::Corruption(origin + ": self-label " +
+                                std::to_string(rows[i].self) + " of node " +
+                                std::to_string(i) +
+                                " is held by no SC record");
+    }
   }
+  // The structure check the image open runs, so a file loads as a
+  // document exactly when it can be served as an image.
+  Status structure = CheckRowStructure(
+      rows.size(),
+      [&rows](std::size_t i) {
+        const CatalogRow& row = rows[i];
+        return RowLink{row.is_element, row.parent, row.label.Magnitude(),
+                       row.self};
+      },
+      origin);
+  if (!structure.ok()) return structure;
 
   // Rows are in preorder, so every parent precedes its children and one
   // forward pass rebuilds the tree. Nodes are created in row order, which
@@ -111,9 +128,6 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
   }
   for (std::size_t i = 1; i < rows.size(); ++i) {
     const CatalogRow& row = rows[i];
-    if (row.parent < 0 || static_cast<std::size_t>(row.parent) >= i) {
-      return Status::ParseError(origin + " row parent out of preorder");
-    }
     NodeId parent = static_cast<NodeId>(row.parent);
     NodeId fresh = row.is_element ? doc.tree_->AppendChild(parent, row.tag)
                                   : doc.tree_->AppendText(parent, row.tag);
@@ -126,14 +140,6 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
   std::vector<BigInt> labels(rows.size());
   std::vector<std::uint64_t> selves(rows.size(), 0);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    // Every non-root node's order is sc mod self of the record holding
-    // its self-label: a node no record holds has no order.
-    if (i > 0 && !sc_table.Contains(rows[i].self)) {
-      return Status::Corruption(origin + ": self-label " +
-                                std::to_string(rows[i].self) + " of node " +
-                                std::to_string(i) +
-                                " is held by no SC record");
-    }
     labels[i] = rows[i].label;
     selves[i] = rows[i].self;
   }

@@ -23,11 +23,12 @@ namespace primelabel {
 /// mutations.
 class LabeledDocument {
  public:
-  /// Parses and labels a document (kParseError on malformed XML).
-  static Result<LabeledDocument> FromXml(std::string_view xml,
-                                         int sc_group_size = 5);
+  /// Parses and labels a document (kParseError on malformed XML). New
+  /// documents take OrderedPrimeScheme's default SC group size, the
+  /// paper's 5 (Fig. 18); loaded ones keep the size stored in their file.
+  static Result<LabeledDocument> FromXml(std::string_view xml);
   /// Adopts an existing tree and labels it.
-  static LabeledDocument FromTree(XmlTree tree, int sc_group_size = 5);
+  static LabeledDocument FromTree(XmlTree tree);
   /// Restores a document persisted with Save: rebuilds the tree (tags,
   /// text, attributes) from the catalog rows and adopts the stored labels
   /// and SC records without relabeling anything — queries and further
@@ -115,7 +116,7 @@ class LabeledDocument {
 
  private:
   LabeledDocument() = default;
-  LabeledDocument(XmlTree tree, int sc_group_size);
+  explicit LabeledDocument(XmlTree tree);
 
   NodeId Finish(NodeId fresh);
   /// Lazily (re)builds the label table after mutations.

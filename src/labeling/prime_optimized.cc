@@ -1,10 +1,6 @@
 #include "labeling/prime_optimized.h"
 
-#include <limits>
-
-#include "labeling/subtree_partition.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace primelabel {
 
@@ -15,11 +11,6 @@ PrimeOptimizedScheme::PrimeOptimizedScheme(PrimeOptimizedOptions options)
 }
 
 std::string_view PrimeOptimizedScheme::name() const { return "prime"; }
-
-void PrimeOptimizedScheme::set_num_workers(int n) {
-  PL_CHECK(n >= 1);
-  num_workers_ = n;
-}
 
 // Self-label pools. Prime 2 (index 0) is never used as a self-label: Opt2
 // leaves own the even numbers, and Property 3's odd() test relies on every
@@ -81,118 +72,7 @@ void PrimeOptimizedScheme::LabelTree(const XmlTree& tree) {
   labels_.assign(tree.arena_size(), BigInt());
   selves_.assign(tree.arena_size(), BigInt());
   next_leaf_exponent_.assign(tree.arena_size(), 0);
-  if (num_workers_ > 1 && LabelTreeParallel(tree)) return;
   tree.Preorder([&](NodeId id, int depth) { AssignLabel(id, depth); });
-}
-
-bool PrimeOptimizedScheme::LabelTreeParallel(const XmlTree& tree) {
-  SubtreePartition plan = PlanSubtreePartition(tree, num_workers_);
-  if (plan.cut_depth < 0) return false;
-  const std::size_t n = plan.preorder.size();
-  const std::size_t general_base =
-      static_cast<std::size_t>(1 + options_.reserved_primes);
-
-  // Pass 1 — simulation. Unlike the basic scheme, prime consumption here is
-  // not one-per-node: Opt2 leaves take powers of two (no prime) until the
-  // exponent threshold, and depth-1 nodes drain the reserved pool first.
-  // Replay the PrimeLabel algorithm's branch structure over the preorder
-  // without touching real state, recording each prime-taking node's
-  // absolute index in the stream. Consumption depends only on tree shape
-  // and options, so the replay is exact.
-  constexpr std::uint64_t kNoPrime = std::numeric_limits<std::uint64_t>::max();
-  std::vector<std::uint64_t> prime_index(tree.arena_size(), kNoPrime);
-  std::vector<int> sim_exponent(tree.arena_size(), 0);
-  std::size_t sim_reserved = 0;
-  std::size_t general_used = 0;
-  // general_before[k]: general-pool primes consumed strictly before
-  // preorder position k. A subtree interior's consumption is then the
-  // contiguous slice [general_before[pos + 1], general_before[pos + size]).
-  std::vector<std::size_t> general_before(n + 1, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    general_before[k] = general_used;
-    if (plan.depth[k] == 0) continue;
-    NodeId id = plan.preorder[k];
-    auto i = static_cast<std::size_t>(id);
-    if (!tree.IsLeaf(id) || !options_.power_of_two_leaves) {
-      if (plan.depth[k] == 1 &&
-          sim_reserved < static_cast<std::size_t>(options_.reserved_primes)) {
-        prime_index[i] = 1 + sim_reserved++;
-      } else {
-        prime_index[i] = general_base + general_used++;
-      }
-    } else {
-      auto parent = static_cast<std::size_t>(tree.parent(id));
-      if (++sim_exponent[parent] > options_.max_leaf_exponent) {
-        prime_index[i] = general_base + general_used++;
-      }
-    }
-  }
-  general_before[n] = general_used;
-
-  // Pass 2 — spine (depth <= cut), sequential with real state updates;
-  // primes come from the plan instead of the pool cursors.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (plan.depth[k] > plan.cut_depth) continue;
-    NodeId id = plan.preorder[k];
-    auto i = static_cast<std::size_t>(id);
-    if (plan.depth[k] == 0) {
-      selves_[i] = BigInt(1);
-      labels_[i] = BigInt(1);
-      continue;
-    }
-    auto parent = static_cast<std::size_t>(tree.parent(id));
-    BigInt self;
-    if (!tree.IsLeaf(id) || !options_.power_of_two_leaves) {
-      if (plan.depth[k] == 1 && reserved_used_ < options_.reserved_primes) {
-        ++reserved_used_;
-      }
-      self = BigInt::FromUint64(primes_.PrimeAt(prime_index[i]));
-    } else {
-      int exponent = ++next_leaf_exponent_[parent];
-      self = exponent <= options_.max_leaf_exponent
-                 ? (BigInt(1) << exponent)
-                 : BigInt::FromUint64(primes_.PrimeAt(prime_index[i]));
-    }
-    selves_[i] = self;
-    labels_[i] = labels_[parent] * self;
-  }
-
-  // Pass 3 — fan out subtree interiors; each worker replays AssignLabel
-  // against its own PrimeBlock. Interiors sit at depth >= 2, so only the
-  // general pool is ever drawn from. Exponent counters written here belong
-  // to parents inside the same subtree — disjoint across workers.
-  ThreadPool pool(num_workers_);
-  for (std::size_t pos : plan.roots) {
-    if (plan.size[pos] <= 1) continue;
-    std::size_t first = general_before[pos + 1];
-    std::size_t count = general_before[pos + plan.size[pos]] - first;
-    PrimeBlock block = primes_.BlockAt(general_base + first, count);
-    NodeId root = plan.preorder[pos];
-    int root_depth = plan.cut_depth;
-    pool.Submit([this, &tree, root, root_depth, block]() mutable {
-      tree.PreorderFrom(root, root_depth, [&](NodeId id, int) {
-        if (id == root) return;
-        auto i = static_cast<std::size_t>(id);
-        auto parent = static_cast<std::size_t>(tree.parent(id));
-        BigInt self;
-        if (!tree.IsLeaf(id) || !options_.power_of_two_leaves) {
-          self = BigInt::FromUint64(block.Next());
-        } else {
-          int exponent = ++next_leaf_exponent_[parent];
-          self = exponent <= options_.max_leaf_exponent
-                     ? (BigInt(1) << exponent)
-                     : BigInt::FromUint64(block.Next());
-        }
-        selves_[i] = self;
-        labels_[i] = labels_[parent] * self;
-      });
-    });
-  }
-  pool.Wait();
-  // Cursor as the sequential run leaves it: past prime 2, the reserved
-  // pool, and every general prime consumed.
-  primes_.SkipFirst(general_base + general_used);
-  return true;
 }
 
 bool PrimeOptimizedScheme::IsAncestor(NodeId ancestor,

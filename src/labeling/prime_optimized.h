@@ -57,14 +57,6 @@ class PrimeOptimizedScheme : public LabelingScheme {
   std::string LabelString(NodeId id) const override;
   int HandleInsert(NodeId new_node, InsertOrder order) override;
 
-  /// Number of worker threads LabelTree may use (>= 1; default 1 =
-  /// sequential). Labels are bit-identical for every worker count: a
-  /// sequential planning pass replays the PrimeLabel algorithm's prime
-  /// consumption to find each node's absolute position in the prime
-  /// stream, then workers draw from disjoint preorder-ranked PrimeBlocks.
-  void set_num_workers(int n);
-  int num_workers() const { return num_workers_; }
-
   /// The full label: product of the root-path self-labels.
   const BigInt& label(NodeId id) const {
     return labels_[static_cast<size_t>(id)];
@@ -82,9 +74,6 @@ class PrimeOptimizedScheme : public LabelingScheme {
   void EnsureCapacity();
   std::uint64_t NextGeneralPrime();
   std::uint64_t NextReservedPrime();
-  /// Labels via a depth-cut subtree partition on num_workers_ threads.
-  /// Returns false (having labeled nothing) when no viable cut exists.
-  bool LabelTreeParallel(const XmlTree& tree);
 
   PrimeOptimizedOptions options_;
   PrimeSource primes_;
@@ -94,7 +83,6 @@ class PrimeOptimizedScheme : public LabelingScheme {
   std::vector<int> next_leaf_exponent_;
   /// Cursor into the reserved pool (primes_[0 .. reserved_primes)).
   int reserved_used_ = 0;
-  int num_workers_ = 1;
 };
 
 }  // namespace primelabel

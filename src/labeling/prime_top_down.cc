@@ -4,18 +4,11 @@
 #include <optional>
 #include <string>
 
-#include "labeling/subtree_partition.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace primelabel {
 
 std::string_view PrimeTopDownScheme::name() const { return "prime-topdown"; }
-
-void PrimeTopDownScheme::set_num_workers(int n) {
-  PL_CHECK(n >= 1);
-  num_workers_ = n;
-}
 
 void PrimeTopDownScheme::EnsureCapacity() {
   std::size_t need = tree()->arena_size();
@@ -48,7 +41,6 @@ void PrimeTopDownScheme::LabelTree(const XmlTree& tree) {
   labels_.assign(tree.arena_size(), BigInt());
   selves_.assign(tree.arena_size(), 0);
   fps_.assign(tree.arena_size(), LabelFingerprint());
-  if (num_workers_ > 1 && LabelTreeParallel(tree)) return;
   tree.Preorder([&](NodeId id, int depth) {
     if (depth == 0) {
       WriteRootLabel(id);
@@ -56,49 +48,6 @@ void PrimeTopDownScheme::LabelTree(const XmlTree& tree) {
       WriteChildLabel(id, tree.parent(id), primes_.Next());
     }
   });
-}
-
-bool PrimeTopDownScheme::LabelTreeParallel(const XmlTree& tree) {
-  SubtreePartition plan = PlanSubtreePartition(tree, num_workers_);
-  if (plan.cut_depth < 0) return false;
-
-  // Spine: label every node at depth <= cut sequentially. The node at
-  // preorder position k is the k-th non-root node (the root sits at 0), so
-  // it takes the prime with stream index k - 1 — exactly what the
-  // sequential primes_.Next() loop would have dealt it.
-  for (std::size_t k = 0; k < plan.preorder.size(); ++k) {
-    if (plan.depth[k] > plan.cut_depth) continue;
-    if (plan.depth[k] == 0) {
-      WriteRootLabel(plan.preorder[k]);
-    } else {
-      WriteChildLabel(plan.preorder[k], tree.parent(plan.preorder[k]),
-                      primes_.PrimeAt(k - 1));
-    }
-  }
-
-  // Fan out: each subtree below the cut owns the contiguous prime slice
-  // its interior occupies in preorder (positions pos+1 .. pos+size-1 hold
-  // stream indexes pos .. pos+size-2). Workers touch disjoint label (and
-  // fingerprint) rows and never the shared source, so no synchronization
-  // beyond the pool's.
-  ThreadPool pool(num_workers_);
-  for (std::size_t pos : plan.roots) {
-    if (plan.size[pos] <= 1) continue;
-    PrimeBlock block = primes_.BlockAt(pos, plan.size[pos] - 1);
-    NodeId root = plan.preorder[pos];
-    int root_depth = plan.cut_depth;
-    pool.Submit([this, &tree, root, root_depth, block]() mutable {
-      tree.PreorderFrom(root, root_depth, [&](NodeId id, int) {
-        if (id == root) return;
-        WriteChildLabel(id, tree.parent(id), block.Next());
-      });
-    });
-  }
-  pool.Wait();
-  // Leave the cursor where the sequential run would: one prime per
-  // non-root node, so the next insertion draws the next fresh prime.
-  primes_.SkipFirst(plan.preorder.size() - 1);
-  return true;
 }
 
 Status PrimeTopDownScheme::Adopt(const XmlTree& tree,

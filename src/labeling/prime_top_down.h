@@ -66,14 +66,6 @@ class PrimeTopDownScheme : public LabelingScheme {
   /// `*relabeled`.
   std::uint64_t ReplaceSelf(NodeId id, int* relabeled);
 
-  /// Number of worker threads LabelTree may use (>= 1; default 1 =
-  /// sequential). Labels are bit-identical for every worker count: the
-  /// k-th non-root preorder node always receives the k-th prime, because
-  /// workers draw from disjoint preorder-ranked PrimeBlocks rather than a
-  /// shared cursor. Queries and insertions are unaffected by the knob.
-  void set_num_workers(int n);
-  int num_workers() const { return num_workers_; }
-
   /// Position of the prime cursor: the stream index of the next fresh
   /// prime an insertion would draw. Every label this scheme will ever
   /// assign is a deterministic function of the tree shape and this cursor,
@@ -108,12 +100,10 @@ class PrimeTopDownScheme : public LabelingScheme {
   /// `node`'s own label changed; returns nodes touched.
   int RelabelSubtree(NodeId node);
   void EnsureCapacity();
-  /// Labels via a depth-cut subtree partition on num_workers_ threads.
-  /// Returns false (having labeled nothing) when no viable cut exists.
-  bool LabelTreeParallel(const XmlTree& tree);
 
   /// Writes self/label/fingerprint for a non-root node from its parent's
-  /// row — the single label-write path all labeling modes share.
+  /// row — the single label-write path labeling, insertion and relabeling
+  /// share.
   void WriteChildLabel(NodeId id, NodeId parent, std::uint64_t p);
   void WriteRootLabel(NodeId id);
 
@@ -121,7 +111,6 @@ class PrimeTopDownScheme : public LabelingScheme {
   std::vector<BigInt> labels_;
   std::vector<std::uint64_t> selves_;
   std::vector<LabelFingerprint> fps_;
-  int num_workers_ = 1;
 };
 
 }  // namespace primelabel

@@ -39,13 +39,6 @@ void PrimeSource::SkipFirst(std::size_t count) {
   cursor_ = std::max(cursor_, count);
 }
 
-PrimeBlock PrimeSource::BlockAt(std::size_t first, std::size_t count) {
-  EnsureCount(first + count);
-  return PrimeBlock(std::vector<std::uint64_t>(
-      primes_.begin() + static_cast<std::ptrdiff_t>(first),
-      primes_.begin() + static_cast<std::ptrdiff_t>(first + count)));
-}
-
 std::optional<std::size_t> PrimeSource::IndexOf(std::uint64_t prime) {
   while (primes_.back() < prime) {
     primes_.push_back(NextPrimeAfter(primes_.back()));

@@ -19,36 +19,8 @@ namespace primelabel {
 /// property that makes the scheme dynamic.
 ///
 /// The labeling schemes additionally reserve a prefix of small primes for
-/// top-level nodes (Opt1); `Skip()` / `PrimeAt()` support that without a
+/// top-level nodes (Opt1); `SkipFirst()` / `PrimeAt()` support that without a
 /// second source.
-///
-/// For parallel labeling the source is partitioned, not shared: the planner
-/// computes how many primes each subtree will consume, carves the stream
-/// into disjoint PrimeBlocks (one per subtree, in preorder order), and each
-/// worker drains only its own block. Prime assignment therefore depends on
-/// preorder rank alone — never on worker scheduling — which is what makes
-/// parallel labels bit-identical to the sequential run.
-class PrimeBlock {
- public:
-  PrimeBlock() = default;
-
-  /// Returns the next prime of the block and advances. It is an error to
-  /// call Next() on an exhausted block (checked via PL_CHECK upstream by
-  /// construction: blocks are sized exactly to their subtree's demand).
-  std::uint64_t Next() { return primes_[next_++]; }
-
-  /// Primes not yet handed out.
-  std::size_t remaining() const { return primes_.size() - next_; }
-
- private:
-  friend class PrimeSource;
-  explicit PrimeBlock(std::vector<std::uint64_t> primes)
-      : primes_(std::move(primes)) {}
-
-  std::vector<std::uint64_t> primes_;
-  std::size_t next_ = 0;
-};
-
 class PrimeSource {
  public:
   PrimeSource();
@@ -63,13 +35,6 @@ class PrimeSource {
   /// Advances the cursor past the first `count` primes (idempotent per call:
   /// moves the cursor to max(cursor, count)).
   void SkipFirst(std::size_t count);
-
-  /// Materializes the block of `count` primes with indexes
-  /// [first, first + count) — the disjoint per-worker hand-out for parallel
-  /// labeling. The block owns its storage, so workers consume it without
-  /// touching (or locking) the source. Does not move the cursor; the
-  /// planner accounts for consumed indexes itself via SkipFirst.
-  PrimeBlock BlockAt(std::size_t first, std::size_t count);
 
   /// Index of `prime` in the stream (IndexOf(2) == 0), or nullopt when
   /// `prime` is not in the stream (0, 1 or a composite). Used to restore

@@ -226,21 +226,7 @@ bool LoadedCatalog::IsAncestor(NodeId x, NodeId y) const {
 
 bool LoadedCatalog::IsParent(NodeId x, NodeId y) const {
   if (x == y) return false;
-  // label(y) == label(x) * self(y), compared limb by limb as the product
-  // forms. Both magnitudes are minimal, so y has x's limb count, plus one
-  // exactly when the product carries out of x's top limb.
-  const LabelView lx = label_view(x);
-  const LabelView ly = label_view(y);
-  if (ly.size() != lx.size() && ly.size() != lx.size() + 1) return false;
-  const std::uint64_t self = self_of(y);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < lx.size(); ++i) {
-    const unsigned __int128 limb =
-        static_cast<unsigned __int128>(lx[i]) * self + carry;
-    if (static_cast<std::uint64_t>(limb) != ly[i]) return false;
-    carry = static_cast<std::uint64_t>(limb >> 64);
-  }
-  return ly.size() == lx.size() ? carry == 0 : carry == ly[lx.size()];
+  return IsProductOf(label_view(y), label_view(x), self_of(y));
 }
 
 void LoadedCatalog::IsAncestorBatch(
@@ -298,6 +284,41 @@ std::size_t LoadedCatalog::label_store_bytes() const {
   return labels_.byte_size() + sc_values_.byte_size() +
          meta_.size() * sizeof(LabelFingerprint) +
          orders_.size() * sizeof(std::uint64_t);
+}
+
+Status CheckRowStructure(std::size_t count,
+                         const std::function<RowLink(std::size_t)>& link,
+                         const std::string& origin) {
+  if (count == 0) return Status::Corruption(origin + ": has no rows");
+  const RowLink root = link(0);
+  if (!root.is_element || root.parent != -1 || root.label.size() != 1 ||
+      root.label[0] != 1) {
+    return Status::Corruption(
+        origin + ": row 0 is not a root element with parent -1 and label 1");
+  }
+  // Rows are in preorder exactly when each row's parent is on the path
+  // from the root to the row before it. `path` holds that path with each
+  // row's label, so every label is read from its column once.
+  std::vector<std::pair<std::int64_t, LimbSpan>> path = {{0, root.label}};
+  for (std::size_t i = 1; i < count; ++i) {
+    const RowLink row = link(i);
+    while (!path.empty() && path.back().first != row.parent) path.pop_back();
+    if (path.empty()) {
+      return Status::Corruption(origin + ": parent " +
+                                std::to_string(row.parent) + " of row " +
+                                std::to_string(i) +
+                                " is not on the path from the root to row " +
+                                std::to_string(i - 1));
+    }
+    if (!IsProductOf(row.label, path.back().second, row.self)) {
+      return Status::Corruption(origin + ": label of row " +
+                                std::to_string(i) +
+                                " is not its parent's label times its "
+                                "self-label");
+    }
+    path.emplace_back(static_cast<std::int64_t>(i), row.label);
+  }
+  return Status::Ok();
 }
 
 Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
@@ -444,8 +465,11 @@ Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
 
   // The order column: the paper's recovery, order = sc mod self, run once
   // per row here so OrderOf is an array read. Row 0 is the root (order
-  // 0); any other row must have its self-label held by some record.
+  // 0); any other row must have its self-label held by some record, and
+  // by no other row: a prime shared by two rows would make divisibility
+  // mistake one for the other's ancestor.
   out->orders_.assign(static_cast<std::size_t>(image.row_count), 0);
+  std::vector<std::uint8_t> claimed(holders.size(), 0);
   for (std::size_t i = 1; i < out->orders_.size(); ++i) {
     const std::uint64_t self = out->selfs_[i];
     const auto holder = std::lower_bound(
@@ -456,9 +480,24 @@ Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
                                 std::to_string(i) +
                                 " is held by no SC record");
     }
+    std::uint8_t& taken = claimed[holder - holders.begin()];
+    if (taken != 0) {
+      return Status::Corruption(origin + ": self-label " +
+                                std::to_string(self) + " of row " +
+                                std::to_string(i) +
+                                " repeats an earlier row's");
+    }
+    taken = 1;
     out->orders_[i] = ModU64Span(out->sc_values_[holder->second], self);
   }
-  return Status::Ok();
+  return CheckRowStructure(
+      out->meta_.size(),
+      [out](std::size_t i) {
+        const RowMeta& meta = out->meta_[i];
+        return RowLink{meta.is_element, meta.parent, out->labels_[i],
+                       out->selfs_[i]};
+      },
+      origin);
 }
 
 void EncodeCatalogRow(const CatalogRow& row, bool with_fingerprint,

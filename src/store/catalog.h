@@ -2,6 +2,7 @@
 #define PRIMELABEL_STORE_CATALOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -90,6 +91,28 @@ struct CatalogState {
   /// means the consumer must derive the fingerprints from the labels.
   bool fingerprints_valid = false;
 };
+
+/// One row's tree fields, as CheckRowStructure reads them.
+struct RowLink {
+  bool is_element = true;
+  std::int64_t parent = -1;
+  LimbSpan label;
+  std::uint64_t self = 1;
+};
+
+/// Checks the tree structure of `count` rows, `link(i)` giving row i's
+/// fields: row 0 is an element with parent -1 and label 1, the rows are in
+/// preorder (every later row's parent is on the path from the root to the
+/// row before it), and every later row's label is its parent's label
+/// times its self-label. Queries walk those parents and decide ancestry
+/// by divisibility, so a row that breaks them could loop a query, index
+/// past the rows, or answer against another tree than the one the rows
+/// describe. Both row decoders run it (the image open and
+/// LabeledDocument::FromCatalogRows); kCorruption names the first row
+/// that fails, after `origin`.
+Status CheckRowStructure(std::size_t count,
+                         const std::function<RowLink(std::size_t)>& link,
+                         const std::string& origin);
 
 /// A catalog served for reading: a v5 image, able to answer structure and
 /// order queries from the stored labels alone (no XmlTree needed).

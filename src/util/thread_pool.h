@@ -10,17 +10,18 @@
 
 namespace primelabel {
 
-/// Minimal fixed-size worker pool backing the parallel labeling pipeline.
+/// Minimal fixed-size worker pool backing the join executor's anchor-group
+/// fan-out (store/plan.cc, QueryContext::num_workers).
 ///
-/// Design constraints from that use: tasks are coarse (one per subtree below
-/// the cut depth), submitted in one burst, and the submitter blocks on Wait()
-/// until the burst drains — so a mutex-protected deque is plenty; no
+/// Design constraints from that use: tasks are coarse (one per anchor
+/// group), submitted in one burst, and the submitter blocks on Wait() until
+/// the burst drains — so a mutex-protected deque is plenty; no
 /// work-stealing or lock-free queue is warranted. The pool is cheap enough
-/// to construct per LabelTree call (thread startup is microseconds against
-/// the bigint work of labeling even a small document).
+/// to construct per join (the fan-out only starts above a minimum pair
+/// count, where thread startup is small against the label tests).
 ///
-/// Tasks must not throw; the labeling code reports failure through
-/// PL_CHECK, which aborts, so there is no exception plumbing.
+/// Tasks must not throw; the join code reports failure through PL_CHECK,
+/// which aborts, so there is no exception plumbing.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (at least 1).
@@ -60,12 +61,10 @@ class ThreadPool {
     all_done_.wait(lock, [this] { return unfinished_ == 0; });
   }
 
-  int size() const { return static_cast<int>(workers_.size()); }
-
   /// True when the calling thread is a pool worker (of any ThreadPool).
-  /// The parallel batch kernels consult this to run sequentially instead
-  /// of fanning out again when a parallel operator calls a parallel
-  /// oracle — nested pools would multiply threads without adding cores.
+  /// JoinBatched consults this to run sequentially instead of fanning out
+  /// again when a join runs inside a pool worker — nested pools would
+  /// multiply threads without adding cores.
   static bool InWorkerThread() { return t_in_worker_; }
 
  private:

@@ -280,7 +280,7 @@ TEST(CatalogCompat, DISABLED_WriteFormatsFixture) {
     GTEST_SKIP() << "set PRIMELABEL_WRITE_COMPAT_FIXTURE=1 to regenerate";
   }
   Result<LabeledDocument> doc =
-      LabeledDocument::FromXml(FormatsXml(), /*group=*/5);
+      LabeledDocument::FromXml(FormatsXml());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const std::string path = FormatsDir() + "/v5.plc";
   ASSERT_TRUE(doc->Save(path).ok());

@@ -63,7 +63,7 @@ class CatalogTest : public ::testing::Test {
     options.max_speeches_per_scene = 4;
     options.seed = 21;
     doc_.emplace(
-        LabeledDocument::FromTree(GeneratePlay("t", options), /*group=*/5));
+        LabeledDocument::FromTree(GeneratePlay("t", options)));
   }
 
   const XmlTree& tree() const { return doc_->tree(); }

@@ -1030,6 +1030,76 @@ TEST(DurabilityRecoveryEdges, SelfLabelHeldByNoScRecordFailsOpenCleanly) {
   RemoveTree(dir);
 }
 
+TEST(DurabilityRecoveryEdges, CraftedRowStructureFailsOpenCleanly) {
+  // v5 snapshots written by WriteCatalog, so every section digest
+  // verifies, each with one row's tree structure broken: a `line` row
+  // whose parent is itself (a query's ancestor walk would never end), one
+  // whose parent is far past the rows (an out-of-range read), an inner
+  // `line` row with such a parent, and a row whose label skips its parent
+  // (its grandparent's label times its self-label, fingerprint recomputed
+  // to match), which makes divisibility answer for another tree than the
+  // parents describe. Every open path must fail with a typed error naming
+  // the row before any query can run.
+  Result<LabeledDocument> doc = LabeledDocument::FromXml(SmallPlayXml());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const std::vector<CatalogRow> rows = doc->ToCatalogRows();
+  std::vector<std::size_t> lines;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].is_element && rows[i].tag == "line") lines.push_back(i);
+  }
+  ASSERT_GE(lines.size(), 3u);
+  const std::size_t last = lines.back();
+  const std::size_t inner = lines[lines.size() / 2];
+  ASSERT_GT(rows[3].parent, 0) << "row 3 needs a grandparent";
+  const CatalogRow& grandparent = rows[rows[rows[3].parent].parent];
+
+  auto with_parent = [&rows](std::size_t row, std::int64_t parent) {
+    std::vector<CatalogRow> crafted = rows;
+    crafted[row].parent = parent;
+    return crafted;
+  };
+  std::vector<CatalogRow> skipping = rows;
+  skipping[3].label = grandparent.label * BigInt::FromUint64(rows[3].self);
+  skipping[3].fingerprint = FingerprintOf(skipping[3].label);
+  const std::vector<std::pair<std::size_t, std::vector<CatalogRow>>> crafts =
+      {{last, with_parent(last, static_cast<std::int64_t>(last))},
+       {last, with_parent(last, 100000000)},
+       {inner, with_parent(inner, 1000000)},
+       {3, skipping}};
+
+  for (const auto& [row, crafted] : crafts) {
+    const std::string named = "row " + std::to_string(row) + " is not";
+    auto expect_corruption = [&](const Status& status, const char* path) {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << path << ", " << named << ": " << status.ToString();
+      EXPECT_NE(status.message().find(named), std::string::npos)
+          << path << ": " << status.ToString();
+    };
+    const std::string dir = TempDirPath("crafted-structure");
+    RemoveTree(dir);
+    {
+      Result<DurableDocumentStore> created =
+          DurableDocumentStore::Create(dir, SmallPlayXml());
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+    }
+    const std::string snapshot = DurableDocumentStore::SnapshotPath(dir, 0);
+    ASSERT_TRUE(WriteCatalog(DefaultVfs(), snapshot, crafted,
+                             doc->scheme().sc_table())
+                    .ok());
+
+    Result<LoadedCatalog> mapped = OpenCatalogMapped(DefaultVfs(), snapshot);
+    ASSERT_FALSE(mapped.ok()) << named;
+    expect_corruption(mapped.status(), "OpenCatalogMapped");
+    Result<LabeledDocument> loaded = LabeledDocument::Load(snapshot);
+    ASSERT_FALSE(loaded.ok()) << named;
+    expect_corruption(loaded.status(), "Load");
+    Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
+    ASSERT_FALSE(store.ok()) << named;
+    expect_corruption(store.status(), "Open");
+    RemoveTree(dir);
+  }
+}
+
 // --- Quarantine on journaling failures -----------------------------------
 
 struct QuarantineFixture {

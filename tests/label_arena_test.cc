@@ -174,7 +174,7 @@ class SavedCatalogTest : public ::testing::Test {
     options.max_speeches_per_scene = 4;
     options.seed = 97;
     doc_.emplace(
-        LabeledDocument::FromTree(GeneratePlay("v4", options), /*group=*/5));
+        LabeledDocument::FromTree(GeneratePlay("v4", options)));
     path_ = TempPath("v4_integrity.plc");
     ASSERT_TRUE(SaveCatalog(path_, *doc_).ok());
     image_ = ReadFileBytes(path_);

@@ -6,9 +6,9 @@
 // sequential run at every worker count, on a live OrderedPrimeScheme and
 // on a LoadedCatalog alike.
 //
-// Together with parallel_labeling_test this is the TSan target: configure
-// with -DPRIMELABEL_SANITIZE=thread and run `ctest -R Parallel` to
-// race-check every fan-out in the repo.
+// This is the TSan target for the join fan-out: configure with
+// -DPRIMELABEL_SANITIZE=thread and run `ctest -R Parallel` to race-check
+// it beside the concurrent batch-query tests.
 
 #include <cstdio>
 #include <string>

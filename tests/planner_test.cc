@@ -276,7 +276,7 @@ class DocumentBackend {
 class PlannerDifferentialTest : public ::testing::TestWithParam<const char*> {
  protected:
   PlannerDifferentialTest()
-      : doc_(LabeledDocument::FromTree(DiffPlay(), /*group=*/5)),
+      : doc_(LabeledDocument::FromTree(DiffPlay())),
         backend_(doc_, std::string(GetParam()) == "catalog-arena") {}
 
   const QueryContext& ctx() const { return backend_.ctx(); }
@@ -349,7 +349,7 @@ std::vector<NodeId> Walk(const LabelTable& table,
 }
 
 TEST(PlannerEntryPoints, LabeledDocumentQueryMatchesEvaluator) {
-  LabeledDocument doc = LabeledDocument::FromTree(DiffPlay(), /*group=*/5);
+  LabeledDocument doc = LabeledDocument::FromTree(DiffPlay());
   for (const std::string& query : DifferentialQueries()) {
     Result<std::vector<NodeId>> planned = doc.Query(query);
     ASSERT_TRUE(planned.ok()) << query;

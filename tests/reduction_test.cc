@@ -197,6 +197,31 @@ TEST(ReciprocalDivisor, DividesMatchesIsDivisibleByOnRandomPairs) {
   }
 }
 
+TEST(IsProductOf, MatchesBigIntProductOnRandomFactors) {
+  // The parent test every row decoder and LoadedCatalog::IsParent run:
+  // exact against BigInt multiplication, including products that carry
+  // into a new top limb, and false for any off-by-one product or
+  // multiplier.
+  Rng rng(559);
+  for (int iter = 0; iter < 5000; ++iter) {
+    const BigInt factor = RandomBigInt(&rng, 1 + static_cast<int>(
+                                                 rng.Below(6)));
+    const std::uint64_t multiplier = rng.Chance(50) ? rng.Next() | 1
+                                                    : 2 + rng.Below(1000);
+    const BigInt product = factor * BigInt::FromUint64(multiplier);
+    ASSERT_TRUE(IsProductOf(product.Magnitude(), factor.Magnitude(),
+                            multiplier))
+        << "iter " << iter;
+    const BigInt off = product + BigInt(1);
+    EXPECT_FALSE(IsProductOf(off.Magnitude(), factor.Magnitude(),
+                             multiplier))
+        << "iter " << iter;
+    EXPECT_FALSE(IsProductOf(product.Magnitude(), factor.Magnitude(),
+                             multiplier + 1))
+        << "iter " << iter;
+  }
+}
+
 TEST(ReciprocalDivisor, ReassignmentIsClean) {
   // The anchor-run pattern: one object, many divisors, interleaved sizes so
   // the word path and the Montgomery path alternate over the same scratch.
