@@ -197,12 +197,15 @@ struct BatchFixture {
   /// corpus anchors against a candidate mix drawn from the whole tree.
   std::vector<NodeId> context;
   std::vector<NodeId> candidates;
+  /// SelectAncestors runs: a deep-chain anchor and its candidate list.
+  std::vector<std::pair<NodeId, std::vector<NodeId>>> ancestor_runs;
 };
 
 const BatchFixture& ShakespeareBatch() {
   static const BatchFixture* fixture = [] {
     auto* f = new BatchFixture{GenerateShakespeareCorpus(2),
                                OrderedPrimeScheme(/*sc_group_size=*/5),
+                               {},
                                {},
                                {},
                                {}};
@@ -262,25 +265,47 @@ const BatchFixture& ShakespeareBatch() {
     for (int i = 0; i < 2048; ++i) {
       f->candidates.push_back(nodes[rng.Below(nodes.size())]);
     }
+    // Ancestor runs: an anchor in the lower half of a chain; half the
+    // candidates come from the chain above it (its true ancestors), the
+    // rest split between another chain and the tree at large.
+    for (int run = 0; run < 32; ++run) {
+      const auto& chain = chains[rng.Below(chains.size())];
+      const std::size_t pos = chain.size() / 2 + rng.Below(chain.size() / 2);
+      std::vector<NodeId> candidates;
+      for (int c = 0; c < 64; ++c) {
+        switch (c % 4) {
+          case 0:
+          case 1:
+            candidates.push_back(chain[rng.Below(pos)]);
+            break;
+          case 2: {
+            const auto& other = chains[rng.Below(chains.size())];
+            candidates.push_back(other[rng.Below(other.size())]);
+            break;
+          }
+          default:
+            candidates.push_back(nodes[rng.Below(nodes.size())]);
+        }
+      }
+      f->ancestor_runs.emplace_back(chain[pos], std::move(candidates));
+    }
     return f;
   }();
   return *fixture;
 }
 
-/// The PR-1 batch path: per-pair Knuth division (with reusable scratch),
-/// no fingerprints, no cached divisor constants. Baseline for the fast
-/// path below.
+/// The unscreened baseline: BigInt::IsDivisibleBy per pair (Knuth
+/// division past two-limb divisors), no fingerprints, no cached divisor
+/// constants. Baseline for the fast path below.
 void BM_IsAncestorBatchNaive(benchmark::State& state) {
   const BatchFixture& f = ShakespeareBatch();
   const PrimeTopDownScheme& structure = f.scheme.structure();
   std::vector<std::uint8_t> results;
-  BigInt::DivScratch scratch;
   for (auto _ : state) {
     results.clear();
     for (const auto& [a, d] : f.pairs) {
       results.push_back(
-          a != d && structure.label(d).IsDivisibleBy(structure.label(a),
-                                                     &scratch));
+          a != d && structure.label(d).IsDivisibleBy(structure.label(a)));
     }
     benchmark::DoNotOptimize(results.data());
   }
@@ -290,10 +315,10 @@ void BM_IsAncestorBatchNaive(benchmark::State& state) {
 BENCHMARK(BM_IsAncestorBatchNaive);
 
 /// The divisibility fast-path engine as shipped: fingerprint rejection,
-/// Montgomery constants cached per anchor run, survivors batched through
-/// the multi-dividend REDC sweep. Bit-identical results to every pinned
-/// variant below (reduction_test asserts it); this is the headline
-/// benchmark the check.sh bench-smoke leg guards against regression.
+/// then one Montgomery sweep per survivor with the constants cached per
+/// anchor run. Bit-identical results to every pinned variant below
+/// (reduction_test asserts it); this is the headline benchmark the
+/// check.sh bench-smoke leg guards against regression.
 void BM_IsAncestorBatch(benchmark::State& state) {
   const BatchFixture& f = ShakespeareBatch();
   std::vector<std::uint8_t> results;
@@ -306,6 +331,28 @@ void BM_IsAncestorBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(f.pairs.size()));
 }
 BENCHMARK(BM_IsAncestorBatch);
+
+/// The ancestor direction of the same engine: SelectAncestors over the
+/// fixture's deep-chain runs. Each fingerprint survivor is the divisor,
+/// so its constants are built per candidate and tested against the
+/// anchor's label. Named outside the --quick filter: it is timed, not
+/// gated.
+void BM_SelectAncestors(benchmark::State& state) {
+  const BatchFixture& f = ShakespeareBatch();
+  std::size_t items = 0;
+  for (const auto& run : f.ancestor_runs) items += run.second.size();
+  std::vector<NodeId> out;
+  for (auto _ : state) {
+    for (const auto& [anchor, candidates] : f.ancestor_runs) {
+      out.clear();
+      f.scheme.SelectAncestors(anchor, candidates, &out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(items));
+}
+BENCHMARK(BM_SelectAncestors);
 
 /// The descendant structural join over the shared fixture at several
 /// worker counts (1 = the sequential executor). Output is identical at

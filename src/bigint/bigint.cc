@@ -591,112 +591,6 @@ bool BigInt::IsDivisibleBy(const BigInt& divisor) const {
   return (*this % divisor).IsZero();
 }
 
-bool BigInt::IsDivisibleBy(const BigInt& divisor, DivScratch* scratch) const {
-  PL_CHECK(!divisor.IsZero());
-  if (divisor.limbs_.size() == 1) {
-    return ModU64(divisor.limbs_[0]) == 0;
-  }
-  if (divisor.limbs_.size() == 2) {
-    if (limbs_.size() <= 2) {
-      return MagnitudeToU128(limbs_) % MagnitudeToU128(divisor.limbs_) == 0;
-    }
-    return Mod3by2Spans(limbs_, divisor.limbs_[1], divisor.limbs_[0]) == 0;
-  }
-  if (CompareMagnitude(limbs_, divisor.limbs_) < 0) return false;
-
-  // Remainder-only Knuth Algorithm D (3-by-2 trial quotients), run inside
-  // the caller's scratch buffers: `u` holds the normalized dividend and is
-  // updated in place, `v` the normalized divisor; quotient digits are
-  // computed (the multiply-subtract needs them) but never stored. After
-  // the loop the remainder is u[0 .. n), and divisibility is just "is it
-  // all zero" — the denormalizing right-shift of the full DivMod is
-  // skipped.
-  std::vector<Limb>& u = scratch->u;
-  std::vector<Limb>& v = scratch->v;
-  const int shift = kLimbBits - std::bit_width(divisor.limbs_.back());
-  auto shift_into = [shift](const std::vector<Limb>& src,
-                            std::vector<Limb>* dst) {
-    dst->assign(src.size() + 1, 0);
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      (*dst)[i] |= src[i] << shift;
-      if (shift != 0) (*dst)[i + 1] = src[i] >> (kLimbBits - shift);
-    }
-  };
-  shift_into(limbs_, &u);
-  shift_into(divisor.limbs_, &v);
-  Normalize(&v);
-  const std::size_t n = v.size();
-  const std::size_t m = u.size() - n;
-
-  const Limb d1 = v[n - 1];
-  const Limb d0 = v[n - 2];
-  const std::uint64_t vrecip = Reciprocal3by2(d1, d0);
-
-  {
-    bool top_ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (u[m + i] != v[i]) {
-        top_ge = u[m + i] > v[i];
-        break;
-      }
-    }
-    if (top_ge) {
-      Limb borrow = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Limb s1 = u[m + i] - v[i];
-        const Limb borrow1 = u[m + i] < v[i];
-        const Limb s2 = s1 - borrow;
-        const Limb borrow2 = s1 < borrow;
-        u[m + i] = s2;
-        borrow = borrow1 | borrow2;
-      }
-    }
-  }
-
-  for (std::size_t j = m; j-- > 0;) {
-    const Limb u2 = u[j + n];
-    const Limb u1 = u[j + n - 1];
-    const Limb u0 = u[j + n - 2];
-    Limb qhat;
-    if (u2 == d1 && u1 == d0) {
-      qhat = ~Limb{0};
-    } else {
-      qhat = Div3by2(u2, u1, u0, d1, d0, vrecip).q;
-    }
-    Limb borrow = 0;
-    Limb carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Wide product = static_cast<Wide>(qhat) * v[i] + carry;
-      carry = static_cast<Limb>(product >> kLimbBits);
-      const Limb plo = static_cast<Limb>(product);
-      const Limb s1 = u[i + j] - plo;
-      const Limb borrow1 = u[i + j] < plo;
-      const Limb s2 = s1 - borrow;
-      const Limb borrow2 = s1 < borrow;
-      u[i + j] = s2;
-      borrow = borrow1 | borrow2;
-    }
-    const Limb t1 = u[j + n] - carry;
-    const Limb tb1 = u[j + n] < carry;
-    const Limb t2 = t1 - borrow;
-    const Limb tb2 = t1 < borrow;
-    u[j + n] = t2;
-    if (tb1 | tb2) {
-      Limb add_carry = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Wide sum = static_cast<Wide>(u[i + j]) + v[i] + add_carry;
-        u[i + j] = static_cast<Limb>(sum);
-        add_carry = static_cast<Limb>(sum >> kLimbBits);
-      }
-      u[j + n] += add_carry;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (u[i] != 0) return false;
-  }
-  return true;
-}
-
 BigInt BigInt::EuclideanMod(const BigInt& modulus) const {
   PL_CHECK(modulus.Sign() > 0);
   BigInt r = *this % modulus;

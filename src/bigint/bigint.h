@@ -144,23 +144,6 @@ class BigInt {
   /// the hot path of the prime scheme's ancestor test.
   bool IsDivisibleBy(const BigInt& divisor) const;
 
-  /// Reusable workspace for batched divisibility tests: holds the
-  /// normalized dividend/divisor buffers of the long-division remainder
-  /// computation so a batch of tests allocates at most once. Declare one
-  /// per batch and pass it to every IsDivisibleBy call of that batch.
-  class DivScratch {
-   private:
-    friend class BigInt;
-    std::vector<std::uint64_t> u;  // normalized dividend, reused
-    std::vector<std::uint64_t> v;  // normalized divisor, reused
-  };
-
-  /// IsDivisibleBy with caller-provided scratch space — the batch-query
-  /// path of StructureOracle::IsAncestorBatch. Same fast paths as the
-  /// scratch-free overload; the general (multi-limb) case computes only the
-  /// remainder, in place, inside `scratch`.
-  bool IsDivisibleBy(const BigInt& divisor, DivScratch* scratch) const;
-
   /// Magnitude modulo a 64-bit divisor (> 0), allocation-free. Used by the
   /// SC table's `sc mod self-label` order recovery.
   std::uint64_t ModU64(std::uint64_t divisor) const;

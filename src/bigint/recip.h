@@ -49,21 +49,32 @@ inline QR2by1 Div2by1(std::uint64_t r, std::uint64_t u, std::uint64_t d,
   return {q1, rem};
 }
 
+/// Remainder of a little-endian 64-bit limb span modulo a word divisor d
+/// given in normalized form: d_norm = d << s with its top bit set and
+/// v = Reciprocal2by1(d_norm). Normalizes the limbs on the fly and streams
+/// 2-by-1 steps most-significant first, so no shifted copy is ever made.
+/// The one span-by-word remainder loop: ReciprocalDivisor calls it with
+/// its cached constants, Mod2by1Spans with fresh ones.
+inline std::uint64_t Mod2by1Normalized(std::span<const std::uint64_t> limbs,
+                                       std::uint64_t d_norm, std::uint64_t v,
+                                       int s) {
+  if (limbs.empty()) return 0;
+  std::uint64_t r = s == 0 ? 0 : limbs.back() >> (64 - s);  // < 2^s <= d_norm
+  for (std::size_t i = limbs.size(); i-- > 0;) {
+    const std::uint64_t low = (s != 0 && i > 0) ? limbs[i - 1] >> (64 - s) : 0;
+    r = Div2by1(r, (limbs[i] << s) | low, d_norm, v).r;
+  }
+  return r >> s;
+}
+
 /// Remainder of a little-endian 64-bit limb span modulo d (any nonzero d):
-/// normalizes on the fly and streams 2-by-1 steps most-significant first.
+/// Mod2by1Normalized after computing d's normalization and reciprocal.
 inline std::uint64_t Mod2by1Spans(std::span<const std::uint64_t> limbs,
                                   std::uint64_t d) {
   if (limbs.empty()) return 0;
-  const int s = 63 - (std::bit_width(d) - 1);
+  const int s = std::countl_zero(d);
   const std::uint64_t dn = d << s;
-  const std::uint64_t v = Reciprocal2by1(dn);
-  std::uint64_t r = s == 0 ? 0 : limbs.back() >> (64 - s);
-  for (std::size_t i = limbs.size(); i-- > 0;) {
-    const std::uint64_t low = (s != 0 && i > 0) ? limbs[i - 1] >> (64 - s) : 0;
-    const std::uint64_t w = (limbs[i] << s) | low;
-    r = Div2by1(r, w, dn, v).r;
-  }
-  return r >> s;
+  return Mod2by1Normalized(limbs, dn, Reciprocal2by1(dn), s);
 }
 
 /// Reciprocal of a normalized two-word divisor d1:d0 (d1's top bit set):

@@ -15,21 +15,6 @@ namespace {
 
 using U128 = unsigned __int128;
 
-/// Magnitude (little-endian 64-bit limbs) mod a cached normalized
-/// divisor: streamed Möller–Granlund 2-by-1 steps, normalized on the fly
-/// by `s` so no shifted copy is ever materialized.
-std::uint64_t ModSpans2by1(std::span<const std::uint64_t> mag,
-                           std::uint64_t d_norm, std::uint64_t v, int s) {
-  if (mag.empty()) return 0;
-  std::uint64_t r = s == 0 ? 0 : mag.back() >> (64 - s);  // < 2^s <= d_norm
-  for (std::size_t i = mag.size(); i-- > 0;) {
-    const std::uint64_t low =
-        (s != 0 && i > 0) ? mag[i - 1] >> (64 - s) : 0;
-    r = recip::Div2by1(r, (mag[i] << s) | low, d_norm, v).r;
-  }
-  return r >> s;
-}
-
 /// -d0^-1 mod 2^64 for odd d0, by Newton iteration: an odd d satisfies
 /// d * d == 1 (mod 8), and each step doubles the valid bits.
 std::uint64_t NegInverse64(std::uint64_t d0) {
@@ -43,7 +28,7 @@ std::uint64_t NegInverse64(std::uint64_t d0) {
   return std::uint64_t{0} - inv;
 }
 
-/// The scalar REDC divisibility sweep over t, prefilled with the
+/// The REDC divisibility sweep over t, prefilled with the
 /// dividend in its low m limbs and zero above (size >= m + d.size() + 1):
 /// each step zeroes t[i] by adding the multiple u * d * B^i with
 /// u = t[i] * neg_inv mod B. Afterwards t = C * B^m with
@@ -91,18 +76,6 @@ void OddPartOf(LimbSpan x, int tz, std::vector<std::uint64_t>* odd) {
     odd->push_back(w);
   }
   while (odd->size() > 1 && odd->back() == 0) odd->pop_back();
-}
-
-/// Runs one batched REDC sweep over the first `count` lanes and writes
-/// lane k's verdict to out[origin[k]].
-void SweepLanes(const simd::RedcLane* lanes, const std::size_t* origin,
-                std::size_t count, bool* out) {
-  if (count == 0) return;
-  const unsigned verdict = simd::RedcDividesBatch(
-      std::span<const simd::RedcLane>(lanes, count));
-  for (std::size_t k = 0; k < count; ++k) {
-    out[origin[k]] = ((verdict >> k) & 1u) != 0;
-  }
 }
 
 /// prime_mask bit for a prime self-label, or 0 when it is beyond the
@@ -305,98 +278,11 @@ bool ReciprocalDivisor::Divides(LimbSpan mag) {
   assert(assigned());
   if (mag.empty()) return true;  // zero dividend
   if (limbs_ == 1) {
-    return ModSpans2by1(mag, word_normalized_, word_reciprocal_,
-                        word_shift_) == 0;
+    return recip::Mod2by1Normalized(mag, word_normalized_, word_reciprocal_,
+                                    word_shift_) == 0;
   }
   if (mag.size() < limbs_) return false;  // 0 < |dividend| < divisor
   return MontgomeryDivides(mag);
-}
-
-void ReciprocalDivisor::DividesBatch(std::span<const LimbSpan> dividends,
-                                     bool* out) {
-  assert(assigned());
-  assert(dividends.size() <= simd::kRedcLanes);
-  if (limbs_ == 1) {
-    // Word divisors stream a 2-by-1 remainder per dividend (cheaper than
-    // a REDC lane).
-    for (std::size_t i = 0; i < dividends.size(); ++i) {
-      out[i] = Divides(dividends[i]);
-    }
-    return;
-  }
-  simd::RedcLane lanes[simd::kRedcLanes];
-  std::size_t origin[simd::kRedcLanes];
-  std::size_t count = 0;
-  const bool pow2_divisor = odd_divisor_.size() == 1 && odd_divisor_[0] == 1;
-  for (std::size_t i = 0; i < dividends.size(); ++i) {
-    const LimbSpan mag = dividends[i];
-    if (mag.empty()) {
-      out[i] = true;
-      continue;
-    }
-    if (mag.size() < limbs_) {
-      out[i] = false;
-      continue;
-    }
-    if (!PowerOfTwoPartDivides(mag)) {
-      out[i] = false;
-      continue;
-    }
-    if (pow2_divisor) {
-      out[i] = true;
-      continue;
-    }
-    lanes[count] = {mag, odd_divisor_, mont_inv_};
-    origin[count] = i;
-    ++count;
-  }
-  SweepLanes(lanes, origin, count, out);
-}
-
-void DividesIntoBatch(LimbSpan y, std::span<const LimbSpan> divisors,
-                      bool* out) {
-  assert(divisors.size() <= simd::kRedcLanes);
-  if (y.empty()) {
-    for (std::size_t i = 0; i < divisors.size(); ++i) out[i] = true;
-    return;
-  }
-  const int ytz = TrailingZeroBitsOf(y);
-  simd::RedcLane lanes[simd::kRedcLanes];
-  std::size_t origin[simd::kRedcLanes];
-  // Shifted odd parts must outlive the batched sweep; odd divisors (the
-  // common case — labels are mostly odd prime products) borrow the
-  // divisor's own span instead and never allocate.
-  std::array<std::vector<std::uint64_t>, simd::kRedcLanes> odd_storage;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < divisors.size(); ++i) {
-    LimbSpan xmag = divisors[i];
-    assert(!xmag.empty() && "DividesIntoBatch requires nonzero divisors");
-    if (xmag.size() > y.size()) {
-      out[i] = false;  // 0 < |dividend| < |divisor|
-      continue;
-    }
-    const int xtz = TrailingZeroBitsOf(xmag);
-    if (xtz > ytz) {
-      out[i] = false;  // the divisor's power-of-two factor is a witness
-      continue;
-    }
-    LimbSpan odd = xmag;
-    if (xtz != 0) {
-      OddPartOf(xmag, xtz, &odd_storage[i]);
-      odd = odd_storage[i];
-    }
-    if (odd.size() == 1) {
-      // Word-sized odd part: one streamed 2-by-1 remainder beats a REDC
-      // lane (odd[0] == 1 is the pure-power-of-two divisor, already
-      // decided by the trailing-zeros screen above).
-      out[i] = recip::Mod2by1Spans(y, odd[0]) == 0;
-      continue;
-    }
-    lanes[count] = {y, odd, NegInverse64(odd[0])};
-    origin[count] = i;
-    ++count;
-  }
-  SweepLanes(lanes, origin, count, out);
 }
 
 // --- Layer 3 ---------------------------------------------------------------

@@ -21,11 +21,11 @@ namespace primelabel {
 //   trailing-zero count. A witness in any slot rejects a candidate pair
 //   with zero BigInt work; pairs that pass fall through to an exact test.
 //
-//   Layer 2 — reciprocal-cached divisibility (ReciprocalDivisor): when one divisor is tested against many dividends,
-//   its constants are computed once, so each remaining test is a
-//   Möller–Granlund 2-by-1 remainder for word-sized divisors or one
-//   Montgomery (REDC) sweep for multi-limb ones, instead of a full Knuth
-//   division.
+//   Layer 2 — reciprocal-cached divisibility (ReciprocalDivisor): when
+//   one divisor is tested against many dividends, its constants are
+//   computed once, so each remaining test is a Möller–Granlund 2-by-1
+//   remainder for word-sized divisors or one Montgomery (REDC) sweep for
+//   multi-limb ones, instead of a full Knuth division.
 //
 //   Layer 3 — subproduct/remainder trees (SubproductTree): `y mod m_i`
 //   for all moduli of a group in near-linear time, and the matching
@@ -202,13 +202,15 @@ bool IsProductOf(LimbSpan product, LimbSpan factor, std::uint64_t multiplier);
 ///              odd part, with the power-of-two part checked as a bit
 ///              test (see Divides).
 /// One instance per batch per thread; the sweep accumulator makes the
-/// object non-thread-safe by design (same contract as BigInt::DivScratch).
+/// object non-thread-safe by design.
 class ReciprocalDivisor {
  public:
   ReciprocalDivisor() = default;
 
   /// Caches `divisor` (> 0). May be called repeatedly to re-point the
-  /// cache at a new divisor (the anchor-run pattern of IsAncestorBatch).
+  /// cache at a new divisor: the anchor-run pattern of IsAncestorBatch,
+  /// and SelectAncestors, which re-points one instance at each candidate
+  /// ancestor and tests it against the anchor's label.
   void Assign(const BigInt& divisor) { Assign(divisor.Magnitude()); }
 
   /// Span twin of Assign, for arena-backed anchors: the constants are
@@ -232,17 +234,6 @@ class ReciprocalDivisor {
   /// Divides(BigInt::FromLimbs(dividend_magnitude)).
   bool Divides(LimbSpan dividend_magnitude);
 
-  /// Batched Divides: out[k] = Divides(dividends[k]) for up to
-  /// simd::kRedcLanes dividend magnitudes against the one cached divisor —
-  /// the anchor-run surface of IsAncestorBatch/SelectDescendants, where a
-  /// run of fingerprint-filter survivors shares its anchor. Dividends that
-  /// fail a cheap screen (smaller than the divisor, missing the divisor's
-  /// power-of-two factor) are answered inline; the survivors run one
-  /// multi-dividend REDC sweep (simd::RedcDividesBatch), which interleaves
-  /// the dividends' sweeps step by step. Bit-identical to looping
-  /// Divides.
-  void DividesBatch(std::span<const LimbSpan> dividends, bool* out);
-
  private:
   /// True iff the divisor's power-of-two factor 2^e divides the dividend
   /// (an e-bit tail check — the cheap half of the d = 2^e * odd split).
@@ -260,23 +251,12 @@ class ReciprocalDivisor {
   // Montgomery divisibility state (multi-limb divisors): the divisor's
   // odd part, how many factors of two were shifted out, and the word
   // inverse -odd_divisor_[0]^-1 mod 2^64 driving each REDC step.
-  // mont_acc_ is the reusable single-lane sweep accumulator.
+  // mont_acc_ is the reusable sweep accumulator.
   std::vector<std::uint64_t> odd_divisor_;
   std::vector<std::uint64_t> mont_acc_;
   int divisor_trailing_zeros_ = 0;
   std::uint64_t mont_inv_ = 0;
 };
-
-/// One dividend magnitude against up to simd::kRedcLanes candidate
-/// divisor magnitudes — the SelectAncestors shape, where the context
-/// node's label is tested against a batch of candidate ancestors.
-/// Computes each divisor's odd part and Newton inverse on the fly
-/// (O(divisor limbs) setup, cheap next to the O(dividend x divisor) sweep
-/// it feeds) and runs one batched REDC sweep. out[k] is true iff
-/// divisors[k] divides the dividend; divisors must be nonzero.
-/// Bit-identical to a loop of exact scalar tests.
-void DividesIntoBatch(LimbSpan dividend, std::span<const LimbSpan> divisors,
-                      bool* out);
 
 // --- Layer 3: subproduct / remainder trees ---------------------------------
 

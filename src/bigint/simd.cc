@@ -109,67 +109,4 @@ void ChunkResidues(std::span<const std::uint64_t> magnitude,
   }
 }
 
-unsigned RedcDividesBatch(std::span<const RedcLane> lanes) {
-  assert(!lanes.empty() && lanes.size() <= kRedcLanes);
-  thread_local std::vector<std::uint64_t> buf;
-  std::size_t offset[kRedcLanes + 1] = {};
-  std::size_t mmax = 0;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    const std::size_t m = lanes[k].dividend.size();
-    offset[k + 1] = offset[k] + m + lanes[k].odd_divisor.size() + 1;
-    mmax = std::max(mmax, m);
-  }
-  buf.assign(offset[lanes.size()], 0);
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    std::copy(lanes[k].dividend.begin(), lanes[k].dividend.end(),
-              buf.begin() + static_cast<std::ptrdiff_t>(offset[k]));
-  }
-  // Step loop outside, lane loop inside: each lane's REDC sweep is one
-  // serial carry chain, but the lanes' chains are independent, so
-  // interleaving them per step keeps the out-of-order core fed.
-  for (std::size_t i = 0; i < mmax; ++i) {
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const RedcLane& lane = lanes[k];
-      if (i >= lane.dividend.size()) continue;
-      std::uint64_t* t = buf.data() + offset[k];
-      const std::size_t nd = lane.odd_divisor.size();
-      // u makes t[i] + u * d ≡ 0 (mod 2^64): the step clears one limb
-      // and divides the residue class by B.
-      const std::uint64_t u = t[i] * lane.neg_inv;
-      U128 carry = 0;
-      for (std::size_t j = 0; j < nd; ++j) {
-        const U128 s = static_cast<U128>(t[i + j]) +
-                       static_cast<U128>(u) * lane.odd_divisor[j] + carry;
-        t[i + j] = static_cast<std::uint64_t>(s);
-        carry = s >> 64;
-      }
-      std::uint64_t c = static_cast<std::uint64_t>(carry);
-      for (std::size_t pos = i + nd; c != 0; ++pos) {
-        assert(pos < lane.dividend.size() + nd + 1);
-        t[pos] += c;
-        c = t[pos] < c ? 1u : 0u;
-      }
-    }
-  }
-  // After m steps t = (x + q * d) / B^m ≤ d sits at t[m .. m + nd], and
-  // d | x iff that residue is 0 or d exactly.
-  unsigned verdict = 0;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    const RedcLane& lane = lanes[k];
-    const std::uint64_t* t =
-        buf.data() + offset[k] + lane.dividend.size();
-    bool zero = true;
-    bool eq = true;
-    for (std::size_t j = 0; j < lane.odd_divisor.size(); ++j) {
-      zero = zero && t[j] == 0;
-      eq = eq && t[j] == lane.odd_divisor[j];
-    }
-    const std::uint64_t top = t[lane.odd_divisor.size()];
-    zero = zero && top == 0;
-    eq = eq && top == 0;
-    if (zero || eq) verdict |= 1u << k;
-  }
-  return verdict;
-}
-
 }  // namespace primelabel::simd

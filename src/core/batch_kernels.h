@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bigint/reduction.h"
-#include "bigint/simd.h"
 #include "xml/tree.h"
 
 namespace primelabel {
@@ -27,12 +26,12 @@ namespace primelabel {
 //   1. Fingerprint witnesses reject almost every non-ancestor pair before
 //      a candidate's label is read. FingerprintMayProperlyDivide compares
 //      bit lengths strictly, so equal labels are rejected here as well.
-//   2. Survivors buffer into lanes of one multi-dividend REDC sweep. When
-//      the anchor is the ancestor side (IsAncestorBatch, whose join input
-//      arrives in anchor-major runs, and SelectDescendants) its
-//      ReciprocalDivisor is built once per anchor run; SelectAncestors
-//      flips the roles (one dividend, many divisors) and sweeps through
-//      DividesIntoBatch.
+//   2. Each survivor is decided where it is found, by one
+//      ReciprocalDivisor::Divides. When the anchor is the ancestor side
+//      (IsAncestorBatch, whose join input arrives in anchor-major runs,
+//      and SelectDescendants) the divisor is the anchor's label, assigned
+//      once per anchor run; SelectAncestors flips the roles and re-points
+//      the divisor at each candidate, tested against the anchor's label.
 //
 // Each kernel is one sequential sweep. Parallelism lives one level up, in
 // the join executor's anchor fan-out (QueryContext::num_workers).
@@ -56,23 +55,6 @@ void Sweep(const Column& column, std::size_t count, const PairAt& pair_at,
   ReciprocalDivisor divisor;
   NodeId anchor = kInvalidNodeId;
   LimbSpan anchor_label;
-  LimbSpan lane_labels[simd::kRedcLanes];
-  std::size_t lane_items[simd::kRedcLanes];
-  bool lane_verdicts[simd::kRedcLanes];
-  std::size_t pending = 0;
-  auto flush = [&] {
-    if (pending == 0) return;
-    const std::span<const LimbSpan> lanes(lane_labels, pending);
-    if constexpr (kAnchorDivides) {
-      divisor.DividesBatch(lanes, lane_verdicts);
-    } else {
-      DividesIntoBatch(anchor_label, lanes, lane_verdicts);
-    }
-    for (std::size_t k = 0; k < pending; ++k) {
-      emit(lane_items[k], lane_verdicts[k]);
-    }
-    pending = 0;
-  };
   for (std::size_t i = 0; i < count; ++i) {
     const auto [a, c] = pair_at(i);
     if (a == c) continue;
@@ -84,16 +66,17 @@ void Sweep(const Column& column, std::size_t count, const PairAt& pair_at,
       continue;
     }
     if (a != anchor) {
-      flush();  // pending lanes belong to the previous anchor
       anchor = a;
       anchor_label = column.label(a);
       if constexpr (kAnchorDivides) divisor.Assign(anchor_label);
     }
-    lane_labels[pending] = column.label(c);
-    lane_items[pending] = i;
-    if (++pending == simd::kRedcLanes) flush();
+    if constexpr (kAnchorDivides) {
+      emit(i, divisor.Divides(column.label(c)));
+    } else {
+      divisor.Assign(column.label(c));
+      emit(i, divisor.Divides(anchor_label));
+    }
   }
-  flush();
 }
 
 }  // namespace batch_internal

@@ -32,7 +32,8 @@ using OrderFn = std::function<std::uint64_t(NodeId)>;
 ///
 /// The batch entry points exist because the pipeline's hot loops test one
 /// anchor against many candidates: a batch-aware implementation hoists
-/// per-test setup (the bigint division scratch buffers) out of the loop.
+/// per-test setup (the divisor's reciprocal or Montgomery constants) out
+/// of the loop.
 /// The defaults simply loop over the pairwise calls, so implementing the
 /// three scalar queries is enough for correctness.
 class StructureOracle {

@@ -106,14 +106,7 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
   }
   // The structure check the image open runs, so a file loads as a
   // document exactly when it can be served as an image.
-  Status structure = CheckRowStructure(
-      rows.size(),
-      [&rows](std::size_t i) {
-        const CatalogRow& row = rows[i];
-        return RowLink{row.is_element, row.parent, row.label.Magnitude(),
-                       row.self};
-      },
-      origin);
+  Status structure = CheckRowStructure(rows, origin);
   if (!structure.ok()) return structure;
 
   // Rows are in preorder, so every parent precedes its children and one

@@ -120,8 +120,8 @@ bool PrimeTopDownScheme::IsAncestor(NodeId ancestor, NodeId descendant) const {
 
 bool PrimeTopDownScheme::IsParent(NodeId parent, NodeId child) const {
   if (parent == child) return false;
-  return label(parent) * BigInt::FromUint64(self_label(child)) ==
-         label(child);
+  return IsProductOf(label(child).Magnitude(), label(parent).Magnitude(),
+                     self_label(child));
 }
 
 int PrimeTopDownScheme::LabelBits(NodeId id) const {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "bigint/recip.h"
 #include "core/batch_kernels.h"
 #include "durability/crc32.h"
 
@@ -186,26 +187,17 @@ Status ParseImageHeader(std::span<const std::uint8_t> bytes,
   return Status::Ok();
 }
 
-/// order = SC mod self over the arena's limb view — the same recovery
-/// arithmetic as BigInt::ModU64, without materializing the BigInt.
-std::uint64_t ModU64Span(LabelView magnitude, std::uint64_t m) {
-  unsigned __int128 r = 0;
-  for (std::size_t i = magnitude.size(); i-- > 0;) {
-    r = ((r << 64) | magnitude[i]) % m;
-  }
-  return static_cast<std::uint64_t>(r);
-}
-
 /// Fills the orders of a record read without them (v4/v5 SCMETA, PLDELTA2)
-/// from its SC value: order = sc mod modulus. kCorruption on a modulus
-/// below 2, checked before any division.
+/// from its SC value: order = sc mod modulus, the remainder BigInt::ModU64
+/// takes, over the limb view. kCorruption on a modulus below 2, checked
+/// before any division.
 Status DeriveScOrders(LabelView sc, ScRecord* record) {
   record->orders.clear();
   for (std::uint64_t modulus : record->moduli) {
     if (modulus < 2) {
       return Status::Corruption("SC modulus " + std::to_string(modulus));
     }
-    record->orders.push_back(ModU64Span(sc, modulus));
+    record->orders.push_back(recip::Mod2by1Spans(sc, modulus));
   }
   return Status::Ok();
 }
@@ -319,6 +311,18 @@ Status CheckRowStructure(std::size_t count,
     path.emplace_back(static_cast<std::int64_t>(i), row.label);
   }
   return Status::Ok();
+}
+
+Status CheckRowStructure(const std::vector<CatalogRow>& rows,
+                         const std::string& origin) {
+  return CheckRowStructure(
+      rows.size(),
+      [&rows](std::size_t i) {
+        const CatalogRow& row = rows[i];
+        return RowLink{row.is_element, row.parent, row.label.Magnitude(),
+                       row.self};
+      },
+      origin);
 }
 
 Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
@@ -488,7 +492,8 @@ Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
                                 " repeats an earlier row's");
     }
     taken = 1;
-    out->orders_[i] = ModU64Span(out->sc_values_[holder->second], self);
+    out->orders_[i] =
+        recip::Mod2by1Spans(out->sc_values_[holder->second], self);
   }
   return CheckRowStructure(
       out->meta_.size(),
@@ -757,6 +762,10 @@ Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path) {
   if (!reader.ok() || group_size < 1) {
     return Status::ParseError("truncated or corrupt catalog '" + path + "'");
   }
+  // The image branch above checks its rows in ParseImage; recovery
+  // indexes these by parent too, so they take the same check.
+  Status structure = CheckRowStructure(state.rows, "catalog '" + path + "'");
+  if (!structure.ok()) return structure;
   Result<ScTable> sc_table =
       ScTable::FromRecords(group_size, std::move(records));
   if (!sc_table.ok()) {

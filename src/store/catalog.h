@@ -107,11 +107,14 @@ struct RowLink {
 /// times its self-label. Queries walk those parents and decide ancestry
 /// by divisibility, so a row that breaks them could loop a query, index
 /// past the rows, or answer against another tree than the one the rows
-/// describe. Both row decoders run it (the image open and
-/// LabeledDocument::FromCatalogRows); kCorruption names the first row
-/// that fails, after `origin`.
+/// describe. Every row decoder runs it (the image open, the v2/v3 branch
+/// of LoadCatalog and LabeledDocument::FromCatalogRows); kCorruption
+/// names the first row that fails, after `origin`.
 Status CheckRowStructure(std::size_t count,
                          const std::function<RowLink(std::size_t)>& link,
+                         const std::string& origin);
+/// CheckRowStructure over decoded rows.
+Status CheckRowStructure(const std::vector<CatalogRow>& rows,
                          const std::string& origin);
 
 /// A catalog served for reading: a v5 image, able to answer structure and

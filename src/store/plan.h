@@ -47,7 +47,7 @@ struct QueryContext {
 /// Structural join: candidates that are descendants of at least one context
 /// node, as the SQL translation's nested loop would compute it. Preserves
 /// candidate order, no duplicates. Runs anchor-major over the oracle's
-/// batch entry points (one scratch buffer per batch); test counts and
+/// batch entry points (one cached divisor per anchor run); test counts and
 /// output are identical to the candidate-major early-break nested loop.
 std::vector<NodeId> JoinDescendants(const QueryContext& ctx,
                                     const std::vector<NodeId>& context,

@@ -8,21 +8,15 @@
 // through the limb-width-independent minimal little-endian byte encoding
 // (ToMagnitudeBytes/FromMagnitudeBytes), the same contract that keeps the
 // on-disk formats stable across the migration.
-//
-// The last test pins the multi-dividend REDC batch kernel: 1/2/3/4-lane
-// batches (full vector groups and every partial tail) must agree with the
-// portable sweep, the dispatched sweep, and BigInt::IsDivisibleBy.
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bigint/bigint.h"
-#include "bigint/simd.h"
 #include "util/rng.h"
 
 namespace primelabel {
@@ -365,55 +359,6 @@ TEST(BigIntV2, KnuthD3D6CornerCases) {
     ASSERT_EQ(FromBig(br), rr) << "case " << i;
     // Round-trip invariant, independently of the reference: a = q*b + r.
     ASSERT_EQ(FromBig(bq * ToBig(b) + br), a) << "case " << i;
-  }
-}
-
-// --- REDC batch kernel: lane-count equivalence -----------------------------
-
-std::uint64_t NegInv64(std::uint64_t d) {
-  std::uint64_t inv = d;
-  for (int i = 0; i < 5; ++i) inv *= 2 - d * inv;
-  return std::uint64_t{0} - inv;
-}
-
-TEST(BigIntV2, RedcBatchLaneTailEquivalence) {
-  // Every lane count 1..4 (the full group and the 1-3 tails), mixed
-  // dividend widths per batch, odd divisors of 2..6 limbs: the batch
-  // verdicts must equal BigInt::IsDivisibleBy exactly.
-  Rng rng(20260805);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<BigInt> divisors, dividends;
-    for (int lane = 0; lane < 4; ++lane) {
-      const std::size_t dl = 2 + rng.Below(5);
-      std::vector<std::uint8_t> dbytes(dl * 8);
-      for (auto& byte : dbytes) byte = static_cast<std::uint8_t>(rng.Next());
-      dbytes[0] |= 1;         // odd
-      dbytes.back() |= 0x80;  // full top limb
-      BigInt d = BigInt::FromMagnitudeBytes(dbytes);
-      const std::size_t kl = 1 + rng.Below(6);
-      std::vector<std::uint8_t> kbytes(kl * 8);
-      for (auto& byte : kbytes) byte = static_cast<std::uint8_t>(rng.Next());
-      BigInt y = d * BigInt::FromMagnitudeBytes(kbytes);
-      if (lane % 2 == 1) {
-        y += BigInt::FromUint64(1 + rng.Below(1000));  // usually indivisible
-      }
-      if (y.IsZero()) y = d;
-      divisors.push_back(std::move(d));
-      dividends.push_back(std::move(y));
-    }
-    for (std::size_t count = 1; count <= 4; ++count) {
-      std::vector<simd::RedcLane> lanes;
-      for (std::size_t k = 0; k < count; ++k) {
-        lanes.push_back({dividends[k].Magnitude(), divisors[k].Magnitude(),
-                         NegInv64(divisors[k].Magnitude()[0])});
-      }
-      const unsigned verdict = simd::RedcDividesBatch(lanes);
-      for (std::size_t k = 0; k < count; ++k) {
-        const bool truth = dividends[k].IsDivisibleBy(divisors[k]);
-        ASSERT_EQ(((verdict >> k) & 1u) != 0, truth)
-            << "round " << round << " lane " << k << "/" << count;
-      }
-    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include "durability/recovery.h"
 #include "durability/vfs.h"
 #include "durability/wal.h"
+#include "util/binio.h"
 #include "xml/serializer.h"
 #include "xml/shakespeare.h"
 
@@ -1096,6 +1097,74 @@ TEST(DurabilityRecoveryEdges, CraftedRowStructureFailsOpenCleanly) {
     Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
     ASSERT_FALSE(store.ok()) << named;
     expect_corruption(store.status(), "Open");
+    RemoveTree(dir);
+  }
+}
+
+TEST(DurabilityRecoveryEdges, CraftedV2SnapshotFailsOpenCleanly) {
+  // A store's epoch-0 snapshot replaced by a hand-written v2 catalog (the
+  // row-interleaved layout LoadCatalog still reads) of the same rows and
+  // SC records, except that the last row's parent lies far past the rows.
+  // v2 files carry no checksum, so nothing but the row-structure check
+  // stands between those rows and recovery, which indexes rows by parent.
+  // Open, LoadCatalog and Load must each fail with a typed error naming
+  // the row, with the snapshot as the current epoch and as the base of a
+  // delta epoch.
+  for (const bool delta_base : {false, true}) {
+    const std::string dir = TempDirPath("crafted-v2");
+    RemoveTree(dir);
+    {
+      Result<DurableDocumentStore> created =
+          DurableDocumentStore::Create(dir, SmallPlayXml());
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      if (delta_base) {
+        std::vector<NodeId> scenes = created->Query("//scene").value();
+        ASSERT_TRUE(created->AppendChild(scenes[0], "extra").ok());
+        ASSERT_TRUE(created->Checkpoint().ok());
+        ASSERT_EQ(created->delta_chain_length(), 1);
+      }
+    }
+    const std::string snapshot = DurableDocumentStore::SnapshotPath(dir, 0);
+    Result<CatalogState> state = LoadCatalog(DefaultVfs(), snapshot);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    const std::size_t last = state->rows.size() - 1;
+    state->rows[last].parent = 100000000;
+
+    ByteWriter v2;
+    v2.Bytes("PLCATLG2", 8);
+    v2.U64(state->rows.size());
+    for (const CatalogRow& row : state->rows) {
+      EncodeCatalogRow(row, /*with_fingerprint=*/false, &v2);
+    }
+    v2.U32(static_cast<std::uint32_t>(state->sc_table.group_size()));
+    v2.U64(state->sc_table.records().size());
+    for (const ScRecord& record : state->sc_table.records()) {
+      v2.U32(static_cast<std::uint32_t>(record.moduli.size()));
+      for (std::size_t i = 0; i < record.moduli.size(); ++i) {
+        v2.U64(record.moduli[i]);
+        v2.U64(record.orders[i]);
+      }
+      v2.Big(record.sc);
+    }
+    WriteFileBytes(snapshot, v2.Take());
+
+    const std::string named = "row " + std::to_string(last) + " is not";
+    auto expect_corruption = [&](const Status& status, const char* path) {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << path << ", delta base " << delta_base << ": "
+          << status.ToString();
+      EXPECT_NE(status.message().find(named), std::string::npos)
+          << path << ": " << status.ToString();
+    };
+    Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
+    ASSERT_FALSE(store.ok());
+    expect_corruption(store.status(), "Open");
+    Result<CatalogState> reloaded = LoadCatalog(DefaultVfs(), snapshot);
+    ASSERT_FALSE(reloaded.ok());
+    expect_corruption(reloaded.status(), "LoadCatalog");
+    Result<LabeledDocument> loaded = LabeledDocument::Load(snapshot);
+    ASSERT_FALSE(loaded.ok());
+    expect_corruption(loaded.status(), "Load");
     RemoveTree(dir);
   }
 }

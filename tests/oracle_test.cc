@@ -1,8 +1,9 @@
 // Shared StructureOracle contract suite: every test body runs unchanged
 // against both implementations — the live OrderedPrimeScheme and a
-// LoadedCatalog restored from disk. This is the point of the oracle
-// interface: the query pipeline cannot tell a running labeler from a
-// reloaded catalog, so neither may the contract.
+// LoadedCatalog restored from disk — on a small play and on a deep tree.
+// This is the point of the oracle interface: the query pipeline cannot
+// tell a running labeler from a reloaded catalog, so neither may the
+// contract.
 
 #include "core/structure_oracle.h"
 
@@ -20,28 +21,43 @@
 #include "corpus/labeled_document.h"
 #include "store/catalog.h"
 #include "util/rng.h"
+#include "xml/datasets.h"
 #include "xml/shakespeare.h"
 
 namespace primelabel {
 namespace {
 
-/// Builds one labeled play and exposes it through the oracle named by the
-/// test parameter. `handle(i)` is the oracle's NodeId for the i-th node in
-/// document order: the tree's node id for the live scheme, the row index
+/// Builds one labeled document and exposes it through the oracle named by
+/// the test parameter. `handle(i)` is the oracle's NodeId for the i-th node
+/// in document order: the tree's node id for the live scheme, the row index
 /// for the catalog (rows are written in preorder).
+///
+/// The play's labels stay at one or two limbs, so almost every exact test
+/// behind its fingerprint screen runs the word reciprocal. The `_deep`
+/// parameters label a random binary tree up to 96 levels deep instead,
+/// whose labels reach five limbs: there the batch kernels' survivors take
+/// the Montgomery sweep, in both divisibility directions.
 class OracleTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
-    PlayOptions options;
-    options.acts = 3;
-    options.scenes_per_act = 2;
-    options.min_speeches_per_scene = 2;
-    options.max_speeches_per_scene = 5;
-    options.seed = 42;
-    doc_.emplace(LabeledDocument::FromTree(GeneratePlay("t", options)));
+    if (GetParam().ends_with("_deep")) {
+      RandomTreeOptions options;
+      options.node_count = 3000;
+      options.max_depth = 96;
+      options.max_fanout = 2;
+      doc_.emplace(LabeledDocument::FromTree(GenerateRandomTree(options)));
+    } else {
+      PlayOptions options;
+      options.acts = 3;
+      options.scenes_per_act = 2;
+      options.min_speeches_per_scene = 2;
+      options.max_speeches_per_scene = 5;
+      options.seed = 42;
+      doc_.emplace(LabeledDocument::FromTree(GeneratePlay("t", options)));
+    }
     preorder_ = doc_->tree().PreorderNodes();
 
-    if (GetParam() == "catalog") {
+    if (is_catalog()) {
       // Unique per process: ctest runs each case in its own process, and
       // concurrent Save/Load/remove on one shared path race under -j.
       std::string path = std::string(::testing::TempDir()) +
@@ -58,8 +74,9 @@ class OracleTest : public ::testing::TestWithParam<std::string> {
     }
   }
 
+  bool is_catalog() const { return GetParam().starts_with("catalog"); }
   NodeId handle(std::size_t rank) const {
-    if (GetParam() == "catalog") return static_cast<NodeId>(rank);
+    if (is_catalog()) return static_cast<NodeId>(rank);
     return preorder_[rank];
   }
   std::size_t node_count() const { return preorder_.size(); }
@@ -228,7 +245,8 @@ TEST_P(OracleTest, DefaultPrecedesFollowsAgreeWithOverrides) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Oracles, OracleTest,
-                         ::testing::Values("scheme", "catalog"),
+                         ::testing::Values("scheme", "catalog",
+                                           "scheme_deep", "catalog_deep"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

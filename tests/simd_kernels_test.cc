@@ -6,9 +6,9 @@
 //     here and against BigInt arithmetic (mixed sizes, all-ones carry
 //     stress, unaligned subspans, empty spans);
 //   * residues — ChunkResidues against BigInt::ModU64;
-//   * the engine — ReciprocalDivisor, DividesBatch and DividesIntoBatch
-//     against BigInt::IsDivisibleBy, including the even-divisor /
-//     power-of-two / short-dividend edge cases Montgomery splits on.
+//   * the engine — ReciprocalDivisor against BigInt::IsDivisibleBy,
+//     including the even-divisor / power-of-two / short-dividend edge
+//     cases Montgomery splits on.
 
 #include "bigint/simd.h"
 
@@ -179,62 +179,6 @@ TEST(SimdKernels, ReciprocalDivisorMatchesIsDivisibleBy) {
     rd.Assign(divisor);
     ASSERT_EQ(rd.Divides(dividend), dividend.IsDivisibleBy(divisor))
         << divisor << " | " << dividend;
-  }
-}
-
-TEST(SimdKernels, DividesBatchMatchesScalarDivides) {
-  // Batches of 1..4 dividends against one cached divisor vs per-dividend
-  // Divides vs BigInt ground truth. EnginePairs supplies mixed widths, so
-  // batches mix REDC-lane survivors with screen outs (shorter dividends,
-  // trailing-zero mismatches, zero).
-  const auto pairs = EnginePairs();
-  ReciprocalDivisor rd;
-  for (std::size_t start = 0; start + simd::kRedcLanes <= pairs.size();
-       start += simd::kRedcLanes) {
-    const BigInt& divisor = pairs[start].first;
-    rd.Assign(divisor);
-    for (std::size_t count = 1; count <= simd::kRedcLanes; ++count) {
-      LimbSpan batch[simd::kRedcLanes];
-      bool expected[simd::kRedcLanes];
-      for (std::size_t k = 0; k < count; ++k) {
-        batch[k] = pairs[start + k].second.Magnitude();
-        expected[k] = rd.Divides(batch[k]);
-      }
-      bool out[simd::kRedcLanes];
-      rd.DividesBatch(std::span<const LimbSpan>(batch, count), out);
-      for (std::size_t k = 0; k < count; ++k) {
-        ASSERT_EQ(out[k], expected[k])
-            << "lane " << k << "/" << count << " divisor " << divisor;
-        ASSERT_EQ(expected[k],
-                  pairs[start + k].second.IsDivisibleBy(divisor));
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, DividesIntoBatchMatchesIsDivisibleBy) {
-  // The SelectAncestors shape: one dividend, batches of 1..4 candidate
-  // divisors, against BigInt ground truth.
-  const auto pairs = EnginePairs();
-  for (std::size_t start = 0; start + simd::kRedcLanes <= pairs.size();
-       start += 7) {
-    // A dividend wide enough to make several candidates plausible: the
-    // product of two pool divisors.
-    const BigInt dividend = pairs[start].first * pairs[start + 1].first;
-    for (std::size_t count = 1; count <= simd::kRedcLanes; ++count) {
-      LimbSpan divisors[simd::kRedcLanes];
-      for (std::size_t k = 0; k < count; ++k) {
-        divisors[k] = pairs[start + k].first.Magnitude();
-      }
-      bool out[simd::kRedcLanes];
-      DividesIntoBatch(dividend.Magnitude(),
-                       std::span<const LimbSpan>(divisors, count), out);
-      for (std::size_t k = 0; k < count; ++k) {
-        const BigInt& divisor = pairs[start + k].first;
-        ASSERT_EQ(out[k], dividend.IsDivisibleBy(divisor))
-            << divisor << " into " << dividend;
-      }
-    }
   }
 }
 
