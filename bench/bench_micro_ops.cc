@@ -149,20 +149,38 @@ void BM_ScInsertFront(benchmark::State& state) {
 }
 BENCHMARK(BM_ScInsertFront)->Arg(1)->Arg(5)->Arg(20);
 
-void BM_CrtSolve(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
+/// k congruences over the primes from the 100th on, remainders 0..k-1.
+std::vector<Congruence> CrtBenchSystem(int k) {
   PrimeSource primes;
   std::vector<Congruence> system;
   for (int i = 0; i < k; ++i) {
     std::uint64_t m = primes.PrimeAt(static_cast<std::size_t>(i) + 100);
     system.push_back({m, static_cast<std::uint64_t>(i)});
   }
+  return system;
+}
+
+void BM_CrtSolve(benchmark::State& state) {
+  const std::vector<Congruence> system =
+      CrtBenchSystem(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     Result<BigInt> solution = SolveCrt(system);
     benchmark::DoNotOptimize(solution.ok());
   }
 }
 BENCHMARK(BM_CrtSolve)->Arg(2)->Arg(5)->Arg(10)->Arg(50);
+
+// The production solver behind every SC value (ScTable::Recompute), on
+// BM_CrtSolve's systems. Ungated: BENCH_micro_ops.json has no row for it.
+void BM_CrtSolveFast(benchmark::State& state) {
+  const std::vector<Congruence> system =
+      CrtBenchSystem(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    Result<BigInt> solution = SolveCrtFast(system);
+    benchmark::DoNotOptimize(solution.ok());
+  }
+}
+BENCHMARK(BM_CrtSolveFast)->Arg(2)->Arg(5)->Arg(10)->Arg(50);
 
 void BM_BigIntMul(benchmark::State& state) {
   const int limbs = static_cast<int>(state.range(0));

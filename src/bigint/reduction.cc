@@ -5,7 +5,6 @@
 #include <bit>
 #include <cassert>
 #include <cstddef>
-#include <utility>
 
 #include "bigint/recip.h"
 #include "bigint/simd.h"
@@ -283,82 +282,6 @@ bool ReciprocalDivisor::Divides(LimbSpan mag) {
   }
   if (mag.size() < limbs_) return false;  // 0 < |dividend| < divisor
   return MontgomeryDivides(mag);
-}
-
-// --- Layer 3 ---------------------------------------------------------------
-
-SubproductTree::SubproductTree(std::span<const std::uint64_t> moduli) {
-  std::vector<BigInt> leaves;
-  leaves.reserve(moduli.size());
-  for (std::uint64_t m : moduli) leaves.push_back(BigInt::FromUint64(m));
-  Build(std::move(leaves));
-}
-
-SubproductTree::SubproductTree(std::vector<BigInt> leaves) {
-  Build(std::move(leaves));
-}
-
-void SubproductTree::Build(std::vector<BigInt> leaves) {
-  leaf_count_ = leaves.size();
-  capacity_ = 1;
-  while (capacity_ < std::max<std::size_t>(leaf_count_, 1)) capacity_ <<= 1;
-  nodes_.assign(2 * capacity_, BigInt(1));  // padding leaves are 1
-  for (std::size_t i = 0; i < leaf_count_; ++i) {
-    assert(!leaves[i].IsZero() && "SubproductTree moduli must be nonzero");
-    nodes_[capacity_ + i] = std::move(leaves[i]);
-  }
-  for (std::size_t k = capacity_; k-- > 1;) {
-    nodes_[k] = nodes_[2 * k] * nodes_[2 * k + 1];
-  }
-}
-
-void SubproductTree::RemaindersOf(const BigInt& y,
-                                  std::vector<BigInt>* out) const {
-  out->assign(leaf_count_, BigInt());
-  if (leaf_count_ == 0) return;
-  Descend(1, 0, capacity_, y % nodes_[1], out);
-}
-
-void SubproductTree::RemaindersOf(const BigInt& y,
-                                  std::vector<std::uint64_t>* out) const {
-  std::vector<BigInt> rems;
-  RemaindersOf(y, &rems);
-  out->resize(leaf_count_);
-  for (std::size_t i = 0; i < leaf_count_; ++i) {
-    (*out)[i] = rems[i].ToUint64();
-  }
-}
-
-void SubproductTree::Descend(std::size_t node, std::size_t first,
-                             std::size_t width, const BigInt& rem,
-                             std::vector<BigInt>* out) const {
-  if (first >= leaf_count_) return;  // all-padding subtree
-  if (width == 1) {
-    (*out)[first] = rem;
-    return;
-  }
-  const std::size_t half = width / 2;
-  Descend(2 * node, first, half, rem % nodes_[2 * node], out);
-  Descend(2 * node + 1, first + half, half, rem % nodes_[2 * node + 1], out);
-}
-
-BigInt SubproductTree::CombineResidues(
-    std::span<const std::uint64_t> alpha) const {
-  assert(alpha.size() == leaf_count_);
-  if (leaf_count_ == 0) return BigInt();
-  return Combine(1, 0, capacity_, alpha);
-}
-
-BigInt SubproductTree::Combine(std::size_t node, std::size_t first,
-                               std::size_t width,
-                               std::span<const std::uint64_t> alpha) const {
-  if (first >= leaf_count_) return BigInt();  // padding contributes 0
-  if (width == 1) return BigInt::FromUint64(alpha[first]);
-  const std::size_t half = width / 2;
-  BigInt left = Combine(2 * node, first, half, alpha);
-  BigInt right = Combine(2 * node + 1, first + half, half, alpha);
-  // S = S_L * P_R + S_R * P_L lifts each alpha_i to alpha_i * (P / m_i).
-  return left * nodes_[2 * node + 1] + right * nodes_[2 * node];
 }
 
 }  // namespace primelabel

@@ -13,8 +13,8 @@ namespace primelabel {
 // Divisibility fast-path engine. Every structural query of the prime
 // scheme reduces to `label(y) mod label(x) == 0` (Properties 2 and 3 of
 // the paper), so BigInt reduction is the hot path of the whole system.
-// This header provides three layers that the batch query kernels and the
-// CRT solver share, each bit-identical in outcome to naive DivMod:
+// This header provides the two layers the batch query kernels share, each
+// bit-identical in outcome to naive DivMod:
 //
 //   Layer 1 — label fingerprints (LabelFingerprint, 16 bytes): which of
 //   the first 64 primes divide the label, plus its bit length and
@@ -27,10 +27,8 @@ namespace primelabel {
 //   remainder for word-sized divisors or one Montgomery (REDC) sweep for
 //   multi-limb ones, instead of a full Knuth division.
 //
-//   Layer 3 — subproduct/remainder trees (SubproductTree): `y mod m_i`
-//   for all moduli of a group in near-linear time, and the matching
-//   linear-combination walk that the fast CRT solver (core/crt.h,
-//   SolveCrtFast) uses to avoid O(group^2) limb work.
+// The CRT solver (core/crt.h, SolveCrtFast) needs neither: Garner's
+// recurrence runs on BigInt::ModU64 and word arithmetic.
 
 // --- Layer 1: residue fingerprints -----------------------------------------
 
@@ -256,51 +254,6 @@ class ReciprocalDivisor {
   std::vector<std::uint64_t> mont_acc_;
   int divisor_trailing_zeros_ = 0;
   std::uint64_t mont_inv_ = 0;
-};
-
-// --- Layer 3: subproduct / remainder trees ---------------------------------
-
-/// Balanced product tree over a group of moduli. Supports the two
-/// near-linear walks the SC table and the CRT solver need:
-/// RemaindersOf (a remainder tree: y mod every leaf at once) and
-/// CombineResidues (the Borodin–Moenck linear combination
-/// sum_i alpha_i * product/leaf_i, built bottom-up without ever
-/// materializing the per-leaf cofactors).
-class SubproductTree {
- public:
-  /// Word-sized leaves (node self-labels). Moduli must be nonzero.
-  explicit SubproductTree(std::span<const std::uint64_t> moduli);
-  /// General BigInt leaves (the fast CRT's squared-moduli tree).
-  explicit SubproductTree(std::vector<BigInt> leaves);
-
-  std::size_t size() const { return leaf_count_; }
-  /// Product of all leaves.
-  const BigInt& product() const { return nodes_[1]; }
-
-  /// out[i] = y mod leaf_i for every leaf, via one descent: each node
-  /// reduces the parent's remainder by its own subproduct. y must be
-  /// nonnegative. Near-linear in the bit size of y + the tree.
-  void RemaindersOf(const BigInt& y, std::vector<BigInt>* out) const;
-  /// Word-sized convenience: every leaf must fit std::uint64_t.
-  void RemaindersOf(const BigInt& y, std::vector<std::uint64_t>* out) const;
-
-  /// sum_i alpha[i] * (product() / leaf_i), computed bottom-up as
-  /// S_parent = S_left * P_right + S_right * P_left. alpha.size() must
-  /// equal size().
-  BigInt CombineResidues(std::span<const std::uint64_t> alpha) const;
-
- private:
-  void Build(std::vector<BigInt> leaves);
-  /// `first`/`width` track the leaf range a node covers so descents skip
-  /// power-of-two padding subtrees entirely.
-  void Descend(std::size_t node, std::size_t first, std::size_t width,
-               const BigInt& rem, std::vector<BigInt>* out) const;
-  BigInt Combine(std::size_t node, std::size_t first, std::size_t width,
-                 std::span<const std::uint64_t> alpha) const;
-
-  std::size_t leaf_count_ = 0;
-  std::size_t capacity_ = 0;   ///< leaves padded to a power of two
-  std::vector<BigInt> nodes_;  ///< 1-indexed heap; leaves at [capacity_, ...)
 };
 
 }  // namespace primelabel

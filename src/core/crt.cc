@@ -1,16 +1,15 @@
 #include "core/crt.h"
 
 #include <numeric>
-
-#include "bigint/reduction.h"
+#include <optional>
 
 namespace primelabel {
 
 namespace {
 
-using U128 = unsigned __int128;
-
-Status ValidateSystem(const std::vector<Congruence>& congruences) {
+/// The checks every solver makes: a nonempty system, each modulus >= 2
+/// and each remainder below its modulus.
+Status ValidateCongruences(const std::vector<Congruence>& congruences) {
   if (congruences.empty()) {
     return Status::InvalidArgument("empty congruence system");
   }
@@ -22,10 +21,22 @@ Status ValidateSystem(const std::vector<Congruence>& congruences) {
       return Status::InvalidArgument("remainder must be below its modulus");
     }
   }
+  return Status::Ok();
+}
+
+Status NotCoprime() {
+  return Status::InvalidArgument("moduli are not pairwise coprime");
+}
+
+/// ValidateCongruences plus the pairwise gcd pass the reference solvers
+/// need up front; SolveCrtFast finds a shared factor as a missing inverse.
+Status ValidateSystem(const std::vector<Congruence>& congruences) {
+  Status valid = ValidateCongruences(congruences);
+  if (!valid.ok()) return valid;
   for (std::size_t i = 0; i < congruences.size(); ++i) {
     for (std::size_t j = i + 1; j < congruences.size(); ++j) {
       if (std::gcd(congruences[i].modulus, congruences[j].modulus) != 1) {
-        return Status::InvalidArgument("moduli are not pairwise coprime");
+        return NotCoprime();
       }
     }
   }
@@ -40,9 +51,9 @@ BigInt ProductOfModuli(const std::vector<Congruence>& congruences) {
   return product;
 }
 
-/// a^{-1} mod m by the extended Euclid in 128-bit signed arithmetic;
-/// requires gcd(a, m) == 1 and m >= 2.
-std::uint64_t InverseModU64(std::uint64_t a, std::uint64_t m) {
+/// a^{-1} mod m by the extended Euclid in 128-bit signed arithmetic
+/// (m >= 2); nullopt when gcd(a, m) != 1, so no inverse exists.
+std::optional<std::uint64_t> InverseModU64(std::uint64_t a, std::uint64_t m) {
   __int128 t = 0;
   __int128 next_t = 1;
   std::uint64_t r = m;
@@ -56,19 +67,9 @@ std::uint64_t InverseModU64(std::uint64_t a, std::uint64_t m) {
     r = next_r;
     next_r = tmp_r;
   }
-  PL_CHECK(r == 1);  // coprimality was validated
+  if (r != 1) return std::nullopt;
   if (t < 0) t += m;
   return static_cast<std::uint64_t>(t);
-}
-
-/// Low 128 bits of a nonnegative BigInt known to fit them.
-U128 ToUint128(const BigInt& value) {
-  U128 result = 0;
-  auto limbs = value.Magnitude();
-  for (std::size_t i = limbs.size(); i-- > 0;) {
-    result = (result << 64) | limbs[i];
-  }
-  return result;
 }
 
 }  // namespace
@@ -89,42 +90,29 @@ Result<BigInt> SolveCrt(const std::vector<Congruence>& congruences) {
 }
 
 Result<BigInt> SolveCrtFast(const std::vector<Congruence>& congruences) {
-  Status valid = ValidateSystem(congruences);
+  Status valid = ValidateCongruences(congruences);
   if (!valid.ok()) return valid;
 
-  std::vector<std::uint64_t> moduli;
-  moduli.reserve(congruences.size());
-  std::vector<BigInt> squares;
-  squares.reserve(congruences.size());
-  for (const Congruence& c : congruences) {
-    moduli.push_back(c.modulus);
-    BigInt m = BigInt::FromUint64(c.modulus);
-    squares.push_back(m * m);
+  // Garner's recurrence: x solves the congruences seen so far and lies in
+  // [0, P), P their moduli's product. The next one, x' = r (mod m), is
+  // met by x' = x + P * t with t = (r - x) * P^-1 mod m, and x' < P * m.
+  BigInt x = BigInt::FromUint64(congruences[0].remainder);
+  BigInt product = BigInt::FromUint64(congruences[0].modulus);
+  for (std::size_t i = 1; i < congruences.size(); ++i) {
+    const std::uint64_t m = congruences[i].modulus;
+    const std::uint64_t r = congruences[i].remainder;
+    // P mod m is a unit exactly when m is coprime to every earlier modulus.
+    const std::optional<std::uint64_t> inverse =
+        InverseModU64(product.ModU64(m), m);
+    if (!inverse) return NotCoprime();
+    const std::uint64_t x_mod = x.ModU64(m);
+    const std::uint64_t diff = r >= x_mod ? r - x_mod : m - (x_mod - r);
+    const std::uint64_t t = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(diff) * *inverse % m);
+    x += product * BigInt::FromUint64(t);
+    product *= BigInt::FromUint64(m);
   }
-
-  // One tree over the moduli gives C and the final combination; one over
-  // their squares turns all g cofactor residues into a single descent:
-  // C = (C/m_i) * m_i, so C mod m_i^2 = ((C/m_i) mod m_i) * m_i, and the
-  // division by m_i below is exact.
-  SubproductTree tree(moduli);
-  SubproductTree squares_tree(std::move(squares));
-  const BigInt& product = tree.product();
-
-  std::vector<BigInt> square_rems;
-  squares_tree.RemaindersOf(product, &square_rems);
-
-  std::vector<std::uint64_t> alpha(congruences.size());
-  for (std::size_t i = 0; i < congruences.size(); ++i) {
-    std::uint64_t m = moduli[i];
-    std::uint64_t cofactor_rem =
-        static_cast<std::uint64_t>(ToUint128(square_rems[i]) / m);
-    std::uint64_t inverse = InverseModU64(cofactor_rem % m, m);
-    alpha[i] = static_cast<std::uint64_t>(
-        static_cast<U128>(inverse) * (congruences[i].remainder % m) % m);
-  }
-  // sum_i alpha_i * (C/m_i) is congruent to n_i mod m_i for every i; its
-  // Euclidean residue mod C is the unique solution SolveCrt returns.
-  return tree.CombineResidues(alpha).EuclideanMod(product);
+  return x;
 }
 
 Result<BigInt> SolveCrtEuler(const std::vector<Congruence>& congruences) {

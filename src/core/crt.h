@@ -25,15 +25,15 @@ struct Congruence {
 /// a^(phi(m)-1) = a^{-1} (mod m) for gcd(a, m) = 1.
 Result<BigInt> SolveCrt(const std::vector<Congruence>& congruences);
 
-/// Near-linear CRT solver on the subproduct-tree machinery
-/// (bigint/reduction.h). SolveCrt spends O(g^2) limb work on a g-group —
-/// one full product division and one BigInt egcd per congruence; this
-/// variant gets every cofactor residue (C/m_i) mod m_i from a single
-/// remainder-tree descent over the squared moduli (C mod m_i^2 equals
-/// ((C/m_i) mod m_i) * m_i exactly), inverts in plain u64 arithmetic, and
-/// assembles sum_i alpha_i * (C/m_i) bottom-up without materializing any
-/// cofactor. Bit-identical to SolveCrt — both return the unique solution
-/// in [0, C) — with the same preconditions and error behavior.
+/// The production solver (every SC value goes through it): Garner's
+/// mixed-radix recurrence. With x solving the first i congruences and P
+/// their moduli's product, the next one adds P * t, where
+/// t = (r_i - x mod m_i) * (P mod m_i)^-1 mod m_i is word arithmetic: two
+/// BigInt::ModU64 reductions, a u64 extended Euclid and one 128-bit
+/// product. It needs no up-front gcd pass: P mod m_i has no inverse
+/// exactly when m_i shares a factor with an earlier modulus. Bit-identical
+/// to SolveCrt (both return the unique solution in [0, C)), with the same
+/// preconditions and the same kInvalidArgument errors.
 Result<BigInt> SolveCrtFast(const std::vector<Congruence>& congruences);
 
 /// The paper's own construction via Euler's totient:

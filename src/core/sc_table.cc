@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bigint/reduction.h"
 #include "util/status.h"
 
 namespace primelabel {
@@ -52,8 +51,8 @@ Status ScTable::Recompute(std::size_t record_index) {
   for (std::size_t i = 0; i < record.moduli.size(); ++i) {
     system.push_back({record.moduli[i], record.orders[i]});
   }
-  // The near-linear solver; bit-identical to SolveCrt (crt_test asserts
-  // the equivalence), so persisted SC values are unaffected.
+  // Garner's recurrence; bit-identical to SolveCrt (crt_test asserts the
+  // equivalence), so persisted SC values are unaffected.
   Result<BigInt> solution = SolveCrtFast(system);
   if (!solution.ok()) return solution.status();
   record.sc = std::move(solution.value());
@@ -160,20 +159,13 @@ ScUpdateStats ScTable::Append(std::uint64_t self) {
 
 bool ScTable::VerifyIntegrity() const {
   std::size_t indexed = 0;
-  std::vector<std::uint64_t> recovered;
   for (std::size_t r = 0; r < records_.size(); ++r) {
     const ScRecord& record = records_[r];
     if (record.moduli.size() != record.orders.size()) return false;
-    // One remainder-tree descent recovers every order of the record (the
-    // group-wide form of `order = sc mod self`), instead of one full-width
-    // reduction per modulus.
-    if (!record.moduli.empty()) {
-      SubproductTree tree(record.moduli);
-      tree.RemaindersOf(record.sc, &recovered);
-    }
     for (std::size_t i = 0; i < record.moduli.size(); ++i) {
       if (record.orders[i] >= record.moduli[i]) return false;
-      if (recovered[i] != record.orders[i]) return false;
+      // The paper's recovery, as OrderOf runs it: order = sc mod self.
+      if (record.sc.ModU64(record.moduli[i]) != record.orders[i]) return false;
       auto it = index_.find(record.moduli[i]);
       if (it == index_.end() || it->second != std::make_pair(r, i)) {
         return false;

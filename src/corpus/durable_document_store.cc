@@ -306,67 +306,38 @@ void DurableDocumentStore::EnterQuarantine(const Status& cause) {
   registry_->SetDurableBytes(durable);
 }
 
-Result<NodeId> DurableDocumentStore::InsertBefore(NodeId sibling,
-                                                  std::string_view tag) {
+Result<NodeId> DurableDocumentStore::Insert(WalRecord::Op op, NodeId node,
+                                            std::string_view tag) {
   if (quarantined()) return quarantine_;
-  const std::uint64_t anchor = doc_.scheme().structure().self_label(sibling);
+  const std::uint64_t anchor = doc_.scheme().structure().self_label(node);
   const std::uint64_t cursor = doc_.prime_cursor();
-  NodeId fresh = doc_.InsertBefore(sibling, tag);
-  Status logged =
-      JournalInsert(WalRecord::Op::kInsertBefore, anchor, cursor, fresh, tag);
+  NodeId fresh = ApplyInsert(op, node, tag, &doc_);
+  Status logged = JournalInsert(op, anchor, cursor, fresh, tag);
   if (!logged.ok()) {
     EnterQuarantine(logged);
     return quarantine_;
   }
   registry_->SetDurableBytes(wal_.committed_bytes());
   return fresh;
+}
+
+Result<NodeId> DurableDocumentStore::InsertBefore(NodeId sibling,
+                                                  std::string_view tag) {
+  return Insert(WalRecord::Op::kInsertBefore, sibling, tag);
 }
 
 Result<NodeId> DurableDocumentStore::InsertAfter(NodeId sibling,
                                                  std::string_view tag) {
-  if (quarantined()) return quarantine_;
-  const std::uint64_t anchor = doc_.scheme().structure().self_label(sibling);
-  const std::uint64_t cursor = doc_.prime_cursor();
-  NodeId fresh = doc_.InsertAfter(sibling, tag);
-  Status logged =
-      JournalInsert(WalRecord::Op::kInsertAfter, anchor, cursor, fresh, tag);
-  if (!logged.ok()) {
-    EnterQuarantine(logged);
-    return quarantine_;
-  }
-  registry_->SetDurableBytes(wal_.committed_bytes());
-  return fresh;
+  return Insert(WalRecord::Op::kInsertAfter, sibling, tag);
 }
 
 Result<NodeId> DurableDocumentStore::AppendChild(NodeId parent,
                                                  std::string_view tag) {
-  if (quarantined()) return quarantine_;
-  const std::uint64_t anchor = doc_.scheme().structure().self_label(parent);
-  const std::uint64_t cursor = doc_.prime_cursor();
-  NodeId fresh = doc_.AppendChild(parent, tag);
-  Status logged =
-      JournalInsert(WalRecord::Op::kAppendChild, anchor, cursor, fresh, tag);
-  if (!logged.ok()) {
-    EnterQuarantine(logged);
-    return quarantine_;
-  }
-  registry_->SetDurableBytes(wal_.committed_bytes());
-  return fresh;
+  return Insert(WalRecord::Op::kAppendChild, parent, tag);
 }
 
 Result<NodeId> DurableDocumentStore::Wrap(NodeId node, std::string_view tag) {
-  if (quarantined()) return quarantine_;
-  const std::uint64_t anchor = doc_.scheme().structure().self_label(node);
-  const std::uint64_t cursor = doc_.prime_cursor();
-  NodeId fresh = doc_.Wrap(node, tag);
-  Status logged =
-      JournalInsert(WalRecord::Op::kWrap, anchor, cursor, fresh, tag);
-  if (!logged.ok()) {
-    EnterQuarantine(logged);
-    return quarantine_;
-  }
-  registry_->SetDurableBytes(wal_.committed_bytes());
-  return fresh;
+  return Insert(WalRecord::Op::kWrap, node, tag);
 }
 
 Status DurableDocumentStore::Delete(NodeId node) {

@@ -325,6 +325,10 @@ class DurableDocumentStore {
       RecoveryStats* stats = nullptr,
       const std::function<void(const EpochChain&)>& on_chain = nullptr);
 
+  /// The body of the four public inserts: applies `op` at `node`, then
+  /// journals it, quarantining the store when the journal fails.
+  Result<NodeId> Insert(WalRecord::Op op, NodeId node, std::string_view tag);
+
   /// Journals one insert (kInsert + kScRewrite verification frame).
   Status JournalInsert(WalRecord::Op op, std::uint64_t anchor_self,
                        std::uint64_t cursor_before, NodeId fresh,

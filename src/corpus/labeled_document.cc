@@ -1,6 +1,7 @@
 #include "corpus/labeled_document.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 #include "planner/executor.h"
 #include "store/catalog.h"
@@ -102,6 +103,22 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
                                 std::to_string(rows[i].self) + " of node " +
                                 std::to_string(i) +
                                 " is held by no SC record");
+    }
+  }
+  // And every SC modulus must be some node's self-label. With every row's
+  // held, the counts differ only when some modulus is no row's, or when
+  // two rows share a self-label, which Adopt rejects below.
+  if (sc_table.size() + 1 != rows.size()) {
+    std::unordered_set<std::uint64_t> selves;
+    for (std::size_t i = 1; i < rows.size(); ++i) selves.insert(rows[i].self);
+    for (const ScRecord& record : sc_table.records()) {
+      for (std::uint64_t modulus : record.moduli) {
+        if (!selves.contains(modulus)) {
+          return Status::Corruption(origin + ": SC modulus " +
+                                    std::to_string(modulus) +
+                                    " is held by no row");
+        }
+      }
     }
   }
   // The structure check the image open runs, so a file loads as a

@@ -45,7 +45,8 @@ class LabeledDocument {
   /// adopted verbatim (else they are recomputed); `origin` names the
   /// source in error messages. A non-root self-label that is not a prime,
   /// that two rows share, or that no SC record holds fails with
-  /// kCorruption naming the row.
+  /// kCorruption naming the row, and an SC modulus that no row holds
+  /// fails with kCorruption naming the modulus.
   static Result<LabeledDocument> FromCatalogRows(std::vector<CatalogRow> rows,
                                                  ScTable sc_table,
                                                  bool fingerprints_valid,

@@ -53,6 +53,21 @@ Status Diverged(const std::string& what) {
 
 }  // namespace
 
+NodeId ApplyInsert(WalRecord::Op op, NodeId anchor, std::string_view tag,
+                   LabeledDocument* doc) {
+  switch (op) {
+    case WalRecord::Op::kInsertBefore:
+      return doc->InsertBefore(anchor, tag);
+    case WalRecord::Op::kInsertAfter:
+      return doc->InsertAfter(anchor, tag);
+    case WalRecord::Op::kAppendChild:
+      return doc->AppendChild(anchor, tag);
+    case WalRecord::Op::kWrap:
+      return doc->Wrap(anchor, tag);
+  }
+  return kInvalidNodeId;
+}
+
 Status ReplayRecords(std::span<const WalRecord> records, LabeledDocument* doc,
                      RecoveryStats* stats) {
   SelfIndex index(doc);
@@ -69,21 +84,7 @@ Status ReplayRecords(std::span<const WalRecord> records, LabeledDocument* doc,
         // Pin the prime cursor: from here the engine's determinism takes
         // over and re-derives the live run's labels bit for bit.
         doc->set_prime_cursor(record.prime_cursor);
-        NodeId fresh = kInvalidNodeId;
-        switch (record.op) {
-          case WalRecord::Op::kInsertBefore:
-            fresh = doc->InsertBefore(anchor, record.tag);
-            break;
-          case WalRecord::Op::kInsertAfter:
-            fresh = doc->InsertAfter(anchor, record.tag);
-            break;
-          case WalRecord::Op::kAppendChild:
-            fresh = doc->AppendChild(anchor, record.tag);
-            break;
-          case WalRecord::Op::kWrap:
-            fresh = doc->Wrap(anchor, record.tag);
-            break;
-        }
+        NodeId fresh = ApplyInsert(record.op, anchor, record.tag, doc);
         std::uint64_t got = doc->scheme().structure().self_label(fresh);
         if (got != record.new_self) {
           return Diverged("insert produced self-label " +

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 #include "corpus/labeled_document.h"
 #include "durability/frame.h"
@@ -25,6 +26,12 @@ struct RecoveryStats {
   bool tail_truncated = false;
   std::uint64_t bytes_dropped = 0;
 };
+
+/// Runs the LabeledDocument insert that `op` journals, anchored at
+/// `anchor`, and returns the new node: the one mapping from op to call,
+/// shared by the live store and replay.
+NodeId ApplyInsert(WalRecord::Op op, NodeId anchor, std::string_view tag,
+                   LabeledDocument* doc);
 
 /// Replays decoded journal records on top of `doc` (normally a document
 /// just restored from a snapshot).

@@ -495,6 +495,16 @@ Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
     out->orders_[i] =
         recip::Mod2by1Spans(out->sc_values_[holder->second], self);
   }
+  // And every SC modulus must be some row's self-label: an order no node
+  // has would send the first ordered insert that shifts it looking for a
+  // node to relabel.
+  const auto unclaimed = std::find(claimed.begin(), claimed.end(), 0);
+  if (unclaimed != claimed.end()) {
+    return Status::Corruption(
+        origin + ": SC modulus " +
+        std::to_string(holders[unclaimed - claimed.begin()].first) +
+        " is held by no row");
+  }
   return CheckRowStructure(
       out->meta_.size(),
       [out](std::size_t i) {

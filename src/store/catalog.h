@@ -211,8 +211,9 @@ class LoadedCatalog : public StructureOracle {
   /// header and section digests, opens the column views over `bytes`
   /// (which must outlive `out` — the caller attaches the backing), decodes
   /// the row/SC metadata and derives the order column. kCorruption on any
-  /// digest or shape mismatch, on an SC modulus below 2 or held twice, and
-  /// on a non-root row whose self-label no SC record holds.
+  /// digest or shape mismatch, on an SC modulus below 2, held twice or
+  /// held by no row, and on a non-root row whose self-label no SC record
+  /// holds.
   static Status ParseImage(std::span<const std::uint8_t> bytes,
                            const std::string& origin, LoadedCatalog* out);
 

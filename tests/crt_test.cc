@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "primes/miller_rabin.h"
 #include "primes/prime_source.h"
 #include "util/rng.h"
 
@@ -140,9 +141,40 @@ TEST(Crt, FastSolverHandlesPrimePowersAndRejectsBadInput) {
   ASSERT_TRUE(slow.ok());
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(slow.value(), fast.value());
-  EXPECT_FALSE(SolveCrtFast({}).ok());
-  EXPECT_FALSE(SolveCrtFast({{4, 1}, {6, 5}}).ok());
-  EXPECT_FALSE(SolveCrtFast({{5, 5}}).ok());
+  // 9 shares the factor 3 with 6, two moduli back: the solver must find
+  // it without a pairwise pass, as a missing inverse of 6 * 35 mod 9.
+  const std::vector<std::vector<Congruence>> bad = {
+      {}, {{4, 1}, {6, 5}}, {{5, 5}}, {{6, 1}, {35, 2}, {9, 4}}};
+  for (const std::vector<Congruence>& system : bad) {
+    Result<BigInt> rejected = SolveCrtFast(system);
+    ASSERT_FALSE(rejected.ok()) << system.size() << " congruences";
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+        << rejected.status().ToString();
+  }
+
+  // Primes just below 2^64 drive every word step at full width: the
+  // residues, the inverse and the 128-bit product t = diff * inverse.
+  std::vector<std::uint64_t> top_primes;
+  for (std::uint64_t n = 18446744073709551557ull; top_primes.size() < 8;
+       n -= 2) {
+    if (IsPrimeU64(n)) top_primes.push_back(n);
+  }
+  Rng rng(2);
+  for (std::size_t size = 1; size <= top_primes.size(); ++size) {
+    for (bool extreme : {false, true}) {
+      std::vector<Congruence> system;
+      for (std::size_t i = 0; i < size; ++i) {
+        const std::uint64_t m = top_primes[i];
+        system.push_back({m, extreme ? m - 1 - i % 2 : rng.Below(m)});
+      }
+      Result<BigInt> reference = SolveCrt(system);
+      Result<BigInt> garner = SolveCrtFast(system);
+      ASSERT_TRUE(reference.ok());
+      ASSERT_TRUE(garner.ok());
+      EXPECT_EQ(reference.value(), garner.value())
+          << "size " << size << (extreme ? " extreme" : " random");
+    }
+  }
 }
 
 TEST(Crt, AllCongruencesSatisfiedOnRandomSystems) {

@@ -980,55 +980,91 @@ TEST(DurabilityRecoveryEdges, CraftedSelfLabelsFailLoadAndOpenCleanly) {
 }
 
 TEST(DurabilityRecoveryEdges, SelfLabelHeldByNoScRecordFailsOpenCleanly) {
-  // A v5 snapshot written by WriteCatalog, so every section digest
-  // verifies, whose row 3 carries a prime self-label that no SC record
-  // holds: the row has no order. Every open path must fail with a typed
-  // error naming it, not abort on the first order lookup a query makes.
-  Result<LabeledDocument> doc = LabeledDocument::FromXml(SmallPlayXml());
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  std::vector<CatalogRow> crafted = doc->ToCatalogRows();
-  ASSERT_GE(crafted.size(), 4u);
-  constexpr std::uint64_t kStray = 1000003;  // a prime
-  ASSERT_FALSE(doc->scheme().sc_table().Contains(kStray));
-  crafted[3].self = kStray;
-  const std::string named = "self-label " + std::to_string(kStray);
-  auto expect_corruption = [&](const Status& status, const char* path) {
-    EXPECT_EQ(status.code(), StatusCode::kCorruption)
-        << path << ": " << status.ToString();
-    EXPECT_NE(status.message().find(named), std::string::npos)
-        << path << ": " << status.ToString();
+  // v5 snapshots written by WriteCatalog, so every section digest
+  // verifies, whose rows and SC moduli do not pair up. In the first, row 3
+  // carries a prime self-label that no SC record holds: the row has no
+  // order. In the mirror craft, an extra SC record {modulus 4, order 3}
+  // holds a modulus that no row carries: the first ordered insert that
+  // shifts its order looks for a node to relabel and finds none. Every
+  // open path must fail with a typed error naming the stray value, not
+  // abort on the first order lookup or insert.
+  struct Craft {
+    std::string xml;
+    std::vector<CatalogRow> rows;
+    ScTable sc_table;
+    std::string named;
   };
-
-  // The rows-level check, which delta chains and v2/v3 files reach
-  // without an image.
-  Result<LabeledDocument> rebuilt = LabeledDocument::FromCatalogRows(
-      crafted, doc->scheme().sc_table(), /*fingerprints_valid=*/true,
-      "crafted rows");
-  ASSERT_FALSE(rebuilt.ok());
-  expect_corruption(rebuilt.status(), "FromCatalogRows");
-
-  const std::string dir = TempDirPath("crafted-orderless");
-  RemoveTree(dir);
+  std::vector<Craft> crafts;
   {
-    Result<DurableDocumentStore> created =
-        DurableDocumentStore::Create(dir, SmallPlayXml());
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    Result<LabeledDocument> doc = LabeledDocument::FromXml(SmallPlayXml());
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    std::vector<CatalogRow> rows = doc->ToCatalogRows();
+    ASSERT_GE(rows.size(), 4u);
+    constexpr std::uint64_t kStray = 1000003;  // a prime
+    ASSERT_FALSE(doc->scheme().sc_table().Contains(kStray));
+    rows[3].self = kStray;
+    crafts.push_back({SmallPlayXml(), std::move(rows),
+                      doc->scheme().sc_table(),
+                      "self-label " + std::to_string(kStray)});
   }
-  const std::string snapshot = DurableDocumentStore::SnapshotPath(dir, 0);
-  ASSERT_TRUE(WriteCatalog(DefaultVfs(), snapshot, crafted,
-                           doc->scheme().sc_table())
-                  .ok());
+  {
+    const std::string xml = "<a><b/><c/><d/></a>";
+    Result<LabeledDocument> doc = LabeledDocument::FromXml(xml);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    const ScTable& table = doc->scheme().sc_table();
+    ASSERT_FALSE(table.Contains(4));
+    std::vector<ScRecord> records = table.records();
+    ScRecord phantom;
+    phantom.moduli = {4};
+    phantom.orders = {3};
+    records.push_back(std::move(phantom));
+    Result<ScTable> crafted =
+        ScTable::FromRecords(table.group_size(), std::move(records));
+    ASSERT_TRUE(crafted.ok()) << crafted.status().ToString();
+    crafts.push_back({xml, doc->ToCatalogRows(), std::move(crafted.value()),
+                      "SC modulus 4"});
+  }
 
-  Result<LoadedCatalog> mapped = OpenCatalogMapped(DefaultVfs(), snapshot);
-  ASSERT_FALSE(mapped.ok());
-  expect_corruption(mapped.status(), "OpenCatalogMapped");
-  Result<LabeledDocument> loaded = LabeledDocument::Load(snapshot);
-  ASSERT_FALSE(loaded.ok());
-  expect_corruption(loaded.status(), "Load");
-  Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
-  ASSERT_FALSE(store.ok());
-  expect_corruption(store.status(), "Open");
-  RemoveTree(dir);
+  for (const Craft& craft : crafts) {
+    SCOPED_TRACE(craft.named);
+    auto expect_corruption = [&](const Status& status, const char* path) {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << path << ": " << status.ToString();
+      EXPECT_NE(status.message().find(craft.named), std::string::npos)
+          << path << ": " << status.ToString();
+    };
+
+    // The rows-level check, which delta chains and v2/v3 files reach
+    // without an image.
+    Result<LabeledDocument> rebuilt = LabeledDocument::FromCatalogRows(
+        craft.rows, craft.sc_table, /*fingerprints_valid=*/true,
+        "crafted rows");
+    ASSERT_FALSE(rebuilt.ok());
+    expect_corruption(rebuilt.status(), "FromCatalogRows");
+
+    const std::string dir = TempDirPath("crafted-orderless");
+    RemoveTree(dir);
+    {
+      Result<DurableDocumentStore> created =
+          DurableDocumentStore::Create(dir, craft.xml);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+    }
+    const std::string snapshot = DurableDocumentStore::SnapshotPath(dir, 0);
+    ASSERT_TRUE(
+        WriteCatalog(DefaultVfs(), snapshot, craft.rows, craft.sc_table)
+            .ok());
+
+    Result<LoadedCatalog> mapped = OpenCatalogMapped(DefaultVfs(), snapshot);
+    ASSERT_FALSE(mapped.ok());
+    expect_corruption(mapped.status(), "OpenCatalogMapped");
+    Result<LabeledDocument> loaded = LabeledDocument::Load(snapshot);
+    ASSERT_FALSE(loaded.ok());
+    expect_corruption(loaded.status(), "Load");
+    Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
+    ASSERT_FALSE(store.ok());
+    expect_corruption(store.status(), "Open");
+    RemoveTree(dir);
+  }
 }
 
 TEST(DurabilityRecoveryEdges, CraftedRowStructureFailsOpenCleanly) {

@@ -1,7 +1,7 @@
 // Equivalence properties of the divisibility fast-path engine
-// (bigint/reduction.h): every layer — fingerprints, reciprocal-cached
-// reduction, subproduct/remainder trees — must be bit-identical to the
-// naive BigInt DivMod path, on random values and on real corpus labels.
+// (bigint/reduction.h): both layers — fingerprints and reciprocal-cached
+// reduction — must be bit-identical to the naive BigInt DivMod path, on
+// random values and on real corpus labels.
 //
 // The Parallel* suite drives batched queries from concurrent threads and
 // is part of the TSan target (scripts/check.sh runs `ctest -R Parallel`
@@ -236,61 +236,6 @@ TEST(ReciprocalDivisor, ReassignmentIsClean) {
                                                rng.Below(10)));
       ASSERT_EQ(cached.Divides(dividend), dividend.IsDivisibleBy(divisor));
     }
-  }
-}
-
-TEST(SubproductTree, RemaindersMatchModU64) {
-  Rng rng(888);
-  for (std::size_t count : {1u, 2u, 3u, 5u, 16u, 33u, 64u, 100u}) {
-    std::vector<std::uint64_t> moduli;
-    for (std::size_t i = 0; i < count; ++i) moduli.push_back(rng.Next() | 1);
-    SubproductTree tree(moduli);
-    ASSERT_EQ(tree.size(), count);
-    for (int rep = 0; rep < 10; ++rep) {
-      BigInt y = RandomBigInt(&rng, 1 + static_cast<int>(rng.Below(20)));
-      std::vector<std::uint64_t> rems;
-      tree.RemaindersOf(y, &rems);
-      ASSERT_EQ(rems.size(), count);
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(rems[i], y.ModU64(moduli[i]))
-            << "count=" << count << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SubproductTree, BigIntLeavesMatchOperatorMod) {
-  Rng rng(889);
-  std::vector<BigInt> leaves;
-  for (int i = 0; i < 23; ++i) {
-    leaves.push_back(RandomBigInt(&rng, 1 + static_cast<int>(rng.Below(3))));
-  }
-  SubproductTree tree(leaves);
-  BigInt y = RandomBigInt(&rng, 40);
-  std::vector<BigInt> rems;
-  tree.RemaindersOf(y, &rems);
-  ASSERT_EQ(rems.size(), leaves.size());
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    EXPECT_EQ(rems[i], y % leaves[i]) << "i=" << i;
-  }
-}
-
-TEST(SubproductTree, CombineResiduesMatchesNaiveCofactorSum) {
-  Rng rng(890);
-  for (std::size_t count : {1u, 2u, 3u, 7u, 8u, 20u, 64u}) {
-    std::vector<std::uint64_t> moduli;
-    std::vector<std::uint64_t> alpha;
-    for (std::size_t i = 0; i < count; ++i) {
-      moduli.push_back((rng.Next() | 1) >> 16);
-      alpha.push_back(rng.Next() >> 32);
-    }
-    SubproductTree tree(moduli);
-    BigInt naive;
-    for (std::size_t i = 0; i < count; ++i) {
-      naive += BigInt::FromUint64(alpha[i]) *
-               (tree.product() / BigInt::FromUint64(moduli[i]));
-    }
-    EXPECT_EQ(tree.CombineResidues(alpha), naive) << "count=" << count;
   }
 }
 

@@ -332,7 +332,9 @@ void ExpectRecordsMatchSolveCrt(const ScTable& table) {
 
 TEST(ScTable, DifferentialInsertRemoveAgainstSolveCrt) {
   enum class Where { kFront, kEnd, kTrailingRecord, kRandom };
-  for (int group_size : {1, 2, 5, 20}) {
+  // 100 is the largest group bench_ablation_sc_group runs: records past
+  // the 64 moduli crt_test's sweep reaches.
+  for (int group_size : {1, 2, 5, 20, 100}) {
     SCOPED_TRACE("group_size=" + std::to_string(group_size));
     PrimeSource primes;  // from 2: early nodes outgrow their moduli
     std::map<std::uint64_t, std::uint64_t> model;  // self -> order
