@@ -52,12 +52,16 @@ class ScTable {
   explicit ScTable(int group_size = 5);
 
   /// Reconstructs a table from previously persisted records (the catalog
-  /// and delta load paths). The (modulus, order) pairs are adopted as-is
-  /// and every SC value is re-solved from them. Decoded bytes are not
-  /// trusted: kCorruption when a modulus is below 2, a modulus appears
-  /// twice anywhere in the table, an order is not below its modulus, a
-  /// record's moduli and orders differ in count, or a record's solve
-  /// fails (the solver's message is passed on).
+  /// and delta load paths), adopting each record's stored SC value: no
+  /// record is re-solved. A record stored without orders (v4/v5 images,
+  /// PLDELTA2 deltas) gets them derived as sc mod modulus. Decoded bytes
+  /// are not trusted, so the table passes exactly the records a re-solve
+  /// would have reproduced: kCorruption when a modulus is below 2, a
+  /// modulus appears twice anywhere in the table, two moduli of a record
+  /// share a factor, a record's stored orders differ in count from its
+  /// moduli, a stored order is not below its modulus or is not sc mod
+  /// modulus, or sc is not in [0, product of the moduli), the one range
+  /// Garner's recurrence solves into.
   static Result<ScTable> FromRecords(int group_size,
                                      std::vector<ScRecord> records);
 
@@ -109,10 +113,10 @@ class ScTable {
   bool VerifyIntegrity() const;
 
  private:
-  /// Recomputes a record's SC value and max_modulus from its pairs; the
-  /// solver's error when the pairs admit no solution. The update paths
-  /// keep the pairs solvable, so only FromRecords can see an error.
-  Status Recompute(std::size_t record_index);
+  /// Recomputes a record's SC value and max_modulus from its pairs. The
+  /// update paths keep the pairs solvable, and FromRecords adopts stored
+  /// values without solving, so a failed solve is a bug (PL_CHECK).
+  void Recompute(std::size_t record_index);
   /// Adds (self, order) to the last record, or a new record when full.
   /// Returns the index of the record touched.
   std::size_t Add(std::uint64_t self, std::uint64_t order);

@@ -311,6 +311,10 @@ Result<NodeId> DurableDocumentStore::Insert(WalRecord::Op op, NodeId node,
   if (quarantined()) return quarantine_;
   const std::uint64_t anchor = doc_.scheme().structure().self_label(node);
   const std::uint64_t cursor = doc_.prime_cursor();
+  // Refused before anything changes, so the store stays live and its
+  // journal replays as before.
+  Status room = doc_.CheckInsertRoom(cursor);
+  if (!room.ok()) return room;
   NodeId fresh = ApplyInsert(op, node, tag, &doc_);
   Status logged = JournalInsert(op, anchor, cursor, fresh, tag);
   if (!logged.ok()) {

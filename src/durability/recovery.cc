@@ -81,6 +81,15 @@ Status ReplayRecords(std::span<const WalRecord> records, LabeledDocument* doc,
                           std::to_string(record.anchor_self) +
                           " not found in replayed tree");
         }
+        // The writer checked the same room at the same state before it
+        // journaled the insert, so only a corrupt frame fails here, in
+        // O(1) and before the prime table grows towards its cursor.
+        Status room = doc->CheckInsertRoom(record.prime_cursor);
+        if (!room.ok()) {
+          return Status::Corruption("journal insert's prime cursor " +
+                                    std::to_string(record.prime_cursor) +
+                                    ": " + room.message());
+        }
         // Pin the prime cursor: from here the engine's determinism takes
         // over and re-derives the live run's labels bit for bit.
         doc->set_prime_cursor(record.prime_cursor);

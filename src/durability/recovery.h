@@ -43,7 +43,9 @@ NodeId ApplyInsert(WalRecord::Op op, NodeId anchor, std::string_view tag,
 /// and each kScRewrite record's accounting are checked against what the
 /// replay actually produced; any divergence fails with kInternal (a
 /// checksummed-but-wrong journal, i.e. real corruption or an engine
-/// regression — not something to paper over).
+/// regression — not something to paper over). A recorded cursor with no
+/// room after it in the prime stream fails with kCorruption before the
+/// cursor is pinned (LabeledDocument::CheckInsertRoom).
 Status ReplayRecords(std::span<const WalRecord> records, LabeledDocument* doc,
                      RecoveryStats* stats = nullptr);
 

@@ -1,7 +1,6 @@
 #include "labeling/prime_top_down.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 
 #include "util/status.h"
@@ -73,38 +72,37 @@ Status PrimeTopDownScheme::Adopt(const XmlTree& tree,
     fps_.assign(labels_.size(), LabelFingerprint());
   }
   primes_.Reset();
-  std::size_t used = 0;
   std::vector<std::uint8_t> attached(labels_.size(), 0);
-  // One bit per stream index a node has claimed, to catch repeats.
+  // One bit per odd prime (and 2) a node has claimed, keyed (p - 1) / 2,
+  // to catch repeats; every key is below kBound / 2 once CheckPrime passed.
   std::vector<bool> claimed;
+  std::uint64_t largest = 0;
   Status status;
   tree.Preorder([&](NodeId id, int depth) {
     attached[static_cast<std::size_t>(id)] = 1;
     if (depth == 0 || !status.ok()) return;
     const std::uint64_t self = selves_[static_cast<std::size_t>(id)];
-    const std::optional<std::size_t> index = primes_.IndexOf(self);
-    if (!index.has_value()) {
+    auto corrupt = [&](const std::string& what) {
       status = Status::Corruption("self-label " + std::to_string(self) +
-                                  " of node " + std::to_string(id) +
-                                  " is not a prime");
-      return;
-    }
-    if (*index >= claimed.size()) claimed.resize(*index + 1);
-    if (claimed[*index]) {
-      status = Status::Corruption("self-label " + std::to_string(self) +
-                                  " of node " + std::to_string(id) +
-                                  " repeats an earlier node's");
-      return;
-    }
-    claimed[*index] = true;
-    used = std::max(used, *index + 1);
+                                  " of node " + std::to_string(id) + " " +
+                                  what);
+    };
+    // Bound first, in O(1): the table never grows past kBound to look.
+    const Status prime = PrimeSource::CheckPrime(self);
+    if (!prime.ok()) return corrupt(prime.message());
+    const std::size_t key = static_cast<std::size_t>((self - 1) / 2);
+    if (key >= claimed.size()) claimed.resize(key + 1);
+    if (claimed[key]) return corrupt("repeats an earlier node's");
+    claimed[key] = true;
+    largest = std::max(largest, self);
   });
   if (!status.ok()) return status;
   if (!adopt_fps) FingerprintLabels(labels_, fps_);
   for (std::size_t i = 0; i < fps_.size(); ++i) {
     if (!attached[i]) fps_[i] = LabelFingerprint();
   }
-  primes_.SkipFirst(used);
+  // The next fresh prime follows the largest adopted one.
+  if (largest != 0) primes_.SkipFirst(*PrimeSource::IndexOf(largest) + 1);
   return Status::Ok();
 }
 

@@ -52,8 +52,9 @@ class PrimeTopDownScheme : public LabelingScheme {
   ///
   /// Returns kCorruption, naming the node, when a non-root self-label is
   /// not a prime of the stream or repeats another node's: either would
-  /// break the unique-prime invariant divisibility rests on. The scheme is
-  /// unusable after a failed Adopt.
+  /// break the unique-prime invariant divisibility rests on. A self-label
+  /// at or past the stream's bound is rejected in O(1), before the prime
+  /// table grows. The scheme is unusable after a failed Adopt.
   Status Adopt(const XmlTree& tree, std::vector<BigInt> labels,
                std::vector<std::uint64_t> selves,
                std::vector<LabelFingerprint> fps = {});

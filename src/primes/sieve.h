@@ -8,8 +8,9 @@ namespace primelabel {
 
 /// Classical sieve of Eratosthenes over [0, limit].
 ///
-/// Used to bootstrap the incremental PrimeSource and by the Figure 3 bench,
-/// which needs the first 10,000 primes exactly.
+/// Seeds the prime table behind PrimeSource with the primes below 2^15;
+/// past that the table grows by a segmented sieve that doubles its limit
+/// (prime_source.cc). Tests use it as an independent oracle for pi(n).
 class Sieve {
  public:
   /// Sieves all primes up to and including `limit`.

@@ -8,6 +8,7 @@
 #include "bigint/recip.h"
 #include "core/batch_kernels.h"
 #include "durability/crc32.h"
+#include "primes/prime_source.h"
 
 namespace primelabel {
 
@@ -187,21 +188,6 @@ Status ParseImageHeader(std::span<const std::uint8_t> bytes,
   return Status::Ok();
 }
 
-/// Fills the orders of a record read without them (v4/v5 SCMETA, PLDELTA2)
-/// from its SC value: order = sc mod modulus, the remainder BigInt::ModU64
-/// takes, over the limb view. kCorruption on a modulus below 2, checked
-/// before any division.
-Status DeriveScOrders(LabelView sc, ScRecord* record) {
-  record->orders.clear();
-  for (std::uint64_t modulus : record->moduli) {
-    if (modulus < 2) {
-      return Status::Corruption("SC modulus " + std::to_string(modulus));
-    }
-    record->orders.push_back(recip::Mod2by1Spans(sc, modulus));
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 bool LoadedCatalog::IsAncestor(NodeId x, NodeId y) const {
@@ -259,12 +245,10 @@ std::vector<CatalogRow> LoadedCatalog::MaterializeRows() const {
 }
 
 Result<ScTable> LoadedCatalog::MaterializeScTable() const {
+  // The image stores no orders: FromRecords derives each as sc mod
+  // modulus.
   std::vector<ScRecord> records = sc_meta_;
   for (std::size_t r = 0; r < records.size(); ++r) {
-    // The image stores no orders: each is sc mod modulus, the same span
-    // arithmetic OrderOf runs.
-    Status derived = DeriveScOrders(sc_values_[r], &records[r]);
-    if (!derived.ok()) return derived;
     records[r].sc = BigInt::FromLimbs(sc_values_[r]);
   }
   return ScTable::FromRecords(sc_group_size_, std::move(records));
@@ -469,13 +453,22 @@ Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
 
   // The order column: the paper's recovery, order = sc mod self, run once
   // per row here so OrderOf is an array read. Row 0 is the root (order
-  // 0); any other row must have its self-label held by some record, and
-  // by no other row: a prime shared by two rows would make divisibility
-  // mistake one for the other's ancestor.
+  // 0); any other row's self-label must be a prime of the stream, as
+  // LabeledDocument's Adopt requires (a composite one would divide other
+  // labels and answer ancestry wrongly), held by some record, and by no
+  // other row: a prime shared by two rows would make divisibility mistake
+  // one for the other's ancestor. Every modulus is some row's (checked
+  // below), so the moduli are distinct primes too.
   out->orders_.assign(static_cast<std::size_t>(image.row_count), 0);
   std::vector<std::uint8_t> claimed(holders.size(), 0);
   for (std::size_t i = 1; i < out->orders_.size(); ++i) {
     const std::uint64_t self = out->selfs_[i];
+    const Status prime = PrimeSource::CheckPrime(self);
+    if (!prime.ok()) {
+      return Status::Corruption(origin + ": self-label " +
+                                std::to_string(self) + " of row " +
+                                std::to_string(i) + " " + prime.message());
+    }
     const auto holder = std::lower_bound(
         holders.begin(), holders.end(), std::pair{self, std::uint32_t{0}});
     if (holder == holders.end() || holder->first != self) {
@@ -584,8 +577,7 @@ Status DecodeScRecord(ByteReader* in, bool with_orders, ScRecord* record) {
   }
   record->sc = in->Big();
   if (!in->ok()) return Status::ParseError("truncated SC record");
-  if (with_orders) return Status::Ok();
-  return DeriveScOrders(record->sc.Magnitude(), record);
+  return Status::Ok();
 }
 
 namespace {

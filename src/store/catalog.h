@@ -171,9 +171,9 @@ class LoadedCatalog : public StructureOracle {
 
   /// Non-destructive materialization of full heap rows / SC table — what
   /// a sealed view hands to LabeledDocument when a caller genuinely needs
-  /// a mutable document. The SC table's orders are derived from the
-  /// stored SC values; kCorruption when its records do not solve
-  /// (ScTable::FromRecords).
+  /// a mutable document. The SC table adopts the stored SC values and
+  /// derives its orders from them; kCorruption when a record is not one a
+  /// solve would give (ScTable::FromRecords).
   std::vector<CatalogRow> MaterializeRows() const;
   Result<ScTable> MaterializeScTable() const;
 
@@ -284,9 +284,9 @@ Status DecodeCatalogRow(ByteReader* in, RowFingerprint fingerprint,
 /// before reserving for it.
 std::size_t MinCatalogRowBytes(RowFingerprint fingerprint);
 /// Writes a record's moduli and SC value. The decoder reads that shape,
-/// deriving each order as sc mod modulus (kCorruption on a modulus below
-/// 2, before any division), or, `with_orders`, the v2/v3 and PLDELTA1
-/// shape that stores an order after every modulus.
+/// leaving the orders empty for ScTable::FromRecords to derive as sc mod
+/// modulus, or, `with_orders`, the v2/v3 and PLDELTA1 shape that stores
+/// an order after every modulus.
 void EncodeScRecord(const ScRecord& record, ByteWriter* out);
 Status DecodeScRecord(ByteReader* in, bool with_orders, ScRecord* record);
 

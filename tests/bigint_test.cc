@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <random>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +159,34 @@ TEST(BigIntDivision, DivModIdentity) {
     EXPECT_EQ(q * b + r, a);
     EXPECT_LT(r, b);
     EXPECT_GE(r, BigInt(0));
+  }
+}
+
+TEST(BigIntDivision, ModU64MatchesDivModForEveryDivisorShape) {
+  // ModU64 (and the catalog's order column, which shares its span loop)
+  // divides limb by limb in hardware; DivMod runs Knuth's Algorithm D.
+  // The edge divisors: 1, 2, the top bit alone, and the largest word.
+  Rng rng(2026);
+  std::vector<std::uint64_t> divisors = {1, 2, 3, std::uint64_t{1} << 63,
+                                         ~std::uint64_t{0}};
+  for (int i = 0; i < 8; ++i) {
+    divisors.push_back(rng.Uniform(1u << 19, 1u << 20) | 1);  // self-labels
+    divisors.push_back(rng.Next() | 1);
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    const int limbs = trial % 9;  // 0 (zero) through 8 limbs
+    BigInt value(0);
+    for (int l = 0; l < limbs; ++l) {
+      value = (value << 64) + BigInt::FromUint64(
+                                  trial % 7 == 0 ? ~std::uint64_t{0}
+                                                 : rng.Next());
+    }
+    for (std::uint64_t d : divisors) {
+      const BigInt expected =
+          BigInt::DivMod(value, BigInt::FromUint64(d)).second;
+      ASSERT_EQ(value.ModU64(d), expected.ToUint64())
+          << value.ToHexString() << " mod " << d;
+    }
   }
 }
 

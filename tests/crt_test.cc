@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "primes/miller_rabin.h"
+#include "miller_rabin.h"
 #include "primes/prime_source.h"
 #include "util/rng.h"
 

@@ -254,6 +254,52 @@ TEST(ScTable, FromRecordsRejectsRecordsThatDoNotSolve) {
   ExpectCorruptRecords(records, "moduli 4 and 6");
 }
 
+TEST(ScTable, FromRecordsAdoptsStoredValuesAndDerivesMissingOrders) {
+  // The load paths hand over SC values without orders (v4/v5, PLDELTA2):
+  // the table adopts each value as stored and reads its orders off it.
+  std::vector<ScRecord> records = Figure10Records();
+  for (ScRecord& record : records) record.orders.clear();
+  Result<ScTable> adopted = ScTable::FromRecords(5, records);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  EXPECT_TRUE(adopted->VerifyIntegrity());
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    EXPECT_EQ(adopted->records()[r].sc, records[r].sc);
+    EXPECT_EQ(adopted->records()[r].orders, Figure10Records()[r].orders);
+  }
+  EXPECT_EQ(adopted->max_order(), 6u);
+}
+
+TEST(ScTable, FromRecordsRejectsValuesASolveWouldNotGive) {
+  // A re-solve would have replaced each of these values; adopting them
+  // instead must reject them.
+  {
+    // An order the stored value does not leave.
+    std::vector<ScRecord> records = Figure10Records();
+    records[0].orders[2] = (records[0].orders[2] + 1) % records[0].moduli[2];
+    ExpectCorruptRecords(records, "order that sc mod modulus contradicts");
+  }
+  {
+    // The right residues, but not the least solution: sc + 2*3*5*7*11.
+    std::vector<ScRecord> records = Figure10Records();
+    records[0].sc += BigInt(2310);
+    ExpectCorruptRecords(records, "sc past the product of its moduli");
+  }
+  {
+    std::vector<ScRecord> records = Figure10Records();
+    records[1].sc = BigInt(-1);
+    ExpectCorruptRecords(records, "negative sc");
+  }
+  {
+    // Consistent residues (9 mod 4 = 1, 9 mod 6 = 3) below 4 * 6, but 4
+    // and 6 share a factor, so no solve takes this record.
+    std::vector<ScRecord> records = Figure10Records();
+    records[0].moduli = {4, 6};
+    records[0].orders = {1, 3};
+    records[0].sc = BigInt(9);
+    ExpectCorruptRecords(records, "consistent moduli 4 and 6");
+  }
+}
+
 TEST(ScTable, FromRecordsRejectsUnpairedModuliAndOrders) {
   std::vector<ScRecord> records = Figure10Records();
   records[0].orders.pop_back();
