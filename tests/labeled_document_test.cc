@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "primes/prime_source.h"
 #include "store/catalog.h"
 
 namespace primelabel {
@@ -31,6 +32,31 @@ TEST(LabeledDocument, RejectsBadXmlAndBadQueries) {
   Result<LabeledDocument> doc = LabeledDocument::FromXml(kBib);
   ASSERT_TRUE(doc.ok());
   EXPECT_FALSE(doc->Query("???").ok());
+}
+
+TEST(LabeledDocument, PrimeStreamRoomIsCheckedBeforeLabelingAndInserts) {
+  // Labeling draws one prime per node below the root, so FromXml (and so
+  // DurableDocumentStore::Create) refuses a tree of more than kLength + 1
+  // nodes, typed, before labeling it. Checked on the count: a tree that
+  // size would take hundreds of gigabytes to build.
+  EXPECT_TRUE(LabeledDocument::CheckLabelRoom(0).ok());
+  EXPECT_TRUE(LabeledDocument::CheckLabelRoom(1).ok());
+  EXPECT_TRUE(LabeledDocument::CheckLabelRoom(PrimeSource::kLength + 1).ok());
+  EXPECT_EQ(LabeledDocument::CheckLabelRoom(PrimeSource::kLength + 2).code(),
+            StatusCode::kResourceExhausted);
+  // An insert needs one prime plus one per SC-tracked node after the
+  // cursor: its room ends that many primes before the stream does. Checked
+  // on a pinned cursor; drawing there would sieve the whole table.
+  Result<LabeledDocument> doc = LabeledDocument::FromXml(kBib);
+  ASSERT_TRUE(doc.ok());
+  EXPECT_TRUE(doc->CheckInsertRoom(doc->prime_cursor()).ok());
+  const std::size_t tracked = doc->scheme().sc_table().size();
+  ASSERT_EQ(tracked, doc->tree().node_count() - 1);
+  EXPECT_TRUE(doc->CheckInsertRoom(PrimeSource::kLength - 1 - tracked).ok());
+  const Status refused = doc->CheckInsertRoom(PrimeSource::kLength - tracked);
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.message().find("exhausted"), std::string::npos)
+      << refused.ToString();
 }
 
 TEST(LabeledDocument, InsertUpdatesAnswersAndReportsCost) {
