@@ -149,6 +149,67 @@ void BM_ScInsertFront(benchmark::State& state) {
 }
 BENCHMARK(BM_ScInsertFront)->Arg(1)->Arg(5)->Arg(20);
 
+/// The write step of wirebench's xpath_cold in process: one ordered insert
+/// at a seeded random position into the 61.5k-node corpus's SC table
+/// (12.3k records of five), with the table as labeling builds it
+/// (`built`) and as FromRecords adopts the records a saved v5 catalog
+/// decodes to (`loaded`). Every new node joins the last record, so
+/// records that mix far-apart orders, and straddle most positions, pile
+/// up with each insert: like each of wirebench's probe stores, a table
+/// takes 40 inserts before a fresh one replaces it, untimed. Ungated: it
+/// runs outside --quick.
+void BM_ScTableInsertAt(benchmark::State& state, bool loaded) {
+  constexpr int kInsertsPerTable = 40;
+  static const LabeledDocument* corpus = new LabeledDocument(
+      LabeledDocument::FromTree(GenerateShakespeareCorpus(10)));
+  std::vector<ScRecord> stored;
+  std::vector<std::uint64_t> selves;
+  if (loaded) {
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "bench-sc-table-insert.plc")
+                                 .string();
+    Status saved = corpus->Save(path);
+    Result<CatalogState> catalog = saved.ok() ? LoadCatalog(DefaultVfs(), path)
+                                              : Result<CatalogState>(saved);
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    if (!catalog.ok()) {
+      state.SkipWithError(catalog.status().ToString().c_str());
+      return;
+    }
+    stored = catalog->sc_table.records();
+  } else {
+    const PrimeTopDownScheme& structure = corpus->scheme().structure();
+    corpus->tree().Preorder([&](NodeId id, int depth) {
+      if (depth > 0) selves.push_back(structure.self_label(id));
+    });
+  }
+  ScTable table;
+  PrimeSource primes;
+  Rng rng(27);
+  int inserts = kInsertsPerTable;
+  for (auto _ : state) {
+    if (inserts == kInsertsPerTable) {
+      state.PauseTiming();
+      if (loaded) {
+        table = std::move(ScTable::FromRecords(5, stored).value());
+      } else {
+        table.Build(selves);
+      }
+      primes = PrimeSource();
+      primes.SkipFirst(corpus->prime_cursor());
+      inserts = 0;
+      state.ResumeTiming();
+    }
+    ++inserts;
+    const std::uint64_t position = 1 + rng.Below(table.max_order() + 1);
+    benchmark::DoNotOptimize(table.InsertAt(
+        primes.Next(), position, [&](std::uint64_t) { return primes.Next(); }));
+  }
+}
+BENCHMARK_CAPTURE(BM_ScTableInsertAt, built, false);
+BENCHMARK_CAPTURE(BM_ScTableInsertAt, loaded, true);
+
 /// k congruences over the primes from the 100th on, remainders 0..k-1.
 std::vector<Congruence> CrtBenchSystem(int k) {
   PrimeSource primes;

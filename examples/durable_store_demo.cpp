@@ -215,6 +215,14 @@ int Verify(const std::string& dir) {
     first = false;
   });
 
+  // Invariant 2b: the SC table is whole — every modulus indexed, every
+  // value below its moduli's product, and the order bounds that inserts
+  // keep equal to those sc mod m gives.
+  if (!doc.scheme().sc_table().VerifyIntegrity()) {
+    std::fprintf(stderr, "SC table failed its integrity check\n");
+    ok = false;
+  }
+
   // Invariant 3: divisibility answers match the tree.
   std::vector<NodeId> nodes = doc.tree().PreorderNodes();
   for (std::size_t x = 0; x < nodes.size(); x += 7) {

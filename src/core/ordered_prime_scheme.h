@@ -93,6 +93,11 @@ class OrderedPrimeScheme : public LabelingScheme, public StructureOracle {
   /// records the live run did.
   const ScUpdateStats& last_sc_stats() const { return last_sc_stats_; }
 
+  /// Restarts the SC table's max_order() from the orders it holds (see
+  /// ScTable::RederiveMaxOrder); a durable writer does so at each
+  /// checkpoint.
+  void RederiveScMaxOrder() { sc_table_.RederiveMaxOrder(); }
+
   /// Prime-cursor passthrough (see PrimeTopDownScheme::prime_cursor):
   /// recorded per journal frame and restored before replaying it, which
   /// pins every replayed label to the live run's bit pattern.

@@ -42,46 +42,85 @@ bool BelowProductOf(const BigInt& sc, const std::vector<std::uint64_t>& moduli,
 
 }  // namespace
 
+ScTable::Bounds ScTable::BoundsOf(std::span<const Congruence> pairs) {
+  Bounds bounds;
+  for (const Congruence& pair : pairs) {
+    bounds.lowest = std::min(bounds.lowest, pair.remainder);
+    bounds.highest = std::max(bounds.highest, pair.remainder);
+    bounds.slack = std::min(bounds.slack, pair.modulus - 1 - pair.remainder);
+  }
+  return bounds;
+}
+
+void ScTable::SetBounds(std::size_t r, const Bounds& bounds) {
+  records_at_slack_zero_ -= slack_[r] == 0 ? 1 : 0;
+  records_at_slack_zero_ += bounds.slack == 0 ? 1 : 0;
+  lowest_[r] = bounds.lowest;
+  highest_[r] = bounds.highest;
+  slack_[r] = bounds.slack;
+}
+
+void ScTable::DerivePairs(std::size_t r,
+                          std::vector<Congruence>* pairs) const {
+  const ScRecord& record = records_[r];
+  for (std::uint64_t modulus : record.moduli) {
+    pairs->push_back({modulus, record.sc.ModU64(modulus)});
+  }
+}
+
+void ScTable::Solve(std::size_t r, const std::vector<Congruence>& pairs) {
+  ScRecord& record = records_[r];
+  if (pairs.empty()) {
+    // An emptied record stays in place, so other records' indexes hold.
+    record.sc = BigInt(0);
+    record.max_modulus = 0;
+  } else {
+    // Garner's recurrence; bit-identical to SolveCrt (crt_test asserts
+    // the equivalence), so persisted SC values are unaffected.
+    Result<BigInt> solution = SolveCrtFast(pairs);
+    PL_CHECK(solution.ok());
+    record.sc = std::move(solution.value());
+    record.max_modulus =
+        *std::max_element(record.moduli.begin(), record.moduli.end());
+  }
+  SetBounds(r, BoundsOf(pairs));
+}
+
 Result<ScTable> ScTable::FromRecords(int group_size,
                                      std::vector<ScRecord> records) {
   ScTable table(group_size);
   table.records_ = std::move(records);
+  const std::size_t count = table.records_.size();
+  const Bounds empty;
+  table.lowest_.assign(count, empty.lowest);
+  table.highest_.assign(count, empty.highest);
+  table.slack_.assign(count, empty.slack);
   auto corrupt = [](std::size_t r, const std::string& what) {
     return Status::Corruption("SC record " + std::to_string(r) + " " + what);
   };
-  // The records first, then the index: the derived orders are allocated
-  // back to back, without hash nodes between them, which keeps the
-  // per-record scan of every ordered insert dense.
   std::vector<std::uint64_t> product;
-  for (std::size_t r = 0; r < table.records_.size(); ++r) {
+  std::vector<Congruence> pairs;
+  for (std::size_t r = 0; r < count; ++r) {
     ScRecord& record = table.records_[r];
-    const bool derive = record.orders.empty();
-    if (!derive && record.moduli.size() != record.orders.size()) {
-      return corrupt(r, "pairs " + std::to_string(record.moduli.size()) +
-                            " moduli with " +
-                            std::to_string(record.orders.size()) + " orders");
+    if (record.moduli.size() > static_cast<std::size_t>(group_size)) {
+      return corrupt(r, "holds " + std::to_string(record.moduli.size()) +
+                            " moduli in groups of " +
+                            std::to_string(group_size));
     }
-    if (record.moduli.empty()) continue;
-    if (derive) record.orders.reserve(record.moduli.size());
-    for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-      const std::uint64_t modulus = record.moduli[i];
+    if (record.moduli.empty()) {
+      // An emptied record's value is the empty product's only residue.
+      if (!record.sc.IsZero()) {
+        return corrupt(r, "has no moduli but a nonzero SC value");
+      }
+      continue;
+    }
+    pairs.clear();
+    for (std::uint64_t modulus : record.moduli) {
       if (modulus < 2) {
         return corrupt(r, "has modulus " + std::to_string(modulus));
       }
-      // The paper's recovery, order = sc mod self: a stored order must
-      // agree with it, a missing one is derived from it.
-      const std::uint64_t recovered = record.sc.ModU64(modulus);
-      if (derive) {
-        record.orders.push_back(recovered);
-      } else if (record.orders[i] >= modulus) {
-        return corrupt(r, "stores order " + std::to_string(record.orders[i]) +
-                              " for modulus " + std::to_string(modulus));
-      } else if (record.orders[i] != recovered) {
-        return corrupt(r, "stores order " + std::to_string(record.orders[i]) +
-                              " for modulus " + std::to_string(modulus) +
-                              " but its SC value leaves " +
-                              std::to_string(recovered));
-      }
+      // The paper's recovery: order = sc mod self.
+      pairs.push_back({modulus, record.sc.ModU64(modulus)});
       // Distinct primes are coprime, so only a modulus the prime stream
       // does not hold is compared with the rest of its record.
       if (PrimeSource::IsPrime(modulus)) continue;
@@ -98,61 +137,53 @@ Result<ScTable> ScTable::FromRecords(int group_size,
     }
     record.max_modulus =
         *std::max_element(record.moduli.begin(), record.moduli.end());
+    table.SetBounds(r, BoundsOf(pairs));
   }
-  for (std::size_t r = 0; r < table.records_.size(); ++r) {
+  for (std::size_t r = 0; r < count; ++r) {
     const ScRecord& record = table.records_[r];
     for (std::size_t i = 0; i < record.moduli.size(); ++i) {
       if (!table.index_.emplace(record.moduli[i], std::make_pair(r, i))
                .second) {
-        return corrupt(r, "repeats modulus " + std::to_string(record.moduli[i]));
+        return corrupt(r,
+                       "repeats modulus " + std::to_string(record.moduli[i]));
       }
-      table.max_order_ = std::max(table.max_order_, record.orders[i]);
     }
   }
+  table.RederiveMaxOrder();
   return table;
 }
 
-void ScTable::Recompute(std::size_t record_index) {
-  ScRecord& record = records_[record_index];
-  std::vector<Congruence> system;
-  system.reserve(record.moduli.size());
-  for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-    system.push_back({record.moduli[i], record.orders[i]});
-  }
-  // Garner's recurrence; bit-identical to SolveCrt (crt_test asserts the
-  // equivalence), so persisted SC values are unaffected.
-  Result<BigInt> solution = SolveCrtFast(system);
-  PL_CHECK(solution.ok());
-  record.sc = std::move(solution.value());
-  record.max_modulus =
-      *std::max_element(record.moduli.begin(), record.moduli.end());
-}
-
-std::size_t ScTable::Add(std::uint64_t self, std::uint64_t order) {
-  PL_CHECK(order < self);
-  PL_CHECK(index_.find(self) == index_.end());
-  if (records_.empty() ||
-      records_.back().moduli.size() >=
-          static_cast<std::size_t>(group_size_)) {
-    records_.emplace_back();
-  }
-  std::size_t record_index = records_.size() - 1;
-  ScRecord& record = records_[record_index];
-  record.moduli.push_back(self);
-  record.orders.push_back(order);
-  index_[self] = {record_index, record.moduli.size() - 1};
-  max_order_ = std::max(max_order_, order);
-  return record_index;
-}
-
 void ScTable::Build(const std::vector<std::uint64_t>& selves) {
-  records_.clear();
+  const std::size_t group = static_cast<std::size_t>(group_size_);
+  const std::size_t count = (selves.size() + group - 1) / group;
+  const Bounds empty;
+  records_.assign(count, ScRecord{});
+  lowest_.assign(count, empty.lowest);
+  highest_.assign(count, empty.highest);
+  slack_.assign(count, empty.slack);
+  records_at_slack_zero_ = 0;
   index_.clear();
-  max_order_ = 0;
-  for (std::size_t k = 0; k < selves.size(); ++k) Add(selves[k], k + 1);
-  for (std::size_t r = 0; r < records_.size(); ++r) {
-    Recompute(r);
+  std::vector<Congruence> pairs;
+  for (std::size_t r = 0; r < count; ++r) {
+    ScRecord& record = records_[r];
+    pairs.clear();
+    const std::size_t end = std::min(selves.size(), r * group + group);
+    record.moduli.reserve(end - r * group);
+    for (std::size_t k = r * group; k < end; ++k) {
+      PL_CHECK(k + 1 < selves[k]);
+      record.moduli.push_back(selves[k]);
+      pairs.push_back({selves[k], k + 1});
+    }
+    Solve(r, pairs);
   }
+  // The index after the records, as FromRecords builds it: the SC values
+  // InsertAt bumps are then allocated back to back, not between hash
+  // nodes.
+  for (std::size_t k = 0; k < selves.size(); ++k) {
+    PL_CHECK(index_.emplace(selves[k], std::make_pair(k / group, k % group))
+                 .second);
+  }
+  max_order_ = selves.size();
 }
 
 std::uint64_t ScTable::OrderOf(std::uint64_t self) const {
@@ -172,105 +203,140 @@ ScUpdateStats ScTable::InsertAt(
     const std::function<std::uint64_t(std::uint64_t)>& relabel) {
   ScUpdateStats stats;
   PL_CHECK(index_.find(self) == index_.end());
-  PL_CHECK(position < self);
+  PL_CHECK(position >= 1 && position < self);
 
-  // Shift every order number >= position up by one, relabeling nodes whose
-  // order number would reach their modulus. A record whose members all
-  // shift, none relabeled, stays solved by sc + 1 (DESIGN.md §18); every
-  // other touched record is re-solved.
-  std::vector<std::size_t> bumped;
-  std::vector<std::size_t> resolve;
-  for (std::size_t r = 0; r < records_.size(); ++r) {
+  // The new congruence joins the last record, or a fresh one when that is
+  // full. That record is re-solved after the pass either way, and counted
+  // once.
+  if (records_.empty() ||
+      records_.back().moduli.size() >= static_cast<std::size_t>(group_size_)) {
+    const Bounds empty;
+    records_.emplace_back();
+    lowest_.push_back(empty.lowest);
+    highest_.push_back(empty.highest);
+    slack_.push_back(empty.slack);
+  }
+  const std::size_t landed = records_.size() - 1;
+
+  // Derives record r's pairs into `pairs` and shifts every order >=
+  // position up by one, handing a fresh self-label to each member whose
+  // order reaches its modulus.
+  std::vector<Congruence> pairs;
+  pairs.reserve(static_cast<std::size_t>(group_size_));
+  auto shift = [&](std::size_t r) {
     ScRecord& record = records_[r];
-    std::size_t shifted = 0;
-    bool relabeled = false;
-    for (std::size_t i = 0; i < record.orders.size(); ++i) {
-      if (record.orders[i] < position) continue;
-      ++record.orders[i];
-      ++shifted;
-      if (record.orders[i] >= record.moduli[i]) {
-        std::uint64_t old_self = record.moduli[i];
-        std::uint64_t new_self = relabel(old_self);
-        PL_CHECK(new_self > record.orders[i]);
-        index_.erase(old_self);
-        record.moduli[i] = new_self;
-        index_[new_self] = {r, i};
-        ++stats.nodes_relabeled;
-        relabeled = true;
+    pairs.clear();
+    DerivePairs(r, &pairs);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      Congruence& pair = pairs[i];
+      if (pair.remainder < position || ++pair.remainder < pair.modulus) {
+        continue;
       }
-      max_order_ = std::max(max_order_, record.orders[i]);
+      const std::uint64_t fresh = relabel(pair.modulus);
+      PL_CHECK(fresh > pair.remainder);
+      index_.erase(pair.modulus);
+      index_[fresh] = {r, i};
+      record.moduli[i] = pair.modulus = fresh;
+      ++stats.nodes_relabeled;
     }
-    if (shifted == 0) continue;
-    (shifted == record.orders.size() && !relabeled ? bumped : resolve)
-        .push_back(r);
+  };
+
+  for (std::size_t r = 0; r < landed; ++r) {
+    if (highest_[r] < position) continue;  // wholly before, or emptied
+    ++stats.records_updated;
+    if (lowest_[r] >= position && slack_[r] > 0) {
+      // Every member shifts and none reaches its modulus: sc + 1 is the
+      // re-solve's value (DESIGN.md §18), and the bounds move with it.
+      ++records_[r].sc;
+      ++lowest_[r];
+      ++highest_[r];
+      if (--slack_[r] == 0) ++records_at_slack_zero_;
+    } else {
+      shift(r);
+      Solve(r, pairs);
+    }
+    max_order_ = std::max(max_order_, highest_[r]);
   }
 
-  // The new congruence lands in the last record, which is re-solved either
-  // way and counted once.
-  std::size_t landed = Add(self, position);
-  if (!bumped.empty() && bumped.back() == landed) bumped.pop_back();
-  if (resolve.empty() || resolve.back() != landed) resolve.push_back(landed);
-  for (std::size_t r : bumped) ++records_[r].sc;
-  for (std::size_t r : resolve) Recompute(r);
-  stats.records_updated = static_cast<int>(bumped.size() + resolve.size());
+  shift(landed);
+  PL_CHECK(index_.emplace(self, std::make_pair(landed, pairs.size())).second);
+  records_[landed].moduli.push_back(self);
+  pairs.push_back({self, position});
+  Solve(landed, pairs);
+  ++stats.records_updated;
+  max_order_ = std::max(max_order_, highest_[landed]);
   return stats;
 }
 
-ScUpdateStats ScTable::Append(std::uint64_t self) {
-  ScUpdateStats stats;
-  std::size_t landed = Add(self, max_order_ + 1);
-  Recompute(landed);
-  stats.records_updated = 1;
-  return stats;
+void ScTable::RederiveMaxOrder() {
+  max_order_ = 0;
+  for (std::uint64_t highest : highest_) {
+    max_order_ = std::max(max_order_, highest);
+  }
 }
 
 bool ScTable::VerifyIntegrity() const {
+  const std::size_t count = records_.size();
+  if (lowest_.size() != count || highest_.size() != count ||
+      slack_.size() != count) {
+    return false;
+  }
   std::size_t indexed = 0;
-  for (std::size_t r = 0; r < records_.size(); ++r) {
+  std::size_t at_slack_zero = 0;
+  std::vector<Congruence> pairs;
+  std::vector<std::uint64_t> product;
+  for (std::size_t r = 0; r < count; ++r) {
     const ScRecord& record = records_[r];
-    if (record.moduli.size() != record.orders.size()) return false;
+    if (record.moduli.size() > static_cast<std::size_t>(group_size_)) {
+      return false;
+    }
     for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-      if (record.orders[i] >= record.moduli[i]) return false;
-      // The paper's recovery, as OrderOf runs it: order = sc mod self.
-      if (record.sc.ModU64(record.moduli[i]) != record.orders[i]) return false;
       auto it = index_.find(record.moduli[i]);
       if (it == index_.end() || it->second != std::make_pair(r, i)) {
         return false;
       }
       ++indexed;
     }
-    if (!record.moduli.empty() &&
-        record.max_modulus !=
-            *std::max_element(record.moduli.begin(), record.moduli.end())) {
+    if (record.moduli.empty()) {
+      if (!record.sc.IsZero() || record.max_modulus != 0) return false;
+    } else if (record.max_modulus != *std::max_element(record.moduli.begin(),
+                                                       record.moduli.end()) ||
+               !BelowProductOf(record.sc, record.moduli, &product)) {
       return false;
     }
+    // The bounds InsertAt keeps must be those of the orders sc leaves.
+    pairs.clear();
+    DerivePairs(r, &pairs);
+    const Bounds bounds = BoundsOf(pairs);
+    if (lowest_[r] != bounds.lowest || highest_[r] != bounds.highest ||
+        slack_[r] != bounds.slack || bounds.highest > max_order_) {
+      return false;
+    }
+    if (bounds.slack == 0) ++at_slack_zero;
   }
-  return indexed == index_.size();
+  return indexed == index_.size() &&
+         at_slack_zero == records_at_slack_zero_;
 }
 
 bool ScTable::Remove(std::uint64_t self) {
   auto it = index_.find(self);
   if (it == index_.end()) return false;
-  auto [record_index, slot] = it->second;
-  ScRecord& record = records_[record_index];
-  // Swap-erase within the record and fix the displaced node's slot.
-  std::size_t last = record.moduli.size() - 1;
-  if (slot != last) {
-    record.moduli[slot] = record.moduli[last];
-    record.orders[slot] = record.orders[last];
-    index_[record.moduli[slot]] = {record_index, slot};
-  }
-  record.moduli.pop_back();
-  record.orders.pop_back();
+  const auto [r, slot] = it->second;
   index_.erase(it);
-  if (record.moduli.empty()) {
-    // Keep empty records out of Recompute; leave the hole in place so other
-    // records' indexes stay valid.
-    record.sc = BigInt(0);
-    record.max_modulus = 0;
-  } else {
-    Recompute(record_index);
+  ScRecord& record = records_[r];
+  // The survivors' orders, read off the value before it changes; the last
+  // member moves into the freed slot.
+  std::vector<Congruence> pairs;
+  DerivePairs(r, &pairs);
+  const std::size_t last = pairs.size() - 1;
+  if (slot != last) {
+    pairs[slot] = pairs[last];
+    record.moduli[slot] = record.moduli[last];
+    index_[record.moduli[slot]] = {r, slot};
   }
+  pairs.pop_back();
+  record.moduli.pop_back();
+  Solve(r, pairs);
   return true;
 }
 

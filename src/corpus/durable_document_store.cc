@@ -425,6 +425,11 @@ Status DurableDocumentStore::Checkpoint() {
   epoch_ = next;
   chain_len_ = as_delta ? chain_len_ + 1 : 0;
   ResetBaseIndex(rows, sc_table);
+  // Every replay of the new epoch loads its table from the files just
+  // written, whose largest order is the largest still held; the writer's
+  // table must start the epoch from the same value, or the first insert
+  // after deleting the document's tail fails the kScRewrite cross-check.
+  doc_.RederiveScMaxOrder();
   registry_->Register(next, as_delta, old);
   registry_->SetCurrent(next);
   registry_->SetDurableBytes(wal_.committed_bytes());

@@ -180,10 +180,13 @@ class DurableDocumentStore {
   /// Fails with kInvalidArgument when `dir` already holds a store, and
   /// with kResourceExhausted when the document has more nodes than the
   /// prime stream can label (LabeledDocument::CheckLabelRoom). An insert
-  /// needs room in the stream for one prime plus one per node
-  /// (LabeledDocument::CheckInsertRoom), so a document must stay under
-  /// about PrimeSource::kLength / 2 nodes to stay writable, and the primes
-  /// a store draws over its life count against the same bound.
+  /// needs room in the stream for one prime plus the replacement
+  /// self-labels it may draw, at most the SC group size per record at
+  /// slack 0 (LabeledDocument::CheckInsertRoom), so a document stays
+  /// writable up to about PrimeSource::kLength nodes. The primes a store
+  /// draws over its life count against the same bound: at `live_write`'s
+  /// 10 ops/s, 0.8 primes per op, a store is refused writes after about
+  /// 294 days (DESIGN.md §19).
   static Result<DurableDocumentStore> Create(const std::string& dir,
                                              std::string_view xml,
                                              const Options& options = {});

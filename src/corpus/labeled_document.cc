@@ -45,7 +45,8 @@ Result<std::vector<NodeId>> LabeledDocument::Query(
 }
 
 Status LabeledDocument::CheckInsertRoom(std::size_t cursor) const {
-  return PrimeSource::CheckRoom(cursor, 1 + scheme_->sc_table().size());
+  return PrimeSource::CheckRoom(cursor,
+                                1 + scheme_->sc_table().relabel_bound());
 }
 
 NodeId LabeledDocument::Finish(NodeId fresh) {

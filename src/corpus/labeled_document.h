@@ -33,8 +33,8 @@ class LabeledDocument {
   /// Ok when a tree of `nodes` nodes can be labeled, else
   /// kResourceExhausted: labeling draws one prime of the stream per node
   /// below the root, so a document holds at most PrimeSource::kLength + 1
-  /// nodes. (It stays writable only while CheckInsertRoom passes, which
-  /// needs about twice that room; see DurableDocumentStore::Create.)
+  /// nodes. (It stays writable while CheckInsertRoom passes, which needs
+  /// a little more room; see DurableDocumentStore::Create.)
   static Status CheckLabelRoom(std::size_t nodes);
   /// Restores a document persisted with Save: rebuilds the tree (tags,
   /// text, attributes) from the catalog rows and adopts the stored labels
@@ -106,12 +106,17 @@ class LabeledDocument {
   }
   /// kResourceExhausted when an insert drawing from stream index `cursor`
   /// might run past the prime stream's bound (PrimeSource::kBound). An
-  /// insert draws one prime for the new node plus at most one replacement
-  /// self-label per node the SC table tracks, so that many must follow
-  /// the cursor. The durable writer takes this check before every insert
-  /// and replay takes it before pinning a journaled cursor; the in-memory
-  /// insert calls above abort at the bound instead.
+  /// insert draws one prime for the new node plus one replacement
+  /// self-label per node whose shifted order reaches its modulus, which
+  /// only members of SC records at slack 0 can do, so 1 +
+  /// ScTable::relabel_bound() primes must follow the cursor. The durable
+  /// writer takes this check before every insert and replay takes it
+  /// before pinning a journaled cursor; the in-memory insert calls above
+  /// abort at the bound instead.
   Status CheckInsertRoom(std::size_t cursor) const;
+  /// Restarts the SC table's max_order() from the orders still held, as a
+  /// load of this document's catalog would (ScTable::RederiveMaxOrder).
+  void RederiveScMaxOrder() { scheme_->RederiveScMaxOrder(); }
   /// SC-table accounting of the most recent insert (see
   /// OrderedPrimeScheme::last_sc_stats).
   const ScUpdateStats& last_sc_stats() const {

@@ -71,10 +71,10 @@ std::uint64_t CatalogRowsDigest(const std::vector<CatalogRow>& rows) {
 std::uint64_t ScRecordHash(const ScRecord& record) {
   std::uint64_t h = kFnvOffset;
   FnvU64(&h, record.moduli.size());
-  for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-    FnvU64(&h, record.moduli[i]);
-    FnvU64(&h, record.orders[i]);
-  }
+  for (std::uint64_t modulus : record.moduli) FnvU64(&h, modulus);
+  const std::span<const std::uint64_t> sc = record.sc.Magnitude();
+  FnvU64(&h, sc.size());
+  for (std::uint64_t limb : sc) FnvU64(&h, limb);
   return h;
 }
 

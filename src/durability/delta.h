@@ -60,8 +60,9 @@ std::uint64_t CatalogRowHash(const CatalogRow& row, std::uint64_t parent_self);
 /// row indices). This is the value a delta file pins the final state to.
 std::uint64_t CatalogRowsDigest(const std::vector<CatalogRow>& rows);
 
-/// Hash of one SC record's (moduli, orders) pairs; the sc value is derived
-/// from them, so it does not contribute.
+/// Hash of one SC record's moduli and SC value. The value and the orders
+/// determine each other (order = sc mod modulus, sc the least solution),
+/// so it changes exactly when the (modulus, order) pairs do.
 std::uint64_t ScRecordHash(const ScRecord& record);
 
 /// Base-epoch row index used for diffing: self-label -> content hash +

@@ -570,13 +570,29 @@ Status DecodeScRecord(ByteReader* in, bool with_orders, ScRecord* record) {
     return Status::ParseError("implausible SC record size");
   }
   record->moduli.clear();
-  record->orders.clear();
+  std::vector<std::uint64_t> orders;
   for (std::uint32_t i = 0; i < entries && in->ok(); ++i) {
     record->moduli.push_back(in->U64());
-    if (with_orders) record->orders.push_back(in->U64());
+    if (with_orders) orders.push_back(in->U64());
   }
   record->sc = in->Big();
   if (!in->ok()) return Status::ParseError("truncated SC record");
+  // A stored order must be the one the paper recovers, sc mod modulus
+  // (so below its modulus); the record then keeps none. A modulus below 2
+  // is left to ScTable::FromRecords, which rejects it.
+  for (std::size_t i = 0; i < orders.size(); ++i) {
+    const std::uint64_t modulus = record->moduli[i];
+    if (modulus < 2) continue;
+    const std::string stored = "SC record stores order " +
+                               std::to_string(orders[i]) + " for modulus " +
+                               std::to_string(modulus);
+    if (orders[i] >= modulus) return Status::Corruption(stored);
+    const std::uint64_t recovered = record->sc.ModU64(modulus);
+    if (orders[i] != recovered) {
+      return Status::Corruption(stored + " but its SC value leaves " +
+                                std::to_string(recovered));
+    }
+  }
   return Status::Ok();
 }
 
@@ -757,7 +773,8 @@ Result<CatalogState> LoadCatalog(Vfs& vfs, const std::string& path) {
     Status decoded = DecodeScRecord(&reader, /*with_orders=*/true, &record);
     if (!decoded.ok()) {
       if (!reader.ok()) break;
-      return decoded;
+      return Status(decoded.code(),
+                    "catalog '" + path + "': " + decoded.message());
     }
     records.push_back(std::move(record));
   }

@@ -284,9 +284,10 @@ Status DecodeCatalogRow(ByteReader* in, RowFingerprint fingerprint,
 /// before reserving for it.
 std::size_t MinCatalogRowBytes(RowFingerprint fingerprint);
 /// Writes a record's moduli and SC value. The decoder reads that shape,
-/// leaving the orders empty for ScTable::FromRecords to derive as sc mod
-/// modulus, or, `with_orders`, the v2/v3 and PLDELTA1 shape that stores
-/// an order after every modulus.
+/// or, `with_orders`, the v2/v3 and PLDELTA1 shape that stores an order
+/// after every modulus: each stored order must be sc mod its modulus
+/// (kCorruption otherwise), and is then dropped, since ScTable derives
+/// orders as sc mod modulus.
 void EncodeScRecord(const ScRecord& record, ByteWriter* out);
 Status DecodeScRecord(ByteReader* in, bool with_orders, ScRecord* record);
 

@@ -549,8 +549,8 @@ TEST(DurabilityRecovery, ChecksummedButWrongJournalFailsLoudly) {
   // A prime cursor of 2^40 lies far past the prime stream's bound: replay
   // once sieved towards it until killed; it must fail before pinning it.
   // So must the first cursor without room for the insert (one prime plus
-  // one per SC-tracked node), the one the durable writer would refuse,
-  // without growing the prime table towards the bound.
+  // a group's worth per SC record at slack 0), the one the durable writer
+  // would refuse, without growing the prime table towards the bound.
   // (ctest runs this test under a tight TIMEOUT.)
   struct Craft {
     std::string what;
@@ -559,8 +559,10 @@ TEST(DurabilityRecovery, ChecksummedButWrongJournalFailsLoudly) {
     std::string named;
   };
   const std::size_t no_room =
-      PrimeSource::kLength -
-      LabeledDocument::FromXml(SmallPlayXml())->scheme().sc_table().size();
+      PrimeSource::kLength - LabeledDocument::FromXml(SmallPlayXml())
+                                 ->scheme()
+                                 .sc_table()
+                                 .relabel_bound();
   const std::vector<Craft> crafts = {
       {"new_self + 2", [](WalRecord* r) { r->new_self += 2; },
        StatusCode::kInternal, "diverged"},
@@ -706,6 +708,51 @@ TEST(DurabilityScEquivalence, NonLeafWrapAndDeleteWorkload) {
     }
   }
   ExpectReplayEquivalence(*store);
+  RemoveTree(dir);
+}
+
+TEST(DurabilityScEquivalence,
+     TailDeletesBeforeACheckpointReplayInTheNextEpoch) {
+  // Deleting the document's last nodes leaves the writer's largest order
+  // number behind (Remove never lowers it), while the next epoch's replay
+  // starts from its snapshot, which holds only the orders still in use.
+  // The writer keeps its table across the checkpoint, so it must start the
+  // new epoch from the same largest order, or the first insert's
+  // kScRewrite cross-check diverges and the store cannot be reopened.
+  std::string dir = TempDirPath("sc-tail-delete");
+  RemoveTree(dir);
+  Result<DurableDocumentStore> store =
+      DurableDocumentStore::Create(dir, "<a><b/><c/><d/></a>");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto only = [&](const char* xpath) {
+    std::vector<NodeId> hits = store->Query(xpath).value();
+    EXPECT_EQ(hits.size(), 1u) << xpath;
+    return hits.empty() ? kInvalidNodeId : hits[0];
+  };
+  ASSERT_TRUE(store->Delete(only("/a/d")).ok());
+  ASSERT_TRUE(store->Delete(only("/a/c")).ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  ASSERT_TRUE(store->InsertBefore(only("/a/b"), "x").ok());
+  ExpectReplayEquivalence(*store);
+
+  // The view answers as the tree does: x now precedes b.
+  auto expect_x_then_b = [](const LabeledDocument& doc, const char* point) {
+    Result<std::vector<NodeId>> children = doc.Query("/a/*");
+    ASSERT_TRUE(children.ok()) << point << ": "
+                               << children.status().ToString();
+    ASSERT_EQ(children->size(), 2u) << point;
+    EXPECT_EQ(doc.tree().name((*children)[0]), "x") << point;
+    EXPECT_EQ(doc.tree().name((*children)[1]), "b") << point;
+  };
+  Result<Snapshot> snapshot = store->OpenSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  expect_x_then_b(snapshot->document(), "snapshot");
+
+  Result<DurableDocumentStore> reopened = DurableDocumentStore::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(StateDigest(reopened->document()),
+            StateDigest(store->document()));
+  expect_x_then_b(reopened->document(), "reopened store");
   RemoveTree(dir);
 }
 
@@ -1113,7 +1160,6 @@ TEST(DurabilityRecoveryEdges, SelfLabelHeldByNoScRecordFailsOpenCleanly) {
     std::vector<ScRecord> records = table.records();
     ScRecord phantom;
     phantom.moduli = {4};
-    phantom.orders = {3};
     phantom.sc = BigInt(3);  // FromRecords adopts it; 3 mod 4 is the order
     records.push_back(std::move(phantom));
     Result<ScTable> crafted =
@@ -1274,9 +1320,9 @@ TEST(DurabilityRecoveryEdges, CraftedV2SnapshotFailsOpenCleanly) {
     v2.U64(state->sc_table.records().size());
     for (const ScRecord& record : state->sc_table.records()) {
       v2.U32(static_cast<std::uint32_t>(record.moduli.size()));
-      for (std::size_t i = 0; i < record.moduli.size(); ++i) {
-        v2.U64(record.moduli[i]);
-        v2.U64(record.orders[i]);
+      for (std::uint64_t modulus : record.moduli) {
+        v2.U64(modulus);
+        v2.U64(record.sc.ModU64(modulus));  // v2 stores each order
       }
       v2.Big(record.sc);
     }

@@ -1,6 +1,8 @@
 #include "corpus/labeled_document.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,16 +46,36 @@ TEST(LabeledDocument, PrimeStreamRoomIsCheckedBeforeLabelingAndInserts) {
   EXPECT_TRUE(LabeledDocument::CheckLabelRoom(PrimeSource::kLength + 1).ok());
   EXPECT_EQ(LabeledDocument::CheckLabelRoom(PrimeSource::kLength + 2).code(),
             StatusCode::kResourceExhausted);
-  // An insert needs one prime plus one per SC-tracked node after the
-  // cursor: its room ends that many primes before the stream does. Checked
-  // on a pinned cursor; drawing there would sieve the whole table.
+  // An insert needs one prime plus one replacement self-label per node
+  // whose shifted order reaches its modulus, which takes a member at order
+  // modulus - 1: a group's worth for every SC record holding one. Its room
+  // ends that many primes before the stream does. Checked on a pinned
+  // cursor; drawing there would sieve the whole table.
   Result<LabeledDocument> doc = LabeledDocument::FromXml(kBib);
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(doc->CheckInsertRoom(doc->prime_cursor()).ok());
-  const std::size_t tracked = doc->scheme().sc_table().size();
-  ASSERT_EQ(tracked, doc->tree().node_count() - 1);
-  EXPECT_TRUE(doc->CheckInsertRoom(PrimeSource::kLength - 1 - tracked).ok());
-  const Status refused = doc->CheckInsertRoom(PrimeSource::kLength - tracked);
+  // Labeling gave the k-th node after the root order k, and groups of
+  // five consecutive nodes share a record.
+  const std::size_t group = 5;
+  ASSERT_EQ(doc->scheme().sc_table().group_size(), static_cast<int>(group));
+  std::vector<bool> at_slack_zero;
+  std::uint64_t order = 0;
+  doc->tree().Preorder([&](NodeId id, int depth) {
+    if (depth == 0) return;
+    ++order;
+    if ((order - 1) % group == 0) at_slack_zero.push_back(false);
+    if (doc->scheme().structure().self_label(id) == order + 1) {
+      at_slack_zero.back() = true;
+    }
+  });
+  const std::size_t records_at_slack_zero = static_cast<std::size_t>(
+      std::count(at_slack_zero.begin(), at_slack_zero.end(), true));
+  ASSERT_GT(records_at_slack_zero, 0u);  // self 2 holds order 1
+  const std::size_t draws = 1 + group * records_at_slack_zero;
+  ASSERT_LT(draws, doc->scheme().sc_table().size());
+  EXPECT_TRUE(doc->CheckInsertRoom(PrimeSource::kLength - draws).ok());
+  const Status refused =
+      doc->CheckInsertRoom(PrimeSource::kLength - draws + 1);
   EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(refused.message().find("exhausted"), std::string::npos)
       << refused.ToString();
