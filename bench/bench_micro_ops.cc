@@ -697,14 +697,12 @@ void BM_BigIntDivisibility(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntDivisibility);
 
-// --- Checkpoint cost: full snapshot vs delta -----------------------------
+// --- Checkpoint cost ---------------------------------------------------
 //
-// The claim under test: delta checkpoint cost (time AND bytes) tracks the
-// mutation count since the last checkpoint, while full-snapshot cost
-// tracks document size. Args are {mutations}; the document is fixed at a
-// few hundred nodes so the two regimes separate clearly. The
-// checkpoint_bytes counter lands in BENCH_micro_ops.json next to the
-// timings.
+// One Checkpoint() after {mutations} random inserts on a document of a few
+// hundred nodes: the time to write the full v5 snapshot of the next epoch
+// and swing the MANIFEST. The checkpoint_bytes counter is the snapshot's
+// size. Outside --quick and ungated.
 
 const std::string& CheckpointBenchXml() {
   static const std::string* xml = [] {
@@ -719,15 +717,11 @@ const std::string& CheckpointBenchXml() {
   return *xml;
 }
 
-void BM_CheckpointFullVsDelta(benchmark::State& state, bool delta) {
+void BM_Checkpoint(benchmark::State& state) {
   const int mutations = static_cast<int>(state.range(0));
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("bench-checkpoint-" + std::string(delta ? "delta" : "full") + "-" +
-        std::to_string(mutations)))
-          .string();
-  DurableDocumentStore::Options options;
-  options.delta_checkpoints = delta;
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("bench-checkpoint-" + std::to_string(mutations)))
+                              .string();
 
   std::int64_t total_bytes = 0;
   for (auto _ : state) {
@@ -735,7 +729,7 @@ void BM_CheckpointFullVsDelta(benchmark::State& state, bool delta) {
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     Result<DurableDocumentStore> store =
-        DurableDocumentStore::Create(dir, CheckpointBenchXml(), options);
+        DurableDocumentStore::Create(dir, CheckpointBenchXml());
     if (!store.ok()) {
       state.SkipWithError(store.status().ToString().c_str());
       break;
@@ -765,12 +759,8 @@ void BM_CheckpointFullVsDelta(benchmark::State& state, bool delta) {
       state.SkipWithError(checkpointed.ToString().c_str());
       break;
     }
-    const std::string artifact =
-        std::filesystem::exists(DurableDocumentStore::DeltaPath(dir, 1))
-            ? DurableDocumentStore::DeltaPath(dir, 1)
-            : DurableDocumentStore::SnapshotPath(dir, 1);
-    total_bytes +=
-        static_cast<std::int64_t>(std::filesystem::file_size(artifact, ec));
+    total_bytes += static_cast<std::int64_t>(std::filesystem::file_size(
+        DurableDocumentStore::SnapshotPath(dir, 1), ec));
     state.ResumeTiming();
   }
   std::error_code ec;
@@ -779,16 +769,7 @@ void BM_CheckpointFullVsDelta(benchmark::State& state, bool delta) {
       static_cast<double>(total_bytes), benchmark::Counter::kAvgIterations);
   state.counters["mutations"] = static_cast<double>(mutations);
 }
-BENCHMARK_CAPTURE(BM_CheckpointFullVsDelta, delta, true)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(64)
-    ->Iterations(20);
-BENCHMARK_CAPTURE(BM_CheckpointFullVsDelta, full, false)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(64)
-    ->Iterations(20);
+BENCHMARK(BM_Checkpoint)->Arg(1)->Arg(8)->Arg(64)->Iterations(20);
 
 }  // namespace
 

@@ -115,8 +115,8 @@ int Mutate(const std::string& dir, int ops, int kill_after, unsigned seed) {
       return 1;
     }
     // Exercise the checkpoint path inside the crash window: every 4th op
-    // compacts (delta or full snapshot per the chain heuristics), so kills
-    // land before, between, and right after epoch swings.
+    // compacts into a full snapshot, so kills land before, between, and
+    // right after epoch swings.
     if (i % 4 == 3) {
       Status checkpointed = store->Checkpoint();
       if (!checkpointed.ok()) {

@@ -149,15 +149,16 @@ if [[ "$run_service" == "1" ]]; then
   wait "$svc_pid" 2>/dev/null || true
   wait "$storm_pid" 2>/dev/null || true
   build/examples/durable_store_demo verify "$svc_store"
-  # Every checkpoint the live writer left is in the formats this build
-  # writes: v5 snapshots and PLDELTA2 deltas.
-  for f in "$svc_store"/snapshot-*.plc "$svc_store"/delta-*.pld; do
-    [[ -e "$f" ]] || continue
-    want=PLCATLG5
-    [[ "$f" == *.pld ]] && want=PLDELTA2
+  # Every checkpoint the live writer left is a full v5 snapshot: this
+  # build writes no delta files.
+  if compgen -G "$svc_store/delta-*.pld" >/dev/null; then
+    echo "the live writer left delta files:" "$svc_store"/delta-*.pld >&2
+    exit 1
+  fi
+  for f in "$svc_store"/snapshot-*.plc; do
     magic=$(head -c 8 "$f")
-    [[ "$magic" == "$want" ]] \
-      || { echo "$f starts with '$magic', expected $want" >&2; exit 1; }
+    [[ "$magic" == PLCATLG5 ]] \
+      || { echo "$f starts with '$magic', expected PLCATLG5" >&2; exit 1; }
   done
   rm -rf "$svc_dir"
   echo "== service: bench_service -> BENCH_query_service.json =="

@@ -1,10 +1,9 @@
 #include "corpus/durable_document_store.h"
 
 #include <cstring>
-#include <set>
 #include <utility>
 
-#include "store/catalog.h"
+#include "durability/delta.h"
 #include "util/binio.h"
 
 namespace primelabel {
@@ -12,10 +11,6 @@ namespace primelabel {
 namespace {
 
 constexpr char kManifestMagic[8] = {'P', 'L', 'M', 'A', 'N', 'I', 'F', '1'};
-
-/// A delta is only worth it while (patches + tombstones) / final rows
-/// stays at or below this fraction; above it, write a full snapshot.
-constexpr double kDeltaMaxChangedFraction = 0.5;
 
 Result<std::uint64_t> ReadManifest(Vfs& vfs, const std::string& path) {
   Result<std::vector<std::uint8_t>> bytes = vfs.ReadAll(path, 16);
@@ -50,6 +45,44 @@ Status WriteManifestAtomic(Vfs& vfs, const std::string& dir,
   return vfs.Rename(tmp_path, final_path);
 }
 
+/// The state `epoch`'s files hold before journal replay: its snapshot,
+/// or, for an epoch an older build stored as a delta, the chain of deltas
+/// applied to the full snapshot at its base. The chain walk is
+/// depth-capped: a cycle in base links (corrupt files) must not hang
+/// recovery.
+Result<CatalogState> LoadEpochChain(Vfs& vfs, const std::string& dir,
+                                    std::uint64_t epoch) {
+  std::vector<DeltaSnapshot> deltas;
+  std::uint64_t at = epoch;
+  for (int depth = 0; depth <= 64; ++depth) {
+    const std::string snapshot_path = EpochSnapshotPath(dir, at);
+    if (vfs.Exists(snapshot_path)) {
+      Result<CatalogState> state = LoadCatalog(vfs, snapshot_path);
+      if (!state.ok()) return state.status();
+      for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
+        Status applied = ApplyDelta(*it, &state.value());
+        if (!applied.ok()) return applied;
+      }
+      return state;
+    }
+    const std::string delta_path = EpochDeltaPath(dir, at);
+    if (!vfs.Exists(delta_path)) {
+      return Status::NotFound("epoch " + std::to_string(at) +
+                              " of store '" + dir +
+                              "' has neither a snapshot nor a delta file");
+    }
+    Result<std::vector<std::uint8_t>> bytes = vfs.ReadAll(delta_path);
+    if (!bytes.ok()) return bytes.status();
+    Result<DeltaSnapshot> delta =
+        DecodeDelta(*bytes, "delta '" + delta_path + "'");
+    if (!delta.ok()) return delta.status();
+    at = delta->base_epoch;
+    deltas.push_back(std::move(delta.value()));
+  }
+  return Status::ParseError("delta chain of store '" + dir +
+                            "' exceeds depth 64 (cyclic base links?)");
+}
+
 }  // namespace
 
 std::string DurableDocumentStore::ManifestPath(const std::string& dir) {
@@ -73,63 +106,15 @@ DurableDocumentStore::DurableDocumentStore(std::string dir,
       vfs_(vfs),
       registry_(std::make_shared<EpochRegistry>(vfs, dir_)) {}
 
-void DurableDocumentStore::ResetBaseIndex(const std::vector<CatalogRow>& rows,
-                                          const ScTable& sc_table) {
-  base_index_ = BuildBaseRowIndex(rows);
-  base_sc_hashes_ = ScRecordHashes(sc_table);
-}
-
-Result<DurableDocumentStore::EpochChain> DurableDocumentStore::LoadEpochChain(
-    Vfs& vfs, const std::string& dir, std::uint64_t epoch) {
-  // Walk the delta chain down to its full-snapshot base, then apply the
-  // deltas back up. Depth-capped: a cycle in base links (corrupt files)
-  // must not hang recovery.
-  EpochChain chain;
-  std::vector<DeltaSnapshot> deltas;
-  std::uint64_t at = epoch;
-  for (int depth = 0; depth <= 64; ++depth) {
-    const std::string snapshot_path = EpochSnapshotPath(dir, at);
-    if (vfs.Exists(snapshot_path)) {
-      Result<CatalogState> base = LoadCatalog(vfs, snapshot_path);
-      if (!base.ok()) return base.status();
-      chain.links.push_back({at, false, 0});
-      chain.state = std::move(base.value());
-      for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-        Status applied = ApplyDelta(*it, &chain.state);
-        if (!applied.ok()) return applied;
-      }
-      return chain;
-    }
-    const std::string delta_path = EpochDeltaPath(dir, at);
-    if (!vfs.Exists(delta_path)) {
-      return Status::NotFound("epoch " + std::to_string(at) +
-                              " of store '" + dir +
-                              "' has neither a snapshot nor a delta file");
-    }
-    Result<std::vector<std::uint8_t>> bytes = vfs.ReadAll(delta_path);
-    if (!bytes.ok()) return bytes.status();
-    Result<DeltaSnapshot> delta =
-        DecodeDelta(*bytes, "delta '" + delta_path + "'");
-    if (!delta.ok()) return delta.status();
-    chain.links.push_back({at, true, delta->base_epoch});
-    at = delta->base_epoch;
-    deltas.push_back(std::move(delta.value()));
-  }
-  return Status::ParseError("delta chain of store '" + dir +
-                            "' exceeds depth 64 (cyclic base links?)");
-}
-
 Result<LabeledDocument> DurableDocumentStore::ReplayEpoch(
     Vfs& vfs, const std::string& dir, std::uint64_t epoch,
     std::uint64_t journal_limit, const std::string& origin,
-    RecoveryStats* stats,
-    const std::function<void(const EpochChain&)>& on_chain) {
-  Result<EpochChain> chain = LoadEpochChain(vfs, dir, epoch);
-  if (!chain.ok()) return chain.status();
-  if (on_chain) on_chain(chain.value());
+    RecoveryStats* stats) {
+  Result<CatalogState> state = LoadEpochChain(vfs, dir, epoch);
+  if (!state.ok()) return state.status();
   Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-      std::move(chain->state.rows), std::move(chain->state.sc_table),
-      chain->state.fingerprints_valid, origin);
+      std::move(state->rows), std::move(state->sc_table),
+      state->fingerprints_valid, origin);
   if (!doc.ok()) return doc.status();
   Result<WalReadResult> journal =
       ReadWal(vfs, EpochJournalPath(dir, epoch), journal_limit);
@@ -147,15 +132,10 @@ Result<LabeledDocument> DurableDocumentStore::ReplayEpoch(
   return doc;
 }
 
-void DurableDocumentStore::SweepStrays(
-    Vfs& vfs, const std::string& dir,
-    const std::vector<EpochChain::Link>& links) {
-  std::set<std::string> keep;
-  for (const EpochChain::Link& link : links) {
-    keep.insert(link.is_delta ? EpochDeltaPath(dir, link.epoch)
-                              : EpochSnapshotPath(dir, link.epoch));
-    keep.insert(EpochJournalPath(dir, link.epoch));
-  }
+void DurableDocumentStore::SweepStrays(Vfs& vfs, const std::string& dir,
+                                       std::uint64_t epoch) {
+  const std::string keep[] = {EpochSnapshotPath(dir, epoch),
+                              EpochJournalPath(dir, epoch)};
   Result<std::vector<std::string>> names = vfs.List(dir);
   if (!names.ok()) return;  // best effort
   for (const std::string& name : names.value()) {
@@ -165,7 +145,7 @@ void DurableDocumentStore::SweepStrays(
     const bool manifest_tmp = name == "MANIFEST.tmp";
     if (!epoch_file && !manifest_tmp) continue;
     const std::string path = dir + "/" + name;
-    if (keep.count(path) != 0) continue;
+    if (path == keep[0] || path == keep[1]) continue;
     vfs.Unlink(path);
   }
 }
@@ -186,9 +166,8 @@ Result<DurableDocumentStore> DurableDocumentStore::Create(
   if (!doc.ok()) return doc.status();
 
   const std::uint64_t epoch = 0;
-  std::vector<CatalogRow> rows = doc->ToCatalogRows();
-  Status saved = WriteCatalog(vfs, SnapshotPath(dir, epoch), rows,
-                              doc->scheme().sc_table());
+  Status saved = WriteCatalog(vfs, SnapshotPath(dir, epoch),
+                              doc->ToCatalogRows(), doc->scheme().sc_table());
   if (!saved.ok()) return saved;
   Result<WriteAheadLog> wal =
       WriteAheadLog::Open(vfs, JournalPath(dir, epoch), options.wal);
@@ -198,8 +177,7 @@ Result<DurableDocumentStore> DurableDocumentStore::Create(
 
   DurableDocumentStore store(dir, std::move(doc.value()),
                              std::move(wal.value()), epoch, options, &vfs);
-  store.ResetBaseIndex(rows, store.doc_.scheme().sc_table());
-  store.registry_->Register(epoch, /*is_delta=*/false, 0);
+  store.registry_->Register(epoch);
   store.registry_->SetCurrent(epoch);
   store.registry_->SetDurableBytes(store.wal_.committed_bytes());
   return store;
@@ -211,21 +189,12 @@ Result<DurableDocumentStore> DurableDocumentStore::Open(
   Result<std::uint64_t> epoch = ReadManifest(vfs, ManifestPath(dir));
   if (!epoch.ok()) return epoch.status();
 
-  // The diff base for delta checkpoints is the epoch's on-disk state,
-  // BEFORE journal replay: the next delta must carry everything the
-  // journal held.
-  BaseRowIndex base_index;
-  std::vector<std::uint64_t> base_sc_hashes;
-  std::vector<EpochChain::Link> links;
+  // An epoch with no full snapshot is a delta chain an older build left.
+  const bool legacy_delta = !vfs.Exists(SnapshotPath(dir, *epoch));
   RecoveryStats stats;
   Result<LabeledDocument> doc = ReplayEpoch(
       vfs, dir, *epoch, ~std::uint64_t{0},
-      "store '" + dir + "' epoch " + std::to_string(*epoch), &stats,
-      [&](const EpochChain& chain) {
-        base_index = BuildBaseRowIndex(chain.state.rows);
-        base_sc_hashes = ScRecordHashes(chain.state.sc_table);
-        links = chain.links;
-      });
+      "store '" + dir + "' epoch " + std::to_string(*epoch), &stats);
   if (!doc.ok()) return doc.status();
 
   // Resume the journal after its intact prefix; Open truncates the torn
@@ -237,17 +206,16 @@ Result<DurableDocumentStore> DurableDocumentStore::Open(
   DurableDocumentStore store(dir, std::move(doc.value()),
                              std::move(wal.value()), *epoch, options, &vfs);
   store.recovery_stats_ = stats;
-  store.base_index_ = std::move(base_index);
-  store.base_sc_hashes_ = std::move(base_sc_hashes);
-  store.chain_len_ = static_cast<int>(links.size()) - 1;
-  // Register the chain bottom-up so every base is known before the epoch
-  // that chains to it, then publish.
-  for (auto it = links.rbegin(); it != links.rend(); ++it) {
-    store.registry_->Register(it->epoch, it->is_delta, it->base_epoch);
-  }
+  store.registry_->Register(*epoch);
   store.registry_->SetCurrent(*epoch);
   store.registry_->SetDurableBytes(store.wal_.committed_bytes());
-  SweepStrays(vfs, dir, links);
+  if (legacy_delta) {
+    // Compact before the store is returned, so no pin ever reaches the
+    // delta epoch. A failure leaves the chain authoritative on disk.
+    Status compacted = store.Checkpoint();
+    if (!compacted.ok()) return compacted;
+  }
+  SweepStrays(vfs, dir, store.epoch_);
   return store;
 }
 
@@ -290,7 +258,7 @@ void DurableDocumentStore::EnterQuarantine(const Status& cause) {
   const std::uint64_t durable = wal_.committed_bytes();
 
   // Roll the in-memory document back to the last durable state: the
-  // epoch's snapshot/delta chain plus the committed journal prefix.
+  // epoch's snapshot plus the committed journal prefix.
   Result<LabeledDocument> doc = ReplayEpoch(
       *vfs_, dir_, epoch_, durable,
       "quarantine rollback of '" + dir_ + "' epoch " + std::to_string(epoch_));
@@ -391,25 +359,8 @@ Status DurableDocumentStore::Checkpoint() {
   registry_->SetDurableBytes(wal_.committed_bytes());
 
   const std::uint64_t next = epoch_ + 1;
-  std::vector<CatalogRow> rows = doc_.ToCatalogRows();
-  const ScTable& sc_table = doc_.scheme().sc_table();
-
-  bool as_delta =
-      options_.delta_checkpoints && chain_len_ < options_.max_delta_chain;
-  DeltaSnapshot delta;
-  if (as_delta) {
-    delta = BuildDelta(epoch_, base_index_, base_sc_hashes_, rows, sc_table);
-    const double changed =
-        rows.empty() ? 1.0
-                     : static_cast<double>(delta.patches.size() +
-                                           delta.tombstones.size()) /
-                           static_cast<double>(rows.size());
-    if (changed > kDeltaMaxChangedFraction) as_delta = false;
-  }
-
-  Status saved =
-      as_delta ? vfs_->WriteWhole(DeltaPath(dir_, next), EncodeDelta(delta))
-               : WriteCatalog(*vfs_, SnapshotPath(dir_, next), rows, sc_table);
+  Status saved = WriteCatalog(*vfs_, SnapshotPath(dir_, next),
+                              doc_.ToCatalogRows(), doc_.scheme().sc_table());
   if (!saved.ok()) return saved;
   Result<WriteAheadLog> wal =
       WriteAheadLog::Open(*vfs_, JournalPath(dir_, next), options_.wal);
@@ -417,20 +368,16 @@ Status DurableDocumentStore::Checkpoint() {
   Status manifest = WriteManifestAtomic(*vfs_, dir_, next);
   if (!manifest.ok()) return manifest;
 
-  // Published. Retirement of the old epoch's files (or just its journal,
-  // when it stays as a delta base) is the registry's call — pins may
-  // still need them.
-  const std::uint64_t old = epoch_;
+  // Published. Retirement of the old epoch's files is the registry's
+  // call — pins may still need them.
   wal_ = std::move(wal.value());
   epoch_ = next;
-  chain_len_ = as_delta ? chain_len_ + 1 : 0;
-  ResetBaseIndex(rows, sc_table);
   // Every replay of the new epoch loads its table from the files just
   // written, whose largest order is the largest still held; the writer's
   // table must start the epoch from the same value, or the first insert
   // after deleting the document's tail fails the kScRewrite cross-check.
   doc_.RederiveScMaxOrder();
-  registry_->Register(next, as_delta, old);
+  registry_->Register(next);
   registry_->SetCurrent(next);
   registry_->SetDurableBytes(wal_.committed_bytes());
   return Status::Ok();
@@ -438,14 +385,12 @@ Status DurableDocumentStore::Checkpoint() {
 
 Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
     const EpochPin& pin) const {
-  // Sealed epoch: a full snapshot with zero journal frames is exactly the
-  // catalog image — serve it mapped, no replay. Eligibility is structural
-  // (journal empty, a full .plc file exists); OpenCatalogMapped converts
-  // pre-v5 or stale-hash files to an in-memory image itself. A digest
-  // failure is NOT converted: the file is the current epoch's
+  // Sealed epoch: a snapshot with zero journal frames is exactly the
+  // catalog image — serve it mapped, no replay. OpenCatalogMapped
+  // converts pre-v5 or stale-hash files to an in-memory image itself. A
+  // digest failure is NOT converted: the file is the epoch's
   // authoritative state, so corruption propagates.
-  if (pin.journal_bytes() <= kWalHeaderBytes &&
-      vfs_->Exists(EpochSnapshotPath(dir_, pin.epoch()))) {
+  if (pin.journal_bytes() <= kWalHeaderBytes) {
     Result<LoadedCatalog> catalog =
         OpenCatalogMapped(*vfs_, EpochSnapshotPath(dir_, pin.epoch()));
     if (!catalog.ok()) return catalog.status();

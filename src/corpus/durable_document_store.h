@@ -10,7 +10,6 @@
 
 #include "corpus/epoch_view.h"
 #include "corpus/labeled_document.h"
-#include "durability/delta.h"
 #include "durability/epoch.h"
 #include "durability/recovery.h"
 #include "durability/vfs.h"
@@ -25,13 +24,13 @@ namespace primelabel {
 /// StructureOracle over it — the read surface the service layer exposes.
 ///
 /// Every view is a v5 catalog image (corpus/epoch_view.h). A sealed
-/// epoch — full snapshot, no journal frames — is served from the snapshot
-/// the store wrote, mmapped and shared (an older-format snapshot is
-/// converted to an in-memory image first). A point with journal frames on
-/// top, or a delta epoch, is replayed into a document whose rows are then
-/// encoded as an owned image. Either way NodeIds are the preorder ranks
-/// of the pinned point, so ids are valid only within the snapshot that
-/// produced them: they renumber whenever the point moves.
+/// epoch — no journal frames — is served from the snapshot the store
+/// wrote, mmapped and shared (an older-format snapshot is converted to an
+/// in-memory image first). A point with journal frames on top is replayed
+/// into a document whose rows are then encoded as an owned image. Either
+/// way NodeIds are the preorder ranks of the pinned point, so ids are
+/// valid only within the snapshot that produced them: they renumber
+/// whenever the point moves.
 ///
 /// The view is held by shared_ptr<const ...>: when several sessions pin
 /// the same point through a view cache they share ONE materialization
@@ -129,13 +128,12 @@ class SnapshotViewCache {
 /// an atomic rename, so a crash at any instant leaves a consistent state):
 ///
 ///   MANIFEST              "PLMANIF1" + u64 epoch (little-endian)
-///   snapshot-<epoch>.plc  catalog snapshot (store/catalog.h), OR
-///   delta-<epoch>.pld     delta against a base epoch (durability/delta.h)
+///   snapshot-<epoch>.plc  full catalog snapshot (store/catalog.h)
 ///   journal-<epoch>.wal   write-ahead journal (durability/wal.h)
 ///
-/// An epoch stored as a delta chains to its base epoch, whose
-/// snapshot/delta file is retained (journal dropped) until the chain is
-/// compacted into a full snapshot again.
+/// Every epoch a live store holds is a full snapshot. Older builds could
+/// store an epoch as delta-<epoch>.pld against a base epoch
+/// (durability/delta.h); Open reads such a chain and compacts it.
 ///
 /// All file traffic goes through a Vfs (durability/vfs.h), so the fault
 /// matrix can fail any single syscall the store issues. When journaling
@@ -166,13 +164,6 @@ class DurableDocumentStore {
     /// File system seam; nullptr means the process-wide PosixVfs. Tests
     /// pass a FaultInjectingVfs here. Must outlive the store and any pins.
     Vfs* vfs = nullptr;
-    /// When true, Checkpoint writes a delta against the previous epoch
-    /// whenever the change set is small enough, falling back to a full
-    /// snapshot otherwise.
-    bool delta_checkpoints = true;
-    /// Compaction threshold: after this many consecutive delta epochs the
-    /// next checkpoint writes a full snapshot, bounding recovery chains.
-    int max_delta_chain = 4;
   };
 
   /// Initializes a new store at `dir` (created if missing) from parsed
@@ -191,11 +182,15 @@ class DurableDocumentStore {
                                              std::string_view xml,
                                              const Options& options = {});
 
-  /// Opens an existing store: resolves the MANIFEST's epoch through its
-  /// snapshot/delta chain, replays the journal's intact prefix on top
-  /// (tolerating torn tails and corrupt frames), truncates the journal to
-  /// that prefix, resumes appending, and sweeps stray files left by
-  /// crashed checkpoints.
+  /// Opens an existing store: loads the MANIFEST's epoch, replays the
+  /// journal's intact prefix on top (tolerating torn tails and corrupt
+  /// frames), truncates the journal to that prefix, resumes appending, and
+  /// sweeps stray files left by crashed checkpoints. An epoch an older
+  /// build stored as a delta chain is read through the chain and then
+  /// compacted by Checkpoint before Open returns, so the store it returns
+  /// is at the next epoch, a full snapshot. If that compaction fails, Open
+  /// returns its error; the MANIFEST swing comes last, so the chain stays
+  /// authoritative on disk and a later Open retries.
   static Result<DurableDocumentStore> Open(const std::string& dir,
                                            const Options& options = {});
 
@@ -215,9 +210,9 @@ class DurableDocumentStore {
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
   std::uint64_t epoch() const { return epoch_; }
   const std::string& dir() const { return dir_; }
-  /// Consecutive delta epochs behind the current epoch (0 right after a
-  /// full-snapshot checkpoint).
-  int delta_chain_length() const { return chain_len_; }
+  /// Always 0: every epoch a live store holds is a full snapshot. Kept for
+  /// wirebench, which counts checkpoints by kind through it.
+  int delta_chain_length() const { return 0; }
 
   /// True once a journaling failure forced read-only quarantine.
   bool quarantined() const { return !quarantine_.ok(); }
@@ -247,11 +242,10 @@ class DurableDocumentStore {
   /// Commits any group-commit buffer and applies the sync policy.
   Status Flush();
 
-  /// Compacts: writes the current state under the next epoch — as a delta
-  /// against this epoch when enabled and the change set is small, else as
-  /// a full catalog snapshot — starts an empty journal, atomically
-  /// swings the MANIFEST, and retires whatever no pin still needs. After
-  /// a checkpoint, recovery replays nothing.
+  /// Compacts: writes the current state as the next epoch's full catalog
+  /// snapshot, starts an empty journal, atomically swings the MANIFEST,
+  /// and retires whatever no pin still needs. After a checkpoint,
+  /// recovery replays nothing.
   Status Checkpoint();
 
   // --- Concurrent pinned readers ------------------------------------------
@@ -266,8 +260,8 @@ class DurableDocumentStore {
   /// writer keeps mutating and checkpointing. When a view cache is
   /// attached (set_view_cache), concurrent opens of the same (epoch,
   /// journal bytes) point share one materialization; otherwise each open
-  /// rebuilds from disk (snapshot/delta chain + committed journal
-  /// prefix). Every read on the returned Snapshot is concurrency-safe.
+  /// rebuilds from disk (snapshot + committed journal prefix). Every read
+  /// on the returned Snapshot is concurrency-safe.
   Result<Snapshot> OpenSnapshot() const;
 
   /// Attaches (or clears, with nullptr) the materialized-view cache that
@@ -308,33 +302,16 @@ class DurableDocumentStore {
                        WriteAheadLog wal, std::uint64_t epoch,
                        Options options, Vfs* vfs);
 
-  /// Resolved state of one epoch's snapshot/delta chain, before journal
-  /// replay, plus the chain links for registry bookkeeping.
-  struct EpochChain {
-    CatalogState state;
-    struct Link {
-      std::uint64_t epoch = 0;
-      bool is_delta = false;
-      std::uint64_t base_epoch = 0;
-    };
-    /// Current epoch first, full-snapshot base last.
-    std::vector<Link> links;
-  };
-  static Result<EpochChain> LoadEpochChain(Vfs& vfs, const std::string& dir,
-                                           std::uint64_t epoch);
-
   /// The one replay path, shared by Open, quarantine rollback and pinned
   /// views: the document `epoch` holds after the first `journal_limit`
-  /// bytes of its journal. Loads the snapshot/delta chain, adopts it, then
-  /// replays that journal prefix (a missing journal counts as empty).
-  /// `origin` names the point in errors. `on_chain`, when set, sees the
-  /// chain as loaded, before its rows move into the document; `stats`
-  /// receives the journal's intact length and the replay's counts.
+  /// bytes of its journal. Loads the epoch's snapshot (or the delta chain
+  /// an older build left), adopts it, then replays that journal prefix (a
+  /// missing journal counts as empty). `origin` names the point in errors; `stats` receives the
+  /// journal's intact length and the replay's counts.
   static Result<LabeledDocument> ReplayEpoch(
       Vfs& vfs, const std::string& dir, std::uint64_t epoch,
       std::uint64_t journal_limit, const std::string& origin,
-      RecoveryStats* stats = nullptr,
-      const std::function<void(const EpochChain&)>& on_chain = nullptr);
+      RecoveryStats* stats = nullptr);
 
   /// The body of the four public inserts: applies `op` at `node`, then
   /// journals it, quarantining the store when the journal fails.
@@ -346,28 +323,23 @@ class DurableDocumentStore {
                        std::string_view tag);
 
   /// Builds the shared view for a pinned point: the epoch's mapped
-  /// snapshot when the epoch is sealed (a full snapshot on disk, zero
-  /// journal frames), else an owned image of the document ReplayEpoch
-  /// rebuilds up to the pin's committed journal prefix. Corrupt images
-  /// fail the open either way.
+  /// snapshot when the epoch is sealed (zero journal frames), else an
+  /// owned image of the document ReplayEpoch rebuilds up to the pin's
+  /// committed journal prefix. Corrupt images fail the open either way.
   Result<std::shared_ptr<const EpochView>> MaterializeView(
       const EpochPin& pin) const;
 
-  /// Rebuilds the base diff index from the rows/SC state the current
-  /// epoch's files hold (pre-replay at Open, post-checkpoint state at
-  /// Checkpoint).
-  void ResetBaseIndex(const std::vector<CatalogRow>& rows,
-                      const ScTable& sc_table);
-
   /// Enters read-only quarantine: discards un-committed journal frames,
-  /// rolls the in-memory document back to the last durable state (chain +
-  /// committed journal prefix), and records `cause` in quarantine_.
+  /// rolls the in-memory document back to the last durable state
+  /// (snapshot + committed journal prefix), and records `cause` in
+  /// quarantine_.
   void EnterQuarantine(const Status& cause);
 
-  /// Unlinks epoch files in `dir` that no epoch of the live chain owns
-  /// (debris of checkpoints that failed before their MANIFEST swing).
+  /// Unlinks every epoch file in `dir` but `epoch`'s snapshot and journal:
+  /// debris of checkpoints that failed before their MANIFEST swing, and
+  /// the delta chain a compaction replaced.
   static void SweepStrays(Vfs& vfs, const std::string& dir,
-                          const std::vector<EpochChain::Link>& links);
+                          std::uint64_t epoch);
 
   std::string dir_;
   LabeledDocument doc_;
@@ -381,10 +353,6 @@ class DurableDocumentStore {
   SnapshotViewCache* view_cache_ = nullptr;
   /// Ok while healthy; kUnavailable (with cause) once quarantined.
   Status quarantine_;
-  /// Diff base for delta checkpoints: the current epoch's on-disk state.
-  BaseRowIndex base_index_;
-  std::vector<std::uint64_t> base_sc_hashes_;
-  int chain_len_ = 0;
 };
 
 }  // namespace primelabel

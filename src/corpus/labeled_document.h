@@ -131,8 +131,7 @@ class LabeledDocument {
   }
 
   /// The document as catalog rows: one row per attached node in preorder,
-  /// parents by row index — the unit both full snapshots and delta
-  /// snapshots are built from.
+  /// parents by row index — the unit snapshots are built from.
   std::vector<CatalogRow> ToCatalogRows() const;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "durability/frame.h"
 #include "util/binio.h"
@@ -10,8 +11,8 @@ namespace primelabel {
 
 namespace {
 
-/// The 7-byte magic prefix; the eighth byte is the format digit. EncodeDelta
-/// writes '2'; DecodeDelta also reads '1'.
+/// The 7-byte magic prefix; the eighth byte is the format digit, '1' or
+/// '2'.
 constexpr char kDeltaMagicPrefix[7] = {'P', 'L', 'D', 'E', 'L', 'T', 'A'};
 constexpr std::size_t kDeltaMagicBytes = 8;
 
@@ -32,8 +33,8 @@ void FnvU64(std::uint64_t* h, std::uint64_t v) {
   FnvBytes(h, b, 8);
 }
 
-}  // namespace
-
+/// Hash of one row's persisted content. parent_self stands in for the
+/// structural position.
 std::uint64_t CatalogRowHash(const CatalogRow& row,
                              std::uint64_t parent_self) {
   std::uint64_t h = kFnvOffset;
@@ -56,6 +57,8 @@ std::uint64_t CatalogRowHash(const CatalogRow& row,
   return h;
 }
 
+}  // namespace
+
 std::uint64_t CatalogRowsDigest(const std::vector<CatalogRow>& rows) {
   std::uint64_t h = kFnvOffset;
   FnvU64(&h, rows.size());
@@ -66,146 +69,6 @@ std::uint64_t CatalogRowsDigest(const std::vector<CatalogRow>& rows) {
     FnvU64(&h, CatalogRowHash(row, parent_self));
   }
   return h;
-}
-
-std::uint64_t ScRecordHash(const ScRecord& record) {
-  std::uint64_t h = kFnvOffset;
-  FnvU64(&h, record.moduli.size());
-  for (std::uint64_t modulus : record.moduli) FnvU64(&h, modulus);
-  const std::span<const std::uint64_t> sc = record.sc.Magnitude();
-  FnvU64(&h, sc.size());
-  for (std::uint64_t limb : sc) FnvU64(&h, limb);
-  return h;
-}
-
-BaseRowIndex BuildBaseRowIndex(const std::vector<CatalogRow>& rows) {
-  BaseRowIndex index;
-  index.reserve(rows.size());
-  for (const CatalogRow& row : rows) {
-    const std::uint64_t parent_self =
-        row.parent < 0 ? 0
-                       : rows[static_cast<std::size_t>(row.parent)].self;
-    index[row.self] = BaseRowEntry{CatalogRowHash(row, parent_self),
-                                   parent_self};
-  }
-  return index;
-}
-
-std::vector<std::uint64_t> ScRecordHashes(const ScTable& sc_table) {
-  std::vector<std::uint64_t> hashes;
-  hashes.reserve(sc_table.records().size());
-  for (const ScRecord& record : sc_table.records()) {
-    hashes.push_back(ScRecordHash(record));
-  }
-  return hashes;
-}
-
-DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
-                         const BaseRowIndex& base_index,
-                         const std::vector<std::uint64_t>& base_sc_hashes,
-                         const std::vector<CatalogRow>& final_rows,
-                         const ScTable& final_sc) {
-  DeltaSnapshot delta;
-  delta.base_epoch = base_epoch;
-  delta.final_row_count = final_rows.size();
-  delta.final_digest = CatalogRowsDigest(final_rows);
-  delta.fingerprints = true;
-
-  // Final-side structure: children lists + per-row predecessor sibling.
-  std::vector<std::uint64_t> parent_self(final_rows.size(), 0);
-  std::vector<std::uint64_t> pred_self(final_rows.size(), 0);
-  {
-    std::unordered_map<std::int64_t, std::uint64_t> last_child_self;
-    for (std::size_t i = 0; i < final_rows.size(); ++i) {
-      const CatalogRow& row = final_rows[i];
-      if (row.parent >= 0) {
-        parent_self[i] =
-            final_rows[static_cast<std::size_t>(row.parent)].self;
-        // Preorder lists a parent's children in sibling order, so the
-        // previous child seen under this parent is row i's predecessor.
-        auto it = last_child_self.find(row.parent);
-        pred_self[i] = it == last_child_self.end() ? 0 : it->second;
-        last_child_self[row.parent] = row.self;
-      }
-    }
-  }
-
-  std::unordered_map<std::uint64_t, bool> final_selves;
-  final_selves.reserve(final_rows.size());
-  for (const CatalogRow& row : final_rows) final_selves[row.self] = true;
-
-  for (std::size_t i = 0; i < final_rows.size(); ++i) {
-    const CatalogRow& row = final_rows[i];
-    auto base = base_index.find(row.self);
-    std::uint8_t flags = 0;
-    if (base == base_index.end()) {
-      flags = kDeltaPatchNew;
-    } else {
-      const std::uint64_t hash = CatalogRowHash(row, parent_self[i]);
-      if (hash == base->second.hash) continue;  // unchanged
-      if (base->second.parent_self != parent_self[i]) {
-        flags = kDeltaPatchMoved;
-      }
-    }
-    DeltaPatch patch;
-    patch.flags = flags;
-    patch.parent_self = parent_self[i];
-    patch.pred_self = pred_self[i];
-    patch.row = row;
-    delta.patches.push_back(std::move(patch));
-  }
-
-  // Tombstones: base selves gone from the final state, skipping those
-  // whose base parent is also gone — detaching the topmost root of a
-  // removed region removes the whole base subtree (nothing under a
-  // deleted node survives: Delete detaches subtrees, and an SC-relabeled
-  // victim's surviving children show up above as moved patches).
-  for (const auto& [self, entry] : base_index) {
-    if (final_selves.count(self) != 0) continue;
-    const bool parent_also_gone = entry.parent_self != 0 &&
-                                  base_index.count(entry.parent_self) != 0 &&
-                                  final_selves.count(entry.parent_self) == 0;
-    if (!parent_also_gone) delta.tombstones.push_back(self);
-  }
-  std::sort(delta.tombstones.begin(), delta.tombstones.end());
-
-  delta.sc_group_size = final_sc.group_size();
-  delta.sc_final_record_count = final_sc.records().size();
-  for (std::size_t r = 0; r < final_sc.records().size(); ++r) {
-    const std::uint64_t hash = ScRecordHash(final_sc.records()[r]);
-    if (r < base_sc_hashes.size() && base_sc_hashes[r] == hash) continue;
-    delta.sc_changes.emplace_back(r, final_sc.records()[r]);
-  }
-  return delta;
-}
-
-std::vector<std::uint8_t> EncodeDelta(const DeltaSnapshot& delta) {
-  ByteWriter writer;
-  writer.Bytes(kDeltaMagicPrefix, sizeof(kDeltaMagicPrefix));
-  writer.U8(static_cast<std::uint8_t>('2'));
-  writer.U64(delta.base_epoch);
-  writer.U64(delta.final_row_count);
-  writer.U64(delta.final_digest);
-  writer.U8(delta.fingerprints ? 1 : 0);
-  writer.U64(delta.tombstones.size());
-  for (std::uint64_t self : delta.tombstones) writer.U64(self);
-  writer.U64(delta.patches.size());
-  for (const DeltaPatch& patch : delta.patches) {
-    writer.U8(patch.flags);
-    writer.U64(patch.parent_self);
-    writer.U64(patch.pred_self);
-    EncodeCatalogRow(patch.row, delta.fingerprints, &writer);
-  }
-  writer.U32(static_cast<std::uint32_t>(delta.sc_group_size));
-  writer.U64(delta.sc_final_record_count);
-  writer.U64(delta.sc_changes.size());
-  for (const auto& [index, record] : delta.sc_changes) {
-    writer.U64(index);
-    EncodeScRecord(record, &writer);
-  }
-  const std::uint32_t crc = Crc32(writer.buffer());
-  writer.U32(crc);
-  return writer.Take();
 }
 
 Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
@@ -351,7 +214,7 @@ class ApplyContext {
 }  // namespace
 
 Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state) {
-  // BuildDelta emits every new row as a patch and every appended SC
+  // The writer emitted every new row as a patch and every appended SC
   // record as a change, so neither final count can exceed base plus
   // delta entries. Checked before anything is sized from them.
   if (delta.final_row_count > state->rows.size() + delta.patches.size()) {

@@ -1,6 +1,5 @@
 #include "durability/epoch.h"
 
-#include <set>
 #include <utility>
 
 namespace primelabel {
@@ -41,13 +40,9 @@ void EpochPin::Release() {
 EpochRegistry::EpochRegistry(Vfs* vfs, std::string dir)
     : vfs_(vfs), dir_(std::move(dir)) {}
 
-void EpochRegistry::Register(std::uint64_t epoch, bool is_delta,
-                             std::uint64_t base_epoch) {
+void EpochRegistry::Register(std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  EpochInfo info;
-  info.is_delta = is_delta;
-  info.base_epoch = base_epoch;
-  epochs_[epoch] = info;
+  epochs_.insert(epoch);
 }
 
 void EpochRegistry::SetCurrent(std::uint64_t epoch) {
@@ -110,65 +105,32 @@ void EpochRegistry::Unpin(std::uint64_t id) {
   CollectLocked();
 }
 
-bool EpochRegistry::ChainFilesPresent(std::uint64_t epoch) const {
+bool EpochRegistry::FilesPresent(std::uint64_t epoch) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t at = epoch;
-  for (int depth = 0; depth < 64; ++depth) {
-    auto it = epochs_.find(at);
-    if (it == epochs_.end()) return false;
-    if (it->second.is_delta) {
-      if (!vfs_->Exists(EpochDeltaPath(dir_, at))) return false;
-      at = it->second.base_epoch;
-      continue;
-    }
-    return vfs_->Exists(EpochSnapshotPath(dir_, at));
-  }
-  return false;
+  return epochs_.count(epoch) != 0 &&
+         vfs_->Exists(EpochSnapshotPath(dir_, epoch)) &&
+         vfs_->Exists(EpochJournalPath(dir_, epoch));
 }
 
 void EpochRegistry::CollectLocked() {
-  // Journals are needed by the current epoch and every pinned epoch;
-  // snapshot/delta files additionally by every base a retained delta
-  // chains through.
-  std::set<std::uint64_t> need_journal;
-  need_journal.insert(current_);
-  for (const auto& [id, epoch] : pins_) need_journal.insert(epoch);
-
-  std::set<std::uint64_t> need_files;
-  for (std::uint64_t root : need_journal) {
-    std::uint64_t at = root;
-    for (int depth = 0; depth < 64; ++depth) {
-      if (!need_files.insert(at).second) break;
-      auto it = epochs_.find(at);
-      if (it == epochs_.end() || !it->second.is_delta) break;
-      at = it->second.base_epoch;
-    }
-  }
+  std::set<std::uint64_t> live;
+  live.insert(current_);
+  for (const auto& [id, epoch] : pins_) live.insert(epoch);
 
   for (auto it = epochs_.begin(); it != epochs_.end();) {
-    const std::uint64_t epoch = it->first;
+    const std::uint64_t epoch = *it;
     // A checkpoint registers its epoch before SetCurrent publishes it; an
     // Unpin in between must not retire the files being published.
     if (epoch > current_) break;
-    if (need_files.count(epoch) == 0) {
-      // Fully unreachable: all three files go. Best effort — strays are
-      // swept at the next Open.
-      vfs_->Unlink(EpochJournalPath(dir_, epoch));
-      if (it->second.is_delta) {
-        vfs_->Unlink(EpochDeltaPath(dir_, epoch));
-      } else {
-        vfs_->Unlink(EpochSnapshotPath(dir_, epoch));
-      }
-      it = epochs_.erase(it);
+    if (live.count(epoch) != 0) {
+      ++it;
       continue;
     }
-    if (need_journal.count(epoch) == 0 && !it->second.journal_removed) {
-      // Kept only as a delta base: its journal contents were folded into
-      // the delta, so the journal alone retires.
-      vfs_->Unlink(EpochJournalPath(dir_, epoch));
-      it->second.journal_removed = true;
-    }
-    ++it;
+    // Neither current nor pinned: both files go. Best effort — strays are
+    // swept at the next Open.
+    vfs_->Unlink(EpochJournalPath(dir_, epoch));
+    vfs_->Unlink(EpochSnapshotPath(dir_, epoch));
+    it = epochs_.erase(it);
   }
 }
 

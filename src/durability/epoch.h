@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 
 #include "durability/vfs.h"
@@ -14,22 +15,18 @@ namespace primelabel {
 
 // Epoch lifecycle for the durable store's reader/writer protocol.
 //
-// The MANIFEST names the current epoch; each epoch is a snapshot (full
-// .plc or delta .pld against a base epoch) plus a journal. Readers pin an
-// epoch — capturing (epoch, committed journal bytes) — and reconstruct a
-// bit-identical view from those files while the single writer keeps
-// committing and checkpointing. The registry retires an epoch's files only
-// once no pin can reach it:
-//
-//   - journal files are needed by the current epoch and by pinned epochs
-//     (a pin replays the journal up to its captured byte count);
-//   - snapshot/delta files are needed by those epochs AND by every base
-//     epoch a retained delta chains through.
+// The MANIFEST names the current epoch; each epoch is a full catalog
+// snapshot plus a journal. Readers pin an epoch — capturing (epoch,
+// committed journal bytes) — and reconstruct a bit-identical view from
+// those two files while the single writer keeps committing and
+// checkpointing. The registry keeps an epoch's files exactly while the
+// epoch is current or pinned, and retires both once neither holds.
 //
 // Retirement is best-effort unlinking: a failed unlink leaves a stray file
 // that DurableDocumentStore::Open sweeps on the next start.
 
-/// File naming shared by the store, recovery, and tooling.
+/// File naming shared by the store, recovery, and tooling. Delta files
+/// are a read-only legacy format (durability/delta.h).
 std::string EpochSnapshotPath(const std::string& dir, std::uint64_t epoch);
 std::string EpochDeltaPath(const std::string& dir, std::uint64_t epoch);
 std::string EpochJournalPath(const std::string& dir, std::uint64_t epoch);
@@ -62,8 +59,8 @@ class EpochPin {
   std::uint64_t journal_bytes_ = 0;
 };
 
-/// Tracks the live epochs of one store directory, their delta-chain base
-/// links, the current epoch's committed journal length, and active pins.
+/// Tracks the live epochs of one store directory, the current epoch's
+/// committed journal length, and active pins.
 /// Thread-safe: the writer publishes epochs/journal lengths while reader
 /// threads pin and release concurrently. Held by shared_ptr so pins can
 /// outlive the store object that created them.
@@ -71,9 +68,8 @@ class EpochRegistry {
  public:
   EpochRegistry(Vfs* vfs, std::string dir);
 
-  /// Declares an epoch and how it is stored. `base_epoch` is meaningful
-  /// only for deltas (the epoch the .pld applies against).
-  void Register(std::uint64_t epoch, bool is_delta, std::uint64_t base_epoch);
+  /// Declares an epoch whose snapshot and journal are on disk.
+  void Register(std::uint64_t epoch);
 
   /// Publishes `epoch` as current (after the MANIFEST swing) and retires
   /// whatever became unreachable.
@@ -102,18 +98,12 @@ class EpochRegistry {
   /// registry (the pin keeps it alive).
   EpochPin Pin(std::shared_ptr<EpochRegistry> self);
 
-  /// True when every file the epoch chain of `epoch` needs still exists —
+  /// True while `epoch` is registered and its snapshot and journal exist —
   /// what pin tests assert before and after retirement.
-  bool ChainFilesPresent(std::uint64_t epoch) const;
+  bool FilesPresent(std::uint64_t epoch) const;
 
  private:
   friend class EpochPin;
-
-  struct EpochInfo {
-    bool is_delta = false;
-    std::uint64_t base_epoch = 0;
-    bool journal_removed = false;
-  };
 
   void Unpin(std::uint64_t id);
   /// Retires unreachable epochs' files. Caller holds mu_.
@@ -127,7 +117,7 @@ class EpochRegistry {
   /// safe against a concurrent SetCurrent.
   mutable std::mutex listener_mu_;
   std::function<void(std::uint64_t)> retirement_listener_;
-  std::map<std::uint64_t, EpochInfo> epochs_;
+  std::set<std::uint64_t> epochs_;
   std::map<std::uint64_t, std::uint64_t> pins_;  ///< pin id -> epoch
   std::uint64_t next_pin_id_ = 1;
   std::uint64_t current_ = 0;

@@ -394,8 +394,8 @@ Status LoadedCatalog::ParseImage(std::span<const std::uint8_t> bytes,
   const std::uint64_t record_count = scmeta.U64();
   // Bounded by the section's bytes (each record needs at least its 4-byte
   // entry count), not by the row count: a Delete leaves emptied records
-  // in place, since deltas and recovery address records by index, so a
-  // store that deleted most of its rows holds more records than rows.
+  // in place and no checkpoint compacts them, so a store that deleted
+  // most of its rows holds more records than rows.
   if (record_count > scmeta.remaining() / 4) {
     return Status::Corruption(origin + ": implausible SC record count");
   }

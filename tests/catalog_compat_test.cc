@@ -2,18 +2,23 @@
 //
 // The fixture under tests/data/limb32_store was written by the 32-bit-limb
 // arithmetic engine (v1, pre-"engine v2" migration): a catalog-v3 epoch-0
-// snapshot, a delta checkpoint chained on top, and a journal tail of
-// committed-but-uncheckpointed frames. The on-disk formats serialize label
-// magnitudes as minimal little-endian byte strings (BigInt::ToMagnitudeBytes),
-// so they are limb-width independent by construction — this suite pins that
-// contract: the current build must open the store, replay the journal, and
-// recover a document whose full observable state (structure, tags, labels,
-// self-labels, SC order numbers) digests identically to what the 32-bit
-// writer recorded in DIGEST.txt at write time.
+// snapshot, a PLDELTA1 delta checkpoint chained on top as epoch 1, and a
+// journal tail of committed-but-uncheckpointed frames. Delta files are a
+// read-only format now: Open reads the chain and compacts it into a v5
+// snapshot of epoch 2 before it returns (durability_test.cc's
+// DurabilityDelta.LegacyChain* test checks the files it leaves). The
+// on-disk formats serialize label magnitudes as minimal little-endian byte
+// strings (BigInt::ToMagnitudeBytes), so they are limb-width independent
+// by construction — this suite pins that contract: the current build must
+// open the store, replay the journal, and recover a document whose full
+// observable state (structure, tags, labels, self-labels, SC order
+// numbers) digests identically to what the 32-bit writer recorded in
+// DIGEST.txt at write time.
 //
-// Regenerating the fixture (only meaningful from a 32-bit-limb checkout):
-// run catalog_compat_test with PRIMELABEL_WRITE_COMPAT_FIXTURE=1 and
-// --gtest_also_run_disabled_tests --gtest_filter='*WriteFixture*'.
+// Regenerating the fixture (only meaningful from a 32-bit-limb checkout,
+// whose Checkpoint wrote the delta): run catalog_compat_test with
+// PRIMELABEL_WRITE_COMPAT_FIXTURE=1 and --gtest_also_run_disabled_tests
+// --gtest_filter='*WriteFixture*'.
 
 #include <unistd.h>
 
@@ -140,9 +145,10 @@ TEST(CatalogCompat, DISABLED_WriteFixture) {
   auto store = DurableDocumentStore::Create(dir, FixturePlayXml());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   MutatePhaseOne(*store);
-  // Checkpoint: epoch 1 lands as a delta against the epoch-0 full
-  // snapshot (small change set), so readers of the fixture exercise the
-  // whole chain: snapshot + delta + journal replay.
+  // Checkpoint: in the 32-bit-limb build epoch 1 landed as a delta
+  // against the epoch-0 full snapshot (small change set), so readers of
+  // the fixture exercise the whole chain: snapshot + delta + journal
+  // replay. The current build writes a full snapshot here.
   ASSERT_TRUE(store->Checkpoint().ok());
   MutatePhaseTwo(*store);  // journal tail, committed but not checkpointed
 

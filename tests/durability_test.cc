@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "delta_encoder.h"
 #include "durability/delta.h"
 #include "durability/frame.h"
 #include "durability/recovery.h"
@@ -65,6 +66,18 @@ void WriteFileBytes(const std::string& path,
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+/// Copies the committed limb32_store fixture into a fresh `dir`: a v3
+/// epoch-0 snapshot, a PLDELTA1 delta-1 over it (the chain an older build
+/// left) and a journal tail on epoch 1.
+void CopyLimb32Store(const std::string& dir) {
+  RemoveTree(dir);
+  fs::create_directories(dir);
+  for (const auto& entry : fs::directory_iterator(
+           std::string(PRIMELABEL_TEST_DATA_DIR) + "/limb32_store")) {
+    fs::copy_file(entry.path(), fs::path(dir) / entry.path().filename());
+  }
 }
 
 /// Full observable state of a document: structure, tags, every label and
@@ -313,14 +326,9 @@ TEST(DurabilityStore, CheckpointCompactsJournalAndDropsOldEpoch) {
   std::string dir = TempDirPath("store-checkpoint");
   RemoveTree(dir);
   std::string live_digest;
-  // Full-snapshot checkpoints only: with deltas the base epoch's file is
-  // deliberately retained (the delta chains to it) — covered by the delta
-  // tests below.
-  DurableDocumentStore::Options options;
-  options.delta_checkpoints = false;
   {
     Result<DurableDocumentStore> store =
-        DurableDocumentStore::Create(dir, SmallPlayXml(), options);
+        DurableDocumentStore::Create(dir, SmallPlayXml());
     ASSERT_TRUE(store.ok());
     std::vector<NodeId> speeches = store->Query("//speech").value();
     ASSERT_GE(speeches.size(), 3u);
@@ -1288,21 +1296,17 @@ TEST(DurabilityRecoveryEdges, CraftedV2SnapshotFailsOpenCleanly) {
   // v2 files carry no checksum, so nothing but the row-structure check
   // stands between those rows and recovery, which indexes rows by parent.
   // Open, LoadCatalog and Load must each fail with a typed error naming
-  // the row, with the snapshot as the current epoch and as the base of a
-  // delta epoch.
+  // the row, with the snapshot as the current epoch and as the base of
+  // the legacy delta epoch in a copy of the limb32_store fixture.
   for (const bool delta_base : {false, true}) {
     const std::string dir = TempDirPath("crafted-v2");
     RemoveTree(dir);
-    {
+    if (delta_base) {
+      CopyLimb32Store(dir);
+    } else {
       Result<DurableDocumentStore> created =
           DurableDocumentStore::Create(dir, SmallPlayXml());
       ASSERT_TRUE(created.ok()) << created.status().ToString();
-      if (delta_base) {
-        std::vector<NodeId> scenes = created->Query("//scene").value();
-        ASSERT_TRUE(created->AppendChild(scenes[0], "extra").ok());
-        ASSERT_TRUE(created->Checkpoint().ok());
-        ASSERT_EQ(created->delta_chain_length(), 1);
-      }
     }
     const std::string snapshot = DurableDocumentStore::SnapshotPath(dir, 0);
     Result<CatalogState> state = LoadCatalog(DefaultVfs(), snapshot);
@@ -1500,7 +1504,7 @@ TEST(DurabilityQuarantine, CheckpointFailureBeforePublishLeavesStoreLive) {
   ASSERT_TRUE(store->AppendChild(scenes[0], "pre").ok());
 
   // Fail the MANIFEST rename — the last step before the new epoch becomes
-  // authoritative. Ordinals within Checkpoint: journal fsync (1), delta
+  // authoritative. Ordinals within Checkpoint: journal fsync (1), snapshot
   // write+sync (2,3), new journal header (4), manifest tmp write+sync
   // (5,6), rename (7).
   fx.vfs.Arm({fx.vfs.write_ops() + 7, FaultInjectingVfs::FaultKind::kEio,
@@ -1529,108 +1533,34 @@ TEST(DurabilityQuarantine, CheckpointFailureBeforePublishLeavesStoreLive) {
 
 // --- Delta checkpoints ----------------------------------------------------
 
-TEST(DurabilityDelta, DeltaCheckpointReopensBitIdentical) {
-  std::string dir = TempDirPath("delta-basic");
+TEST(DurabilityDelta, DeltaAndFullCheckpointsRecoverIdentically) {
+  // Random inserts with a checkpoint every fifth op: a reopen recovers
+  // exactly the live document.
+  std::string dir = TempDirPath("checkpoints-recover");
   RemoveTree(dir);
   Result<DurableDocumentStore> store =
       DurableDocumentStore::Create(dir, SmallPlayXml());
   ASSERT_TRUE(store.ok());
-  std::vector<NodeId> speeches = store->Query("//speech").value();
-  ASSERT_GE(speeches.size(), 3u);
-  ASSERT_TRUE(store->InsertAfter(speeches[0], "speech").ok());
-  ASSERT_TRUE(store->Delete(speeches[1]).ok());
-  ASSERT_TRUE(store->Checkpoint().ok());
-  EXPECT_EQ(store->epoch(), 1u);
-  EXPECT_EQ(store->delta_chain_length(), 1);
-
-  // Epoch 1 is a delta chained to the epoch-0 snapshot; the base snapshot
-  // stays (the delta needs it) but its journal retires.
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::DeltaPath(dir, 1)));
-  EXPECT_FALSE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 1)));
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 0)));
-  EXPECT_FALSE(fs::exists(DurableDocumentStore::JournalPath(dir, 0)));
-
-  // Post-checkpoint mutations land in the new journal.
-  speeches = store->Query("//speech").value();
-  ASSERT_TRUE(store->Wrap(speeches[0], "aside").ok());
-  ASSERT_TRUE(store->Flush().ok());
-  const std::string live_digest = StateDigest(store->document());
-
+  std::mt19937 rng(777);
+  for (int i = 0; i < 18; ++i) {
+    std::vector<NodeId> elements = NonRootElements(store->document().tree());
+    NodeId anchor = elements[rng() % elements.size()];
+    switch (rng() % 4) {
+      case 0: EXPECT_TRUE(store->InsertBefore(anchor, "ib").ok()); break;
+      case 1: EXPECT_TRUE(store->InsertAfter(anchor, "ia").ok()); break;
+      case 2: EXPECT_TRUE(store->AppendChild(anchor, "ac").ok()); break;
+      case 3: EXPECT_TRUE(store->Wrap(anchor, "wr").ok()); break;
+    }
+    if (i % 5 == 4) {
+      EXPECT_TRUE(store->Checkpoint().ok());
+    }
+  }
+  EXPECT_TRUE(store->Flush().ok());
   Result<DurableDocumentStore> reopened = DurableDocumentStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(reopened->epoch(), 1u);
-  EXPECT_EQ(reopened->delta_chain_length(), 1);
-  EXPECT_EQ(StateDigest(reopened->document()), live_digest);
+  EXPECT_EQ(StateDigest(store->document()),
+            StateDigest(reopened->document()));
   RemoveTree(dir);
-}
-
-TEST(DurabilityDelta, ChainCompactsIntoFullSnapshotAtMaxLength) {
-  std::string dir = TempDirPath("delta-chain");
-  RemoveTree(dir);
-  DurableDocumentStore::Options options;
-  options.max_delta_chain = 2;
-  Result<DurableDocumentStore> store =
-      DurableDocumentStore::Create(dir, SmallPlayXml(), options);
-  ASSERT_TRUE(store.ok());
-
-  for (int round = 1; round <= 3; ++round) {
-    std::vector<NodeId> scenes = store->Query("//scene").value();
-    ASSERT_TRUE(store->AppendChild(scenes[0], "note").ok());
-    ASSERT_TRUE(store->Checkpoint().ok());
-  }
-  // Epochs 1 and 2 were deltas; epoch 3 hit the chain cap and compacted.
-  EXPECT_EQ(store->epoch(), 3u);
-  EXPECT_EQ(store->delta_chain_length(), 0);
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 3)));
-  // The full snapshot made the whole old chain unreachable.
-  EXPECT_FALSE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 0)));
-  EXPECT_FALSE(fs::exists(DurableDocumentStore::DeltaPath(dir, 1)));
-  EXPECT_FALSE(fs::exists(DurableDocumentStore::DeltaPath(dir, 2)));
-
-  const std::string live_digest = StateDigest(store->document());
-  Result<DurableDocumentStore> reopened =
-      DurableDocumentStore::Open(dir, options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(StateDigest(reopened->document()), live_digest);
-  RemoveTree(dir);
-}
-
-TEST(DurabilityDelta, DeltaAndFullCheckpointsRecoverIdentically) {
-  auto run = [](const char* name, bool deltas) {
-    std::string dir = TempDirPath(name);
-    RemoveTree(dir);
-    DurableDocumentStore::Options options;
-    options.delta_checkpoints = deltas;
-    Result<DurableDocumentStore> store =
-        DurableDocumentStore::Create(dir, SmallPlayXml(), options);
-    EXPECT_TRUE(store.ok());
-    std::mt19937 rng(777);
-    for (int i = 0; i < 18; ++i) {
-      std::vector<NodeId> elements =
-          NonRootElements(store->document().tree());
-      NodeId anchor = elements[rng() % elements.size()];
-      switch (rng() % 4) {
-        case 0: EXPECT_TRUE(store->InsertBefore(anchor, "ib").ok()); break;
-        case 1: EXPECT_TRUE(store->InsertAfter(anchor, "ia").ok()); break;
-        case 2: EXPECT_TRUE(store->AppendChild(anchor, "ac").ok()); break;
-        case 3: EXPECT_TRUE(store->Wrap(anchor, "wr").ok()); break;
-      }
-      if (i % 5 == 4) {
-        EXPECT_TRUE(store->Checkpoint().ok());
-      }
-    }
-    EXPECT_TRUE(store->Flush().ok());
-    Result<DurableDocumentStore> reopened =
-        DurableDocumentStore::Open(dir, options);
-    EXPECT_TRUE(reopened.ok());
-    std::string live = StateDigest(store->document());
-    std::string recovered = StateDigest(reopened->document());
-    EXPECT_EQ(live, recovered);
-    RemoveTree(dir);
-    return live;
-  };
-  // Same workload, same RNG: the storage strategy must be invisible.
-  EXPECT_EQ(run("delta-vs-full-a", true), run("delta-vs-full-b", false));
 }
 
 TEST(DurabilityDelta, ScRelabelHeavyWorkloadSurvivesDeltaCheckpoints) {
@@ -1666,38 +1596,6 @@ TEST(DurabilityDelta, ScRelabelHeavyWorkloadSurvivesDeltaCheckpoints) {
   RemoveTree(dir);
 }
 
-TEST(DurabilityDelta, DeltaIsMuchSmallerThanFullSnapshotForSparseChanges) {
-  PlayOptions play;
-  play.acts = 6;
-  play.scenes_per_act = 5;
-  play.min_speeches_per_scene = 4;
-  play.max_speeches_per_scene = 8;
-  play.seed = 3;
-  std::string dir = TempDirPath("delta-size");
-  RemoveTree(dir);
-  Result<DurableDocumentStore> store = DurableDocumentStore::Create(
-      dir, SerializeXml(GeneratePlay("big", play)));
-  ASSERT_TRUE(store.ok());
-  // A handful of localized edits in a document of hundreds of nodes.
-  std::vector<NodeId> speeches = store->Query("//speech").value();
-  ASSERT_GE(speeches.size(), 60u);
-  ASSERT_TRUE(store->AppendChild(speeches[3], "line").ok());
-  ASSERT_TRUE(store->InsertAfter(speeches[10], "speech").ok());
-  ASSERT_TRUE(store->Delete(speeches[40]).ok());
-  ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(fs::exists(DurableDocumentStore::DeltaPath(dir, 1)));
-
-  const std::uint64_t snapshot_bytes =
-      fs::file_size(DurableDocumentStore::SnapshotPath(dir, 0));
-  const std::uint64_t delta_bytes =
-      fs::file_size(DurableDocumentStore::DeltaPath(dir, 1));
-  // Checkpoint cost tracks mutation volume, not document size.
-  EXPECT_LT(delta_bytes * 4, snapshot_bytes)
-      << "delta " << delta_bytes << "B vs snapshot " << snapshot_bytes
-      << "B";
-  RemoveTree(dir);
-}
-
 TEST(DurabilityDelta, CraftedFinalCountsFailRecoveryCleanly) {
   // A delta whose checksum verifies but whose final row count or final SC
   // record count claims 2^40 entries: recovery must reject it before
@@ -1715,11 +1613,7 @@ TEST(DurabilityDelta, CraftedFinalCountsFailRecoveryCleanly) {
     (field == 0 ? crafted.final_row_count : crafted.sc_final_record_count) =
         kHuge;
     const std::string dir = TempDirPath("crafted-delta");
-    RemoveTree(dir);
-    fs::create_directories(dir);
-    for (const auto& entry : fs::directory_iterator(fixture)) {
-      fs::copy_file(entry.path(), fs::path(dir) / entry.path().filename());
-    }
+    CopyLimb32Store(dir);
     WriteFileBytes(dir + "/" + delta_name, EncodeDelta(crafted));
     Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
     EXPECT_FALSE(store.ok()) << "field " << field;
@@ -1759,11 +1653,7 @@ TEST(DurabilityDelta, CraftedScRecordsFailRecoveryCleanly) {
     DeltaSnapshot crafted = decoded.value();
     craft(&crafted.sc_changes[0].second);
     const std::string dir = TempDirPath("crafted-sc-delta");
-    RemoveTree(dir);
-    fs::create_directories(dir);
-    for (const auto& entry : fs::directory_iterator(fixture)) {
-      fs::copy_file(entry.path(), fs::path(dir) / entry.path().filename());
-    }
+    CopyLimb32Store(dir);
     WriteFileBytes(dir + "/" + delta_name, EncodeDelta(crafted));
     Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
     ASSERT_FALSE(store.ok()) << what;
@@ -1771,6 +1661,140 @@ TEST(DurabilityDelta, CraftedScRecordsFailRecoveryCleanly) {
         << what << ": " << store.status().ToString();
     RemoveTree(dir);
   }
+}
+
+/// The epoch a store's MANIFEST names ("PLMANIF1" + u64 little-endian).
+std::uint64_t ManifestEpoch(const std::string& dir) {
+  const std::vector<std::uint8_t> bytes =
+      ReadFileBytes(DurableDocumentStore::ManifestPath(dir));
+  EXPECT_EQ(bytes.size(), 16u);
+  std::uint64_t epoch = 0;
+  for (std::size_t i = 0; i < 8 && 8 + i < bytes.size(); ++i) {
+    epoch |= static_cast<std::uint64_t>(bytes[8 + i]) << (8 * i);
+  }
+  return epoch;
+}
+
+std::set<std::string> FileNames(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+TEST(DurabilityDelta, LegacyChainOpensAndCompactsIntoFullSnapshot) {
+  // A store an older build left with a delta epoch: the limb32_store
+  // fixture holds a PLDELTA1 chain, and its delta re-encoded as PLDELTA2
+  // is the chain builds that wrote PLDELTA2 left. Open must recover the
+  // recorded state and compact the chain into a v5 snapshot of the next
+  // epoch before it returns, leaving no delta, old snapshot or old
+  // journal behind; a second Open then has nothing to replay.
+  const std::string fixture =
+      std::string(PRIMELABEL_TEST_DATA_DIR) + "/limb32_store";
+  const std::vector<std::uint8_t> digest_bytes =
+      ReadFileBytes(fixture + "/DIGEST.txt");
+  const std::string expected(digest_bytes.begin(), digest_bytes.end());
+  ASSERT_FALSE(expected.empty());
+  Result<DeltaSnapshot> pldelta1 =
+      DecodeDelta(ReadFileBytes(fixture + "/delta-1.pld"), "delta-1.pld");
+  ASSERT_TRUE(pldelta1.ok()) << pldelta1.status().ToString();
+  for (const char* format : {"PLDELTA2", "PLDELTA1"}) {
+    SCOPED_TRACE(format);
+    const std::string dir = TempDirPath("legacy-chain");
+    CopyLimb32Store(dir);
+    const std::string delta = DurableDocumentStore::DeltaPath(dir, 1);
+    if (std::string(format) == "PLDELTA2") {
+      WriteFileBytes(delta, EncodeDelta(pldelta1.value()));
+    }
+    const std::vector<std::uint8_t> written = ReadFileBytes(delta);
+    ASSERT_EQ(std::string(written.begin(), written.begin() + 8), format);
+    {
+      Result<DurableDocumentStore> store = DurableDocumentStore::Open(dir);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      EXPECT_GT(store->recovery_stats().inserts_applied, 0u);
+      EXPECT_EQ(StateDigest(store->document()), expected);
+      EXPECT_EQ(store->epoch(), 2u);
+    }
+    EXPECT_EQ(ManifestEpoch(dir), 2u);
+    ASSERT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 2)));
+    const std::vector<std::uint8_t> snapshot =
+        ReadFileBytes(DurableDocumentStore::SnapshotPath(dir, 2));
+    ASSERT_GE(snapshot.size(), 8u);
+    EXPECT_EQ(std::string(snapshot.begin(), snapshot.begin() + 8),
+              "PLCATLG5");
+    // Only the new epoch's files, the MANIFEST and the fixture's digest.
+    EXPECT_EQ(FileNames(dir),
+              (std::set<std::string>{"DIGEST.txt", "MANIFEST",
+                                     "journal-2.wal", "snapshot-2.plc"}));
+
+    Result<DurableDocumentStore> reopened = DurableDocumentStore::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened->epoch(), 2u);
+    EXPECT_EQ(reopened->recovery_stats().inserts_applied, 0u);
+    EXPECT_EQ(StateDigest(reopened->document()), expected);
+    RemoveTree(dir);
+  }
+}
+
+TEST(DurabilityDelta, FaultsDuringLegacyCompactionLeaveStoreOpenable) {
+  // One fault at every write-class ordinal a clean Open of the legacy
+  // fixture issues (the compacting Checkpoint, the retirement and the
+  // sweep), for each fault kind: the faulted Open succeeds or fails
+  // typed, and a clean Open after the reboot recovers the recorded state
+  // as a full snapshot.
+  const std::vector<std::uint8_t> digest_bytes = ReadFileBytes(
+      std::string(PRIMELABEL_TEST_DATA_DIR) + "/limb32_store/DIGEST.txt");
+  const std::string expected(digest_bytes.begin(), digest_bytes.end());
+  const std::string dir = TempDirPath("legacy-compact-fault");
+  std::uint64_t open_ops = 0;
+  {
+    CopyLimb32Store(dir);
+    FaultInjectingVfs vfs(DefaultVfs());
+    DurableDocumentStore::Options options;
+    options.vfs = &vfs;
+    ASSERT_TRUE(DurableDocumentStore::Open(dir, options).ok());
+    open_ops = vfs.write_ops();
+  }
+  ASSERT_GT(open_ops, 0u);
+  const FaultInjectingVfs::FaultKind kinds[] = {
+      FaultInjectingVfs::FaultKind::kShortWrite,
+      FaultInjectingVfs::FaultKind::kEio,
+      FaultInjectingVfs::FaultKind::kEnospc,
+      FaultInjectingVfs::FaultKind::kFsyncFail,
+      FaultInjectingVfs::FaultKind::kCrash,
+  };
+  for (FaultInjectingVfs::FaultKind kind : kinds) {
+    for (std::uint64_t ordinal = 1; ordinal <= open_ops; ++ordinal) {
+      SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
+                   " ordinal=" + std::to_string(ordinal));
+      CopyLimb32Store(dir);
+      FaultInjectingVfs vfs(DefaultVfs());
+      DurableDocumentStore::Options options;
+      options.vfs = &vfs;
+      vfs.Arm({ordinal, kind, /*transient=*/false});
+      {
+        Result<DurableDocumentStore> faulted =
+            DurableDocumentStore::Open(dir, options);
+        if (!faulted.ok()) {
+          const StatusCode code = faulted.status().code();
+          EXPECT_TRUE(code == StatusCode::kIoError ||
+                      code == StatusCode::kResourceExhausted ||
+                      code == StatusCode::kUnavailable)
+              << faulted.status().ToString();
+        }
+      }
+      vfs.Reset();
+      Result<DurableDocumentStore> reopened =
+          DurableDocumentStore::Open(dir, options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ(StateDigest(reopened->document()), expected);
+      for (const std::string& name : FileNames(dir)) {
+        EXPECT_EQ(name.rfind("delta-", 0), std::string::npos) << name;
+      }
+    }
+  }
+  RemoveTree(dir);
 }
 
 // --- Epoch pins (single-threaded lifecycle; concurrency lives in
@@ -1818,10 +1842,8 @@ TEST(EpochPinning, PinnedReaderSeesFrozenViewWhileWriterAdvances) {
 TEST(EpochPinning, PinKeepsRetiredEpochFilesUntilRelease) {
   std::string dir = TempDirPath("pin-retire");
   RemoveTree(dir);
-  DurableDocumentStore::Options options;
-  options.delta_checkpoints = false;  // full checkpoint normally drops e0
   Result<DurableDocumentStore> store =
-      DurableDocumentStore::Create(dir, SmallPlayXml(), options);
+      DurableDocumentStore::Create(dir, SmallPlayXml());
   ASSERT_TRUE(store.ok());
   const std::string pin_digest = StateDigest(store->document());
   Result<Snapshot> snap = store->OpenSnapshot();
@@ -1844,56 +1866,15 @@ TEST(EpochPinning, PinKeepsRetiredEpochFilesUntilRelease) {
   RemoveTree(dir);
 }
 
-TEST(EpochPinning, PinOnDeltaEpochReadsThroughChain) {
-  std::string dir = TempDirPath("pin-delta");
+TEST(EpochPinning, ViewsServeMoreScRecordsThanRows) {
+  // A Delete empties SC records but leaves them in place, so once most
+  // of a document is deleted its SC table holds more records than the
+  // document has rows. Both view shapes (journaled, sealed snapshot) and
+  // a reopen must still serve that store.
+  std::string dir = TempDirPath("pin-sc-holes");
   RemoveTree(dir);
   Result<DurableDocumentStore> store =
       DurableDocumentStore::Create(dir, SmallPlayXml());
-  ASSERT_TRUE(store.ok());
-  std::vector<NodeId> scenes = store->Query("//scene").value();
-  ASSERT_TRUE(store->AppendChild(scenes[0], "one").ok());
-  ASSERT_TRUE(store->Checkpoint().ok());  // epoch 1, a delta
-  ASSERT_TRUE(store->AppendChild(scenes[0], "two").ok());
-  ASSERT_TRUE(store->Flush().ok());
-  const std::string pin_digest = StateDigest(store->document());
-
-  Result<Snapshot> snap = store->OpenSnapshot();
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->epoch(), 1u);
-  ASSERT_TRUE(store->AppendChild(scenes[0], "three").ok());
-  ASSERT_TRUE(store->Checkpoint().ok());  // epoch 2
-  EXPECT_EQ(StateDigest(snap->document()), pin_digest);
-
-  // The snapshot materialized through the (now superseded) delta chain —
-  // epoch 1's delta over epoch 0's full snapshot plus the committed
-  // journal prefix — and the pin keeps that whole chain on disk while the
-  // view lives.
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 0)));
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::DeltaPath(dir, 1)));
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::JournalPath(dir, 1)));
-
-  // Dropping the snapshot retires what only the pin kept alive: epoch 1's
-  // journal. The epoch-1 delta (and epoch-0 base) stay — epoch 2's delta
-  // chains through them, so they are reachable from the live epoch.
-  snap.value() = Snapshot();
-  EXPECT_FALSE(fs::exists(DurableDocumentStore::JournalPath(dir, 1)));
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::DeltaPath(dir, 1)));
-  EXPECT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 0)));
-  RemoveTree(dir);
-}
-
-TEST(EpochPinning, ViewsServeMoreScRecordsThanRows) {
-  // A Delete empties SC records but leaves them in place (deltas and
-  // recovery address records by index), so once most of a document is
-  // deleted its SC table holds more records than the document has rows.
-  // Every view shape (journaled, sealed full snapshot, empty-journal
-  // delta) and a reopen must still serve that store.
-  std::string dir = TempDirPath("pin-sc-holes");
-  RemoveTree(dir);
-  DurableDocumentStore::Options options;
-  options.max_delta_chain = 1;
-  Result<DurableDocumentStore> store =
-      DurableDocumentStore::Create(dir, SmallPlayXml(), options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   // Both acts and the personae go; the play keeps its title.
   const XmlTree& live = store->document().tree();
@@ -1918,18 +1899,17 @@ TEST(EpochPinning, ViewsServeMoreScRecordsThanRows) {
     EXPECT_TRUE(acts->empty()) << point;
   };
   expect_view_matches_store("journaled epoch 0");
-  ASSERT_TRUE(store->Checkpoint().ok());  // most rows changed: a full one
+  ASSERT_TRUE(store->Checkpoint().ok());
   ASSERT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 1)));
   expect_view_matches_store("sealed epoch 1");
   ASSERT_TRUE(
       store->AppendChild(store->document().tree().root(), "epilogue").ok());
-  ASSERT_TRUE(store->Checkpoint().ok());  // one new row: a delta
-  ASSERT_TRUE(fs::exists(DurableDocumentStore::DeltaPath(dir, 2)));
-  expect_view_matches_store("empty-journal delta epoch 2");
+  ASSERT_TRUE(store->Checkpoint().ok());
+  ASSERT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 2)));
+  expect_view_matches_store("sealed epoch 2");
 
   const std::string live_digest = StateDigest(store->document());
-  Result<DurableDocumentStore> reopened =
-      DurableDocumentStore::Open(dir, options);
+  Result<DurableDocumentStore> reopened = DurableDocumentStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(StateDigest(reopened->document()), live_digest);
   RemoveTree(dir);

@@ -172,7 +172,6 @@ TEST(EpochConcurrency, PinChurnDuringCheckpointsNeverBreaksRetirement) {
   std::string dir = TempDirPath("epoch-concurrent-churn");
   RemoveTree(dir);
   DurableDocumentStore::Options options;
-  options.max_delta_chain = 2;  // force frequent full compactions too
   Result<DurableDocumentStore> store =
       DurableDocumentStore::Create(dir, SmallPlayXml(), options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -239,21 +238,21 @@ TEST(EpochConcurrency, UnpinBetweenRegisterAndSetCurrentKeepsNewEpochFiles) {
   auto registry = std::make_shared<EpochRegistry>(&DefaultVfs(), dir);
   touch(EpochSnapshotPath(dir, 1));
   touch(EpochJournalPath(dir, 1));
-  registry->Register(1, /*is_delta=*/false, 0);
+  registry->Register(1);
   registry->SetCurrent(1);
 
   touch(EpochSnapshotPath(dir, 2));
   touch(EpochJournalPath(dir, 2));
-  registry->Register(2, /*is_delta=*/false, 0);
+  registry->Register(2);
   EpochPin pin = registry->Pin(registry);
   EXPECT_EQ(pin.epoch(), 1u);
   pin.Release();
-  EXPECT_TRUE(registry->ChainFilesPresent(2));
+  EXPECT_TRUE(registry->FilesPresent(2));
   EXPECT_TRUE(fs::exists(EpochJournalPath(dir, 2)));
-  EXPECT_TRUE(registry->ChainFilesPresent(1));
+  EXPECT_TRUE(registry->FilesPresent(1));
 
   registry->SetCurrent(2);
-  EXPECT_TRUE(registry->ChainFilesPresent(2));
+  EXPECT_TRUE(registry->FilesPresent(2));
   EXPECT_TRUE(fs::exists(EpochJournalPath(dir, 2)));
   EXPECT_FALSE(fs::exists(EpochSnapshotPath(dir, 1)));
   EXPECT_FALSE(fs::exists(EpochJournalPath(dir, 1)));

@@ -368,10 +368,10 @@ std::vector<NodeId> ElementsInPreorder(const XmlTree& tree) {
 }
 
 TEST(PlannerEntryPoints, SnapshotQueryMatchesEvaluatorSealedAndLive) {
-  // Every writer op, across a delta and a full checkpoint, replayed on a
-  // plain XmlTree model: at each pinned point the snapshot's planner,
-  // its walker and its DESC/ANC kernels must give the tree walk's answer
-  // over the model. Snapshot ids are the point's preorder ranks.
+  // Every writer op, across two checkpoints, replayed on a plain XmlTree
+  // model: at each pinned point the snapshot's planner, its walker and its
+  // DESC/ANC kernels must give the tree walk's answer over the model.
+  // Snapshot ids are the point's preorder ranks.
   const std::string dir = TempPath("planner-entry-snapshot");
   std::error_code ec;
   fs::remove_all(dir, ec);
@@ -382,7 +382,6 @@ TEST(PlannerEntryPoints, SnapshotQueryMatchesEvaluatorSealedAndLive) {
   MapCountingVfs vfs;
   DurableDocumentStore::Options options;
   options.vfs = &vfs;
-  options.max_delta_chain = 1;  // delta first, then a full snapshot
   Result<DurableDocumentStore> store =
       DurableDocumentStore::Create(dir, xml, options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -481,11 +480,11 @@ TEST(PlannerEntryPoints, SnapshotQueryMatchesEvaluatorSealedAndLive) {
   open_and_check("journaled epoch 0", {});
 
   ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(fs::exists(DurableDocumentStore::DeltaPath(dir, 1)));
+  ASSERT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 1)));
   ASSERT_EQ(store->durable_journal_bytes(), kWalHeaderBytes);
-  open_and_check("empty-journal delta epoch 1", {});
+  open_and_check("sealed epoch 1", {DurableDocumentStore::SnapshotPath(dir, 1)});
   write_round();
-  open_and_check("journaled delta epoch 1", {});
+  open_and_check("journaled epoch 1", {});
 
   ASSERT_TRUE(store->Checkpoint().ok());
   ASSERT_TRUE(fs::exists(DurableDocumentStore::SnapshotPath(dir, 2)));
