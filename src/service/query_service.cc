@@ -1,5 +1,9 @@
 #include "service/query_service.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <initializer_list>
 #include <span>
@@ -62,6 +66,17 @@ QueryService::QueryService(DurableDocumentStore store, Options options)
           planner_.EvictStale(current_epoch);
         });
   }
+}
+
+QueryService::HeapRelease::~HeapRelease() {
+#if defined(__GLIBC__)
+  // The worker and connection threads allocate from glibc's per-thread
+  // arenas, which glibc shrinks only from the top and only past a
+  // threshold that rises with the largest mapped block the process has
+  // freed. Without the trim, what a stopped service freed stays resident
+  // for the life of the process (DESIGN.md §13).
+  malloc_trim(0);
+#endif
 }
 
 QueryService::~QueryService() {

@@ -107,6 +107,13 @@ class QueryService {
 
   void CloseSession(SessionState* state);
 
+  /// Declared first, so destroyed last: once the store, its views and the
+  /// caches below are freed, gives the heap they held back to the OS.
+  struct HeapRelease {
+    ~HeapRelease();
+  };
+
+  HeapRelease heap_release_;
   DurableDocumentStore store_;
   const Options options_;
   EpochViewCache cache_;
